@@ -17,7 +17,6 @@
 #include "nn/lstm.h"
 #include "nn/tcn.h"
 #include "tensor/dispatch.h"
-#include "tensor/quant.h"
 #include "tensor/tensor_ops.h"
 #include "trace/cluster.h"
 
@@ -362,7 +361,6 @@ struct TierPerf {
   double gemm_gflops_256 = 0.0;  ///< float 256^3 matmul
   double exp_gelems = 0.0;       ///< vexp elements/s (64k buffer), 1e9
   double tanh_gelems = 0.0;
-  double int8_gops_256 = 0.0;    ///< int8 256^3 GEMM, 1e9 mul-adds x2 /s
 };
 
 double elementwise_gelems(void (*kernel)(float*, std::size_t)) {
@@ -385,30 +383,6 @@ double elementwise_gelems(void (*kernel)(float*, std::size_t)) {
   return static_cast<double>(n) * iters / watch.elapsed_seconds() / 1e9;
 }
 
-double int8_gemm_gops() {
-  Rng rng(22);
-  const std::size_t n = 256;
-  std::vector<std::int8_t> a(n * n), b(n * n);
-  for (auto& v : a)
-    v = static_cast<std::int8_t>(rng.uniform_int(0, 254) - 127);
-  for (auto& v : b)
-    v = static_cast<std::int8_t>(rng.uniform_int(0, 254) - 127);
-  std::vector<std::int32_t> c(n * n);
-  const auto run = [&] {
-    gemm_s8_nt(n, n, n, a.data(), b.data(), c.data());
-    benchmark::DoNotOptimize(c.data());
-  };
-  run();  // warm-up
-  Stopwatch watch;
-  std::size_t iters = 0;
-  while (watch.elapsed_seconds() < 0.2) {
-    run();
-    ++iters;
-  }
-  const double ops = 2.0 * static_cast<double>(n) * n * n * iters;
-  return ops / watch.elapsed_seconds() / 1e9;
-}
-
 TierPerf measure_tier(KernelArch arch) {
   set_kernel_arch_for_testing(arch);
   TierPerf p;
@@ -416,7 +390,6 @@ TierPerf measure_tier(KernelArch arch) {
   p.gemm_gflops_256 = gemm_gflops("matmul");
   p.exp_gelems = elementwise_gelems(kernels().vexp);
   p.tanh_gelems = elementwise_gelems(kernels().vtanh);
-  p.int8_gops_256 = int8_gemm_gops();
   return p;
 }
 
@@ -439,6 +412,9 @@ void emit_kernels_json() {
   const double conv_speedup =
       conv_im2col > 0.0 ? conv_direct / conv_im2col : 0.0;
   const GridTiming grid = time_grid();
+  // With one worker the "parallel" run is a second serial run, so its ratio
+  // to the first measures only run-to-run noise: report no speedup then.
+  const bool grid_parallel = grid.parallel_jobs > 1;
   const double speedup =
       grid.parallel_seconds > 0.0 ? grid.serial_seconds / grid.parallel_seconds
                                   : 0.0;
@@ -454,10 +430,6 @@ void emit_kernels_json() {
       scalar_perf.gemm_gflops_256 > 0.0
           ? best_perf.gemm_gflops_256 / scalar_perf.gemm_gflops_256
           : 0.0;
-  const double int8_speedup =
-      best_perf.gemm_gflops_256 > 0.0
-          ? best_perf.int8_gops_256 / best_perf.gemm_gflops_256
-          : 0.0;
 
   std::ofstream out("BENCH_kernels.json");
   out << "{\n"
@@ -472,13 +444,11 @@ void emit_kernels_json() {
     out << "      \"" << kernel_arch_name(p.arch) << "\": {\n"
         << "        \"gemm_256_gflops\": " << p.gemm_gflops_256 << ",\n"
         << "        \"exp_gelems_per_s\": " << p.exp_gelems << ",\n"
-        << "        \"tanh_gelems_per_s\": " << p.tanh_gelems << ",\n"
-        << "        \"int8_gemm_256_gops\": " << p.int8_gops_256 << "\n"
+        << "        \"tanh_gelems_per_s\": " << p.tanh_gelems << "\n"
         << "      }" << (i + 1 < tiers.size() ? "," : "") << "\n";
   }
   out << "    },\n"
-      << "    \"speedup_best_vs_scalar_gemm256\": " << simd_speedup << ",\n"
-      << "    \"speedup_int8_vs_f32_gemm256\": " << int8_speedup << "\n"
+      << "    \"speedup_best_vs_scalar_gemm256\": " << simd_speedup << "\n"
       << "  },\n"
       << "  \"gemm_size\": 256,\n"
       << "  \"gflops\": {\n"
@@ -496,20 +466,24 @@ void emit_kernels_json() {
       << "    \"jobs\": 4,\n"
       << "    \"workers_parallel\": " << grid.parallel_jobs << ",\n"
       << "    \"seconds_serial\": " << grid.serial_seconds << ",\n"
-      << "    \"seconds_parallel\": " << grid.parallel_seconds << ",\n"
-      << "    \"speedup\": " << speedup << ",\n"
-      << "    \"bit_identical\": " << (grid.bit_identical ? "true" : "false")
+      << "    \"seconds_parallel\": " << grid.parallel_seconds << ",\n";
+  if (grid_parallel) out << "    \"speedup\": " << speedup << ",\n";
+  out << "    \"bit_identical\": " << (grid.bit_identical ? "true" : "false")
       << "\n"
       << "  }\n"
       << "}\n";
   std::cout << "[json] wrote BENCH_kernels.json — 256^3 GEMM " << mm
-            << " GFLOP/s; conv1d im2col speedup " << conv_speedup
-            << "x; grid speedup " << speedup << "x on "
-            << grid.parallel_jobs << " workers (bit_identical="
-            << (grid.bit_identical ? "true" : "false") << ")\n"
+            << " GFLOP/s; conv1d im2col speedup " << conv_speedup << "x; ";
+  if (grid_parallel)
+    std::cout << "grid speedup " << speedup << "x on " << grid.parallel_jobs
+              << " workers";
+  else
+    std::cout << "grid on 1 worker (no speedup to report)";
+  std::cout << " (bit_identical=" << (grid.bit_identical ? "true" : "false")
+            << ")\n"
             << "[json] dispatch: active=" << kernel_arch_name(active)
-            << " best-vs-scalar GEMM " << simd_speedup << "x; int8-vs-f32 "
-            << int8_speedup << "x (" << cpu_flags_string() << ")\n";
+            << " best-vs-scalar GEMM " << simd_speedup << "x ("
+            << cpu_flags_string() << ")\n";
 }
 
 }  // namespace

@@ -2,17 +2,17 @@
 // profiles at the paper's shapes (12 indicator channels, window 24), each
 // measured under both executors:
 //
-//  * tape    — the eager snapshot runners (graph planning disabled).
-//  * planned — the captured-graph arena executor (graph/plan.h), the
-//    session default. By the bit-identity contract the outputs are
-//    identical; only the time changes.
+//  * tape    — the session's eager module forward (graph planning
+//    disabled).
+//  * planned — the compiled arena program (graph/plan.h), the session
+//    default. By the bit-identity contract the outputs are identical; only
+//    the time changes.
 //
 //  * rptcn — conv backbone {16,16,16}. Per-request cost is dominated by the
 //    convolution arithmetic itself, so batching only amortises per-call
 //    fixed overhead (dispatch, buffer acquisition, im2col setup). This is
-//    the profile ahead-of-time planning targets: the planned executor
-//    writes conv GEMM panels straight into channel-major arena rows and
-//    fuses the relu/residual epilogues, so speedup_planned_vs_tape is
+//    the profile ahead-of-time planning targets (no per-op allocation,
+//    dispatch or weight_norm recomputation), so speedup_planned_vs_tape is
 //    asserted on its batched column in CI.
 //  * lstm  — hidden 64, unrolled over 24 timesteps. At N=1 every timestep
 //    is a single-row GEMM against the recurrent weight matrix, so the
@@ -363,51 +363,6 @@ int run(int argc, char** argv) {
   const ModelReport lstm =
       bench_model("lstm", std::make_shared<serve::InferenceSession>(lstm_net));
 
-  // Int8 quantized serving on the same LSTM profile. The quantized session
-  // bypasses the plan cache (prequantized weights subsume prepacking), so
-  // one ExecReport covers it; the float32 reference row is the planned
-  // executor above — the session default a deployment would otherwise run.
-  auto quant_session = std::make_shared<serve::InferenceSession>(
-      lstm_net, serve::SessionOptions{true});
-  const bool quant_engaged = quant_session->quantized();
-  std::cout << "  lstm/int8 (quantized=" << (quant_engaged ? "true" : "false")
-            << "):\n";
-  ExecReport quant = bench_exec(quant_session, /*planned=*/true);
-  graph::set_planning_enabled(true);
-  std::cout << "    int8   single: " << quant.single.throughput_rps
-            << " req/s p50 " << quant.single.p50_ms << " ms | batched: "
-            << quant.batched.throughput_rps << " req/s p50 "
-            << quant.batched.p50_ms << " ms (avg batch "
-            << quant.avg_batch_size << ")\n";
-  const double quant_speedup_single =
-      ratio(quant.single.throughput_rps, lstm.planned.single.throughput_rps);
-  const double quant_speedup_batched =
-      ratio(quant.batched.throughput_rps, lstm.planned.batched.throughput_rps);
-
-  // Accuracy rides along with the speed row: the delta between the int8 and
-  // float32 trajectories on a fixed window set, so a quantization accuracy
-  // regression is as diffable as a throughput one.
-  double quant_mse = 0.0, quant_mape = 0.0, quant_max_abs = 0.0;
-  {
-    serve::InferenceSession float_session(lstm_net);
-    const auto windows = make_windows(64, 17);
-    Tensor batch({windows.size(), kFeatures, kWindow});
-    for (std::size_t i = 0; i < windows.size(); ++i)
-      std::copy_n(windows[i].raw(), windows[i].size(),
-                  batch.raw() + i * kFeatures * kWindow);
-    const Tensor yf = float_session.run(batch);
-    const Tensor yq = quant_session->run(batch);
-    for (std::size_t i = 0; i < yf.size(); ++i) {
-      const double f = yf.raw()[i];
-      const double q = yq.raw()[i];
-      quant_mse += (q - f) * (q - f);
-      quant_mape += std::abs(q - f) / (std::abs(f) + 1e-6);
-      quant_max_abs = std::max(quant_max_abs, std::abs(q - f));
-    }
-    quant_mse /= static_cast<double>(yf.size());
-    quant_mape /= static_cast<double>(yf.size());
-  }
-
   // Two headline numbers. Batching's is the LSTM profile (per-call-overhead
   // bound at N=1, the workload micro-batching targets), measured on the
   // tape executor where that per-call overhead lives — the planned executor
@@ -418,10 +373,7 @@ int run(int argc, char** argv) {
   std::cout << "\nheadline speedup (lstm tape, batched vs single-stream): "
             << lstm.tape.speedup_batched_vs_single << "x\n"
             << "headline speedup (rptcn batched, planned vs tape): "
-            << rptcn.speedup_batched << "x\n"
-            << "headline speedup (lstm single-stream, int8 vs float32): "
-            << quant_speedup_single << "x (mse vs float32 " << quant_mse
-            << ")\n";
+            << rptcn.speedup_batched << "x\n";
 
   std::ofstream out(out_path);
   out << "{\n"
@@ -437,27 +389,9 @@ int run(int argc, char** argv) {
   emit_model(out, rptcn, /*last=*/false);
   emit_model(out, lstm, /*last=*/true);
   out << "  },\n"
-      << "  \"quantized\": {\n"
-      << "    \"model\": \"lstm\",\n"
-      << "    \"engaged\": " << (quant_engaged ? "true" : "false") << ",\n"
-      << "    \"single_stream\": {\n";
-  emit_stats(out, quant.single, "      ");
-  out << "\n    },\n"
-      << "    \"batched\": {\n";
-  emit_stats(out, quant.batched, "      ");
-  out << ",\n      \"avg_batch_size\": " << quant.avg_batch_size << "\n"
-      << "    },\n"
-      << "    \"accuracy_vs_float32\": {\"mse\": " << quant_mse
-      << ", \"mape\": " << quant_mape << ", \"max_abs\": " << quant_max_abs
-      << "},\n"
-      << "    \"speedup_vs_float32\": {\"single_stream\": "
-      << quant_speedup_single << ", \"batched\": " << quant_speedup_batched
-      << "}\n"
-      << "  },\n"
       << "  \"speedup_batched_vs_single\": "
       << lstm.tape.speedup_batched_vs_single << ",\n"
-      << "  \"speedup_planned_vs_tape\": " << rptcn.speedup_batched << ",\n"
-      << "  \"speedup_quantized_vs_float32\": " << quant_speedup_single
+      << "  \"speedup_planned_vs_tape\": " << rptcn.speedup_batched
       << "\n}\n";
   std::cout << "[json] wrote " << out_path << "\n";
   return 0;

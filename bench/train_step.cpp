@@ -18,9 +18,7 @@
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
-#include "graph/capture.h"
 #include "graph/plan.h"
-#include "graph/snapshot.h"
 #include "graph/train.h"
 #include "nn/rptcn_net.h"
 #include "obs/metrics.h"
@@ -104,79 +102,6 @@ RunResult run_config(const RunConfig& cfg) {
   const double total = static_cast<double>(r.pool_hits + r.pool_misses);
   r.pool_hit_rate = total > 0.0 ? r.pool_hits / total : 0.0;
   r.final_loss = loss;
-  return r;
-}
-
-/// The per-epoch validation pass, tape vs planned (NnTrainConfig.planned_eval).
-/// Both run the identical eval workload: kEvalBatches forward passes of
-/// kBatch windows with training off and no gradients. The planned run
-/// captures once (cost included in its first pass, amortised over
-/// kEvalRepeats sweeps, exactly as the trainer amortises one capture over
-/// an epoch's validation batches) and replays from the arena.
-struct EvalResult {
-  double tape_ms = 0.0;     ///< per full eval sweep
-  double planned_ms = 0.0;  ///< per full eval sweep
-  double speedup = 0.0;
-  bool bit_identical = false;
-};
-
-constexpr std::size_t kEvalBatches = 8;
-constexpr std::size_t kEvalRepeats = 30;
-
-EvalResult run_eval_bench() {
-  nn::RptcnOptions opt;
-  opt.input_features = kFeatures;
-  opt.horizon = 1;
-  opt.tcn.channels = {16, 16, 16};
-  opt.tcn.kernel_size = 3;
-  opt.fc_dim = 16;
-  opt.seed = 42;
-  nn::RptcnNet net(opt);
-  net.set_training(false);
-
-  Rng rng(21);
-  std::vector<Tensor> batches;
-  for (std::size_t b = 0; b < kEvalBatches; ++b)
-    batches.push_back(Tensor::randn({kBatch, kFeatures, kWindow}, rng));
-
-  NoGradScope no_grad;
-  const auto tape_sweep = [&](std::vector<Tensor>* outs) {
-    for (const Tensor& x : batches) {
-      Tensor y = net.forward(Variable(x)).value();
-      if (outs != nullptr) outs->push_back(std::move(y));
-    }
-  };
-
-  graph::CaptureOptions copts;
-  copts.dispatch_n = 0;  // true-batch dispatch, as planned_eval wires it
-  graph::PlanCache plans(graph::make_capture_fn(graph::snapshot(net), copts));
-  const auto planned_sweep = [&](std::vector<Tensor>* outs) {
-    for (const Tensor& x : batches) {
-      Tensor y = plans.get(x.dim(0), x.dim(1), x.dim(2))->run(x);
-      if (outs != nullptr) outs->push_back(std::move(y));
-    }
-  };
-
-  // Correctness gate before timing: the planned sweep must be bit-identical.
-  std::vector<Tensor> tape_out, planned_out;
-  tape_sweep(&tape_out);
-  planned_sweep(&planned_out);
-  EvalResult r;
-  r.bit_identical = true;
-  for (std::size_t b = 0; b < kEvalBatches; ++b)
-    if (std::memcmp(tape_out[b].raw(), planned_out[b].raw(),
-                    tape_out[b].size() * sizeof(float)) != 0)
-      r.bit_identical = false;
-
-  Stopwatch tape_watch;
-  for (std::size_t i = 0; i < kEvalRepeats; ++i) tape_sweep(nullptr);
-  r.tape_ms = tape_watch.elapsed_seconds() / kEvalRepeats * 1e3;
-
-  Stopwatch planned_watch;
-  for (std::size_t i = 0; i < kEvalRepeats; ++i) planned_sweep(nullptr);
-  r.planned_ms = planned_watch.elapsed_seconds() / kEvalRepeats * 1e3;
-
-  r.speedup = r.planned_ms > 0.0 ? r.tape_ms / r.planned_ms : 0.0;
   return r;
 }
 
@@ -290,7 +215,7 @@ TrainPlanResult run_train_plan_bench() {
 
 void emit_json(const std::string& path, const RunConfig* cfgs,
                const RunResult* results, std::size_t count, double speedup,
-               const EvalResult& eval, const TrainPlanResult& plan) {
+               const TrainPlanResult& plan) {
   std::ofstream out(path);
   out << "{\n"
       << "  \"bench\": \"rptcn_train_step\",\n"
@@ -311,13 +236,6 @@ void emit_json(const std::string& path, const RunConfig* cfgs,
         << "    }" << (i + 1 < count ? "," : "") << "\n";
   }
   out << "  },\n"
-      << "  \"eval_forward\": {\n"
-      << "    \"batches\": " << kEvalBatches << ",\n"
-      << "    \"tape_ms\": " << eval.tape_ms << ",\n"
-      << "    \"planned_ms\": " << eval.planned_ms << ",\n"
-      << "    \"speedup_planned_vs_tape\": " << eval.speedup << ",\n"
-      << "    \"bit_identical\": " << (eval.bit_identical ? "true" : "false")
-      << "\n  },\n"
       << "  \"train_step_planned\": {\n"
       << "    \"tape_ms_per_step\": " << plan.tape_ms_per_step << ",\n"
       << "    \"planned_ms_per_step\": " << plan.planned_ms_per_step << ",\n"
@@ -375,12 +293,6 @@ int run(int argc, char** argv) {
   std::cout << "\nspeedup (im2col+pool vs direct+nopool): " << speedup
             << "x\n";
 
-  const EvalResult eval = run_eval_bench();
-  std::cout << "eval forward (8 batches): tape " << eval.tape_ms
-            << " ms, planned " << eval.planned_ms << " ms, speedup "
-            << eval.speedup << "x, bit_identical "
-            << (eval.bit_identical ? "true" : "false") << "\n";
-
   const TrainPlanResult plan = run_train_plan_bench();
   std::cout << "train step (planned vs tape): tape "
             << plan.tape_ms_per_step << " ms, planned "
@@ -389,7 +301,7 @@ int run(int argc, char** argv) {
             << " KiB, bit_identical "
             << (plan.bit_identical ? "true" : "false") << "\n";
 
-  emit_json(out_path, configs, results, kConfigs, speedup, eval, plan);
+  emit_json(out_path, configs, results, kConfigs, speedup, plan);
   return 0;
 }
 

@@ -284,6 +284,15 @@ constexpr std::size_t kConv1dGemmMinFlops = 1u << 14;
 // and bounded (~8 MiB) for any batch size.
 constexpr std::size_t kConv1dChunkFloats = 1u << 21;
 
+/// Whether a SingleWindowConvDispatch scope is alive on this thread.
+thread_local bool t_single_window_conv = false;
+
+bool conv1d_above_gemm_cutoff(std::size_t n, std::size_t cin,
+                              std::size_t cout, std::size_t k,
+                              std::size_t t_out) {
+  return 2 * n * cout * cin * k * t_out >= kConv1dGemmMinFlops;
+}
+
 bool conv1d_use_gemm(std::size_t n, std::size_t cin, std::size_t cout,
                      std::size_t k, std::size_t t_out) {
   switch (conv1d_impl_flag().load(std::memory_order_relaxed)) {
@@ -293,7 +302,7 @@ bool conv1d_use_gemm(std::size_t n, std::size_t cin, std::size_t cout,
       return true;
     case Conv1dImpl::kAuto:
     default:
-      return 2 * n * cout * cin * k * t_out >= kConv1dGemmMinFlops;
+      return conv1d_above_gemm_cutoff(n, cin, cout, k, t_out);
   }
 }
 
@@ -463,8 +472,7 @@ Tensor weight_norm_forward(const Tensor& v, const Tensor& g,
 namespace fwd {
 
 Tensor conv1d(const Tensor& x, const Tensor& w, const Tensor* b,
-              std::size_t dilation, std::ptrdiff_t left_pad,
-              std::size_t dispatch_n) {
+              std::size_t dilation, std::ptrdiff_t left_pad) {
   RPTCN_CHECK(x.rank() == 3,
               "conv1d input must be [N,Cin,T], got " << x.shape_string());
   RPTCN_CHECK(w.rank() == 3,
@@ -484,8 +492,8 @@ Tensor conv1d(const Tensor& x, const Tensor& w, const Tensor* b,
   RPTCN_CHECK(t_in + pad >= k_reach,
               "conv1d: input too short for kernel reach " << k_reach);
   const std::size_t t_out = t_in + pad - k_reach;
-  const bool use_gemm = conv1d_use_gemm(
-      dispatch_n != 0 ? dispatch_n : x.dim(0), x.dim(1), w.dim(0), k, t_out);
+  const bool use_gemm = conv1d_uses_gemm(x.dim(0), x.dim(1), w.dim(0), k,
+                                         t_out);
   if (obs::enabled())
     (use_gemm ? conv1d_metrics().gemm_calls : conv1d_metrics().direct_calls)
         .add(1);
@@ -597,27 +605,6 @@ Tensor slice_cols(const Tensor& x, std::size_t start, std::size_t count) {
   return out;
 }
 
-Conv1dLowering conv1d_lowering(std::size_t n, std::size_t cin,
-                               std::size_t cout, std::size_t k,
-                               std::size_t t_in, std::size_t dilation,
-                               std::ptrdiff_t left_pad,
-                               std::size_t dispatch_n) {
-  RPTCN_CHECK(dilation >= 1, "conv1d dilation must be >= 1");
-  Conv1dLowering lo;
-  lo.pad = left_pad < 0 ? (k - 1) * dilation
-                        : static_cast<std::size_t>(left_pad);
-  const std::size_t k_reach = (k - 1) * dilation;
-  RPTCN_CHECK(t_in + lo.pad >= k_reach,
-              "conv1d: input too short for kernel reach " << k_reach);
-  lo.t_out = t_in + lo.pad - k_reach;
-  lo.use_gemm =
-      conv1d_use_gemm(dispatch_n != 0 ? dispatch_n : n, cin, cout, k, lo.t_out);
-  // Chunking always sees the true batch size (it bounds scratch, it does not
-  // pick a kernel), exactly as conv1d_forward_gemm computes it.
-  lo.chunk = lo.use_gemm ? conv1d_chunk(n, cin * k, lo.t_out) : 0;
-  return lo;
-}
-
 void im2col_strided(const float* x, std::size_t xs, std::size_t xc,
                     std::size_t nc, std::size_t cin, std::size_t t_in,
                     std::size_t k, std::size_t d, std::size_t pad,
@@ -632,8 +619,15 @@ void conv1d_direct_strided(const float* x, std::size_t xs, std::size_t xc,
                            std::size_t cin, std::size_t t_in, std::size_t cout,
                            std::size_t k, std::size_t d, std::size_t pad,
                            std::size_t t_out, float* y, std::size_t ys,
-                           std::size_t yc, bool relu) {
-#pragma omp parallel for collapse(2) schedule(static) if (n * cout > 1 && kernel_parallelism_allowed())
+                           std::size_t yc) {
+  // Fork across windows only when one window alone reaches the GEMM flop
+  // cutoff. Smaller windows reach this kernel batched only under a pin
+  // (SingleWindowConvDispatch, Conv1dImpl::kDirect), and per window they
+  // cost less than the fork.
+  const bool fork = n * cout > 1 &&
+                    conv1d_above_gemm_cutoff(1, cin, cout, k, t_out) &&
+                    kernel_parallelism_allowed();
+#pragma omp parallel for collapse(2) schedule(static) if (fork)
   for (std::size_t ni = 0; ni < n; ++ni) {
     for (std::size_t co = 0; co < cout; ++co) {
       float* yrow = y + ni * ys + co * yc;
@@ -652,51 +646,25 @@ void conv1d_direct_strided(const float* x, std::size_t xs, std::size_t xc,
                                      static_cast<std::ptrdiff_t>(pad);
           std::size_t t_lo, t_hi;
           tap_range(off, t_in, t_out, t_lo, t_hi);
-          for (std::size_t t = t_lo; t < t_hi; ++t)
-            yrow[t] += wv * xrow[static_cast<std::size_t>(
-                           static_cast<std::ptrdiff_t>(t) + off)];
+          // Unit-stride rows from t_lo on: the same per-element mul + add,
+          // in a form the compiler vectorises.
+          const float* src = xrow + (static_cast<std::ptrdiff_t>(t_lo) + off);
+          float* dst = yrow + t_lo;
+          for (std::size_t i = 0; i < t_hi - t_lo; ++i) dst[i] += wv * src[i];
         }
       }
-      if (relu)
-        for (std::size_t t = 0; t < t_out; ++t)
-          yrow[t] = yrow[t] > 0.0f ? yrow[t] : 0.0f;
-    }
-  }
-}
-
-void conv1d_1x1_strided_serial(const float* x, std::size_t xs, std::size_t xc,
-                               const float* w, const float* b, std::size_t n,
-                               std::size_t cin, std::size_t cout,
-                               std::size_t t, float* y, std::size_t ys,
-                               std::size_t yc, bool relu) {
-  // Channel-major on both sides (sample stride == t) makes every channel
-  // row contiguous across the whole batch, collapsing the (sample, time)
-  // loops into one fused pass of n*t floats per (cout, cin) pair. The
-  // per-element accumulation sequence is the same either way.
-  const bool fused_rows = xs == t && ys == t;
-  const std::size_t rows = fused_rows ? 1 : n;
-  const std::size_t len = fused_rows ? n * t : t;
-  for (std::size_t co = 0; co < cout; ++co) {
-    const float* wrow = w + co * cin;  // [Cout, Cin, 1] weight layout
-    for (std::size_t ni = 0; ni < rows; ++ni) {
-      float* yrow = y + ni * ys + co * yc;
-      const float bias = b != nullptr ? b[co] : 0.0f;
-      for (std::size_t i = 0; i < len; ++i) yrow[i] = bias;
-      for (std::size_t ci = 0; ci < cin; ++ci) {
-        const float wv = wrow[ci];
-        if (wv == 0.0f) continue;
-        const float* xrow = x + ni * xs + ci * xc;
-        for (std::size_t i = 0; i < len; ++i) yrow[i] += wv * xrow[i];
-      }
-      if (relu)
-        for (std::size_t i = 0; i < len; ++i)
-          yrow[i] = yrow[i] > 0.0f ? yrow[i] : 0.0f;
     }
   }
 }
 
 bool conv1d_uses_gemm(std::size_t n, std::size_t cin, std::size_t cout,
                       std::size_t k, std::size_t t_out) {
+  return conv1d_use_gemm(t_single_window_conv ? 1 : n, cin, cout, k, t_out);
+}
+
+bool conv1d_backward_uses_gemm(std::size_t n, std::size_t cin,
+                               std::size_t cout, std::size_t k,
+                               std::size_t t_out) {
   return conv1d_use_gemm(n, cin, cout, k, t_out);
 }
 
@@ -906,6 +874,15 @@ Conv1dImpl conv1d_impl() {
   return conv1d_impl_flag().load(std::memory_order_relaxed);
 }
 
+SingleWindowConvDispatch::SingleWindowConvDispatch()
+    : previous_(t_single_window_conv) {
+  t_single_window_conv = true;
+}
+
+SingleWindowConvDispatch::~SingleWindowConvDispatch() {
+  t_single_window_conv = previous_;
+}
+
 Variable conv1d(const Variable& x, const Variable& w, const Variable& b,
                 std::size_t dilation, std::ptrdiff_t left_pad) {
   check_defined(x, "conv1d");
@@ -929,7 +906,8 @@ Variable conv1d(const Variable& x, const Variable& w, const Variable& b,
       const std::size_t t_out = dy.dim(2);
       // Same shape-only dispatch as the forward pass (re-evaluated so the
       // backward honours set_conv1d_impl at backward time too).
-      const bool lower = conv1d_use_gemm(n, xv.dim(1), cout, ksz, t_out);
+      const bool lower =
+          fwd::conv1d_backward_uses_gemm(n, xv.dim(1), cout, ksz, t_out);
 
       if (xn->requires_grad) {
         Tensor dx = Tensor::zeros(xv.shape());

@@ -61,6 +61,25 @@ enum class Conv1dImpl { kAuto, kDirect, kIm2col };
 void set_conv1d_impl(Conv1dImpl impl);
 Conv1dImpl conv1d_impl();
 
+/// Batch-invariant conv dispatch. The kAuto cutoff depends on the batch
+/// size N, so a coalesced batch could pick a different summation order than
+/// the N=1 forward of each of its windows. While a scope is alive on the
+/// current thread, every conv1d forward (ag::conv1d, fwd::conv1d and the
+/// planned conv emitter) makes the N=1 decision instead, so each row of a
+/// batched forward is bit-identical to its window's N=1 forward. Serving
+/// runs under one; training never does. Chunking still uses the true N, and
+/// kDirect/kIm2col pins win either way. Scopes nest.
+class SingleWindowConvDispatch {
+ public:
+  SingleWindowConvDispatch();
+  ~SingleWindowConvDispatch();
+  SingleWindowConvDispatch(const SingleWindowConvDispatch&) = delete;
+  SingleWindowConvDispatch& operator=(const SingleWindowConvDispatch&) = delete;
+
+ private:
+  bool previous_;
+};
+
 /// Weight normalisation: w[c,...] = g[c] * v[c,...] / ||v[c,...]||_2.
 /// Used inside the TCN residual block (Fig. 6).
 Variable weight_norm(const Variable& v, const Variable& g);
@@ -101,16 +120,10 @@ Variable slice_cols(const Variable& x, std::size_t start, std::size_t count);
 // exactly one copy of every forward numeric.
 namespace fwd {
 
-/// Dilated causal Conv1d forward (same contract as ag::conv1d). dispatch_n
-/// overrides the batch size used in the kAuto flop cutoff: the kAuto
-/// decision depends on N, so a batched call can pick a different summation
-/// order than an N=1 call on the same layer. The serving path passes
-/// dispatch_n=1 so a coalesced batch reproduces the single-window forward
-/// bit-for-bit; dispatch_n=0 (default) uses the true batch size, which is
-/// what training does. kDirect/kIm2col pins win over dispatch_n either way.
+/// Dilated causal Conv1d forward (same contract as ag::conv1d, including
+/// SingleWindowConvDispatch).
 Tensor conv1d(const Tensor& x, const Tensor& w, const Tensor* b,
-              std::size_t dilation = 1, std::ptrdiff_t left_pad = -1,
-              std::size_t dispatch_n = 0);
+              std::size_t dilation = 1, std::ptrdiff_t left_pad = -1);
 /// y[N,O] = x[N,F] * w[O,F]^T (+ b[O] if non-null).
 Tensor linear(const Tensor& x, const Tensor& w, const Tensor* b);
 /// w[c,...] = g[c] * v[c,...] / ||v[c,...]||_2.
@@ -128,33 +141,17 @@ Tensor concat_cols(const Tensor& a, const Tensor& b);
 /// Column slice of a 2-D activation: [N,F] -> [N,count] starting at `start`.
 Tensor slice_cols(const Tensor& x, std::size_t start, std::size_t count);
 
-// -- conv1d lowering internals, exposed for the graph planner -----------------
-// A captured plan must make exactly the dispatch decisions and run exactly
+// -- conv1d lowering internals, exposed for the graph compiler ----------------
+// A compiled plan must make exactly the dispatch decisions and run exactly
 // the kernels the eager conv makes, or the two executors stop being
 // bit-identical (the GEMM small/blocked paths round differently against a
 // bias-prefilled C). These entry points are that shared substrate.
 
-/// Shape-only lowering geometry for one conv1d call. `dispatch_n` as in
-/// fwd::conv1d (0 = true batch size, 1 = serving pin); `chunk` always uses
-/// the true batch size, mirroring conv1d_forward_gemm.
-struct Conv1dLowering {
-  bool use_gemm = false;  ///< im2col+GEMM vs direct loops
-  std::size_t pad = 0;    ///< resolved left padding
-  std::size_t t_out = 0;  ///< output time length
-  std::size_t chunk = 0;  ///< samples per im2col chunk (GEMM path)
-};
-Conv1dLowering conv1d_lowering(std::size_t n, std::size_t cin,
-                               std::size_t cout, std::size_t k,
-                               std::size_t t_in, std::size_t dilation,
-                               std::ptrdiff_t left_pad,
-                               std::size_t dispatch_n = 0);
-
 /// Causal-padding-aware im2col over nc samples with explicit input strides:
 /// patches[(ci*K + kk), s*T_out + t] = x[s*xs + ci*xc + (t + kk*d - pad)],
 /// zero outside [0, T_in). xs/xc express the input layout — sample-major
-/// [N,C,T] uses (C*T_in, T_in); the planner's channel-major [C, N*T_in]
-/// activations use (T_in, N*T_in). The eager kernels call this with the
-/// sample-major strides, so both executors share one loop body.
+/// [N,C,T] uses (C*T_in, T_in); a channel-major [C, N*T_in] layout uses
+/// (T_in, N*T_in).
 void im2col_strided(const float* x, std::size_t xs, std::size_t xc,
                     std::size_t nc, std::size_t cin, std::size_t t_in,
                     std::size_t k, std::size_t d, std::size_t pad,
@@ -164,28 +161,15 @@ void im2col_strided(const float* x, std::size_t xs, std::size_t xc,
 /// y[s*ys + co*yc + t] = b[co] + sum w[co,ci,kk] * x[s*xs + ci*xc + t+kk*d-pad].
 /// b may be null (output rows are then zero-initialised). Identical loop
 /// body (and OpenMP policy) as the eager direct kernel — it IS the eager
-/// kernel, parameterised by layout.
+/// kernel, parameterised by layout. The OpenMP region only forks when one
+/// window alone is at or above the GEMM flop cutoff (reachable when dispatch
+/// is pinned): below it a fork costs more than the window's conv.
 void conv1d_direct_strided(const float* x, std::size_t xs, std::size_t xc,
                            const float* w, const float* b, std::size_t n,
                            std::size_t cin, std::size_t t_in, std::size_t cout,
                            std::size_t k, std::size_t d, std::size_t pad,
                            std::size_t t_out, float* y, std::size_t ys,
-                           std::size_t yc, bool relu = false);
-
-/// Serial pointwise (k=1, pad=0) conv for the planned executor: every
-/// output element goes through the exact accumulation sequence of
-/// conv1d_direct_strided — bias first, then one add per input channel in
-/// ascending order with the zero-weight skip — so it is bit-identical to
-/// the eager direct kernel; only the scheduling differs (no OpenMP region,
-/// and channel-major rows on both sides collapse the sample/time loops
-/// into one contiguous pass of n*t floats per channel pair). The planner
-/// uses it because it knows at capture time that these convs are far too
-/// small to amortise a parallel-region fork. `relu` fuses the epilogue.
-void conv1d_1x1_strided_serial(const float* x, std::size_t xs, std::size_t xc,
-                               const float* w, const float* b, std::size_t n,
-                               std::size_t cin, std::size_t cout,
-                               std::size_t t, float* y, std::size_t ys,
-                               std::size_t yc, bool relu);
+                           std::size_t yc);
 
 // -- raw conv1d kernels for the planned training step -------------------------
 // Sample-major [N,C,T] layouts throughout. These are the loop bodies of the
@@ -195,10 +179,16 @@ void conv1d_1x1_strided_serial(const float* x, std::size_t xs, std::size_t xc,
 // dX, dW and db ACCUMULATE into their outputs; callers zero-fill first,
 // exactly as the tape closures allocate Tensor::zeros.
 
-/// Shape-only GEMM-vs-direct dispatch (honours set_conv1d_impl), the same
-/// predicate fwd::conv1d and the backward closures evaluate per call.
+/// Shape-only GEMM-vs-direct dispatch of a conv1d forward: the predicate
+/// fwd::conv1d evaluates per call (honours set_conv1d_impl and
+/// SingleWindowConvDispatch).
 bool conv1d_uses_gemm(std::size_t n, std::size_t cin, std::size_t cout,
                       std::size_t k, std::size_t t_out);
+/// The same dispatch for a conv1d backward, always on the true N (ignores
+/// SingleWindowConvDispatch): what the tape closure evaluates when it runs.
+bool conv1d_backward_uses_gemm(std::size_t n, std::size_t cin,
+                               std::size_t cout, std::size_t k,
+                               std::size_t t_out);
 void conv1d_forward_gemm_raw(const float* x, const float* w, const float* b,
                              std::size_t n, std::size_t cin, std::size_t t_in,
                              std::size_t cout, std::size_t k, std::size_t d,

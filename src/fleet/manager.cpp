@@ -479,7 +479,6 @@ stream::RetrainOptions FleetManager::retrain_options_for(
   opt.model_name = spec.model.name;
   opt.model = spec.model.config;
   opt.tenant = options_.tenant;
-  opt.quantized_serving = spec.quantized_serving;
   return opt;
 }
 

@@ -31,11 +31,6 @@ struct EntitySpec {
   /// Cold-start recipe for the cohort's model. The first spec registered
   /// for a cohort wins; later members inherit it.
   models::ForecasterSpec model;
-  /// Serve this entity's retrained generations through the int8 quantized
-  /// snapshot (stream::RetrainOptions::quantized_serving). Set it on every
-  /// member of a cohort to opt the whole cohort in — like `model`, the
-  /// bootstrap fit follows the first spec registered for the cohort.
-  bool quantized_serving = false;
 
   /// Throws common::CheckError naming the offending field.
   void validate() const;

@@ -359,9 +359,10 @@ PlanCache::PlanCache(CaptureFn capture) : capture_(std::move(capture)) {
   RPTCN_CHECK(capture_ != nullptr, "PlanCache needs a capture function");
 }
 
-std::shared_ptr<const Executable> PlanCache::get(std::size_t n, std::size_t f,
-                                                 std::size_t t) {
-  const std::array<std::size_t, 3> key{n, f, t};
+std::shared_ptr<const Executable> PlanCache::get(const Tensor& x) {
+  RPTCN_CHECK(x.rank() == 3, "PlanCache expects [N, F, T], got "
+                                 << x.shape_string());
+  const std::array<std::size_t, 3> key{x.dim(0), x.dim(1), x.dim(2)};
   // Capture runs under the lock: rare (once per shape), and serialising it
   // means concurrent first requests for one shape plan exactly once.
   std::lock_guard<std::mutex> lock(mu_);
@@ -372,8 +373,7 @@ std::shared_ptr<const Executable> PlanCache::get(std::size_t n, std::size_t f,
   }
   graph_metrics().cache_misses.add(1);
   Stopwatch sw;
-  std::shared_ptr<const Executable> exec = capture_(n, f, t);
-  RPTCN_CHECK(exec != nullptr, "capture returned no executable");
+  std::shared_ptr<const Executable> exec = capture_(x);
   graph_metrics().captures.add(1);
   if (obs::enabled())
     graph_metrics().capture_seconds.record(sw.elapsed_seconds());

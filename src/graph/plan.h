@@ -1,32 +1,29 @@
-// Static graph capture + ahead-of-time memory planning (JIT-lite executor).
+// Planned execution: flat programs over one ahead-of-time-planned arena.
 //
-// The serving forward is shape-static: for a fixed (model, batch shape) every
-// call runs the same ops on the same sizes. The tape-free runners in
-// snapshot.cpp still pay shape checks, dispatch branches, and a buffer-pool
-// round trip per intermediate on every call. This layer pays those costs
-// once:
+// A fixed (model, input shape) pair runs the same ops on the same sizes on
+// every call. The eager tape pays shape checks, dispatch branches, node
+// allocation and a buffer-pool round trip per intermediate on each of them.
+// A planned program pays those costs once:
 //
-//  * capture — trace one forward into an immutable flat list of TensorOps
-//    (capture.h), keyed by the input shape [N, F, T].
+//  * compile — the tape compiler (train.h) records the module's eager
+//    forward (or training step) and re-emits it as an immutable flat list
+//    of TensorOps, keyed by the input shape [N, F, T].
 //  * plan    — liveness analysis assigns every intermediate an offset in one
 //    contiguous arena. A value is live on [def, last_use]; non-overlapping
 //    lifetimes share arena bytes (first-fit free list, 16-float aligned),
 //    and an op whose input dies at the op itself may alias its output onto
-//    that input's block (in-place add+relu).
+//    that input's block.
 //  * replay  — Executable::run binds {input, output, arena} and walks the
 //    op list. No shape checks, no dispatch, no per-op allocation.
 //
-// Bit-identity contract: a captured plan must produce bit-identical outputs
-// to the eager snapshot runner. Capture therefore re-uses the exact eager
-// kernels (or shares their loop bodies via the strided entry points in
-// ag::fwd / tensor_ops), makes the same GEMM small-vs-blocked dispatch
-// decisions ahead of time, and keeps every float summation order unchanged.
-// Fusions are restricted to ones that provably preserve rounding (no new
-// fma contraction across a stored intermediate). tests/test_graph.cpp gates
-// this op-by-op and end-to-end.
+// Bit-identity contract: a program is bit-identical to the eager forward it
+// was recorded from. The compiler calls the eager kernels (or shares their
+// loop bodies), makes the same dispatch decisions ahead of time, keeps every
+// float summation order, and verifies each program against its probe before
+// caching it. tests/test_graph.cpp and tests/test_graph_train.cpp gate this.
 //
 // Escape hatch: RPTCN_DISABLE_PLAN=1 (or set_planning_enabled(false)) makes
-// every plan-aware caller fall back to the eager runners.
+// every plan-aware caller run the eager forward.
 #pragma once
 
 #include <array>
@@ -119,7 +116,7 @@ class Executable {
 };
 
 // -- capture-time graph construction ------------------------------------------
-// Emitters (capture.cpp) declare values and ops against a GraphBuilder; the
+// Emitters (train.cpp) declare values and ops against a GraphBuilder; the
 // builder runs liveness + arena assignment in finish(), then bakes each op's
 // closure with the final offsets. Ops never see ValueIds at replay time.
 
@@ -195,11 +192,12 @@ class GraphBuilder {
 
 // -- plan cache ---------------------------------------------------------------
 
-/// Captures a plan for one input shape [N, F, T].
-using CaptureFn = std::function<std::shared_ptr<const Executable>(
-    std::size_t n, std::size_t f, std::size_t t)>;
+/// Compiles a plan for inputs of probe's shape [N, F, T], recording the
+/// forward on `probe`; nullptr pins that shape to the eager forward.
+using CaptureFn =
+    std::function<std::shared_ptr<const Executable>(const Tensor& probe)>;
 
-/// Shape-keyed cache of Executables for one model snapshot. A hot-swap
+/// Shape-keyed cache of Executables for one frozen model. A hot-swap
 /// installs a new session (and with it a new PlanCache), so generation
 /// invalidation is structural: stale plans die with the session that owns
 /// them and can never serve a new generation's weights.
@@ -207,10 +205,10 @@ class PlanCache {
  public:
   explicit PlanCache(CaptureFn capture);
 
-  /// Plan for shape [n, f, t]: cached, or captured under the lock (so a
-  /// shape is captured exactly once even under concurrent first calls).
-  std::shared_ptr<const Executable> get(std::size_t n, std::size_t f,
-                                        std::size_t t);
+  /// Plan for x's shape: cached, or captured under the lock with x as the
+  /// probe (so a shape is captured exactly once even under concurrent first
+  /// calls). nullptr when that shape is pinned to the eager forward.
+  std::shared_ptr<const Executable> get(const Tensor& x);
 
   /// Shapes currently cached (for error messages and tests).
   std::vector<std::array<std::size_t, 3>> shapes() const;

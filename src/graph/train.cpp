@@ -1,4 +1,5 @@
-// Planned training step (see train.h for the capture/verify/replay design).
+// The tape compiler (see train.h for the record/compile/verify/replay
+// design shared by the planned training step and planned serving).
 //
 // Bit-identity rules this file lives by:
 //
@@ -33,6 +34,7 @@
 #include <map>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -77,13 +79,6 @@ struct PackRegistry {
   std::vector<rptcn::PackedB> packs;
 };
 
-/// One compiled full-step program for a fixed [N, F, T]. Replay is
-/// single-threaded (the trainer's batch loop): the pack registry and any
-/// captured dropout RNG streams are mutated in place.
-struct TrainProgram {
-  std::shared_ptr<const Executable> exec;
-};
-
 /// Capture-time reference to one op operand: either a planned value or a
 /// baked leaf node (parameter / constant). Baked reads go through the node
 /// every replay, so Adam's in-place parameter updates (and checkpoint
@@ -104,6 +99,14 @@ CSrc bind_src(const Resolver& rv, const SrcRef& s) {
 /// Compiles one TapeTrace into an Executable. Returns nullptr whenever the
 /// trace contains anything it cannot re-emit bit-identically; the caller
 /// then pins this shape to the eager path.
+///
+/// Two modes share every forward emitter. A training compile (first
+/// constructor) emits the forward up to the loss, then the backward in the
+/// tape's firing order, writing parameter gradients into the optimizer slab.
+/// A forward-only compile (second constructor) emits the forward records
+/// with `output` as the program output; its leaves are frozen, so ops whose
+/// operands are all leaves (weight_norm) fold to their probe values and
+/// weight prepacks happen once at compile time instead of every replay.
 class Compiler {
  public:
   Compiler(const TapeTrace& trace, NodePtr input, NodePtr loss,
@@ -111,25 +114,40 @@ class Compiler {
            const std::vector<std::size_t>& offsets, std::size_t target_floats)
       : trace_(trace),
         input_(std::move(input)),
-        loss_(std::move(loss)),
-        params_(params),
+        output_(std::move(loss)),
         builder_(input_->value.shape(), {1}),
-        preg_(std::make_shared<PackRegistry>()) {
+        preg_(std::make_shared<PackRegistry>()),
+        target_floats_(target_floats) {
     val_[input_.get()] = builder_.input_value();
     target_ = builder_.target_value(target_floats);
-    for (std::size_t i = 0; i < params_.size(); ++i) {
-      const Node* pn = params_[i].node().get();
-      const ValueId id = builder_.grads_value(offsets[i], params_[i].size());
-      floats_[id] = params_[i].size();
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      const Node* pn = params[i].node().get();
+      const ValueId id = builder_.grads_value(offsets[i], params[i].size());
+      floats_[id] = params[i].size();
       gslot_.emplace(pn, GSlot{id, false});
     }
   }
 
+  Compiler(const TapeTrace& trace, NodePtr input, NodePtr output)
+      : trace_(trace),
+        input_(std::move(input)),
+        output_(std::move(output)),
+        forward_only_(true),
+        builder_(input_->value.shape(), output_->value.shape()),
+        preg_(std::make_shared<PackRegistry>()) {
+    val_[input_.get()] = builder_.input_value();
+  }
+
   std::shared_ptr<const Executable> run() {
+    if (forward_only_) {
+      for (const OpRecord& r : trace_.ops)
+        if (!emit_forward(r)) return nullptr;
+      return output_emitted_ ? builder_.finish() : nullptr;
+    }
     if (trace_.ops.empty() || trace_.backward_order.empty()) return nullptr;
     for (const OpRecord& r : trace_.ops)
       if (!emit_forward(r)) return nullptr;
-    if (!loss_emitted_) return nullptr;
+    if (!output_emitted_) return nullptr;
     for (Node* n : trace_.backward_order)
       if (!emit_backward(n)) return nullptr;
     // Parameters the probe never touched keep an all-zero gradient (the
@@ -173,11 +191,25 @@ class Compiler {
       out->id = it->second;
       return true;
     }
-    if (n->parents.empty()) {  // leaf: parameter or frozen constant
+    // Bake true leaves (parameters, constants) and folded results only. A
+    // node some untraced op produced is parentless too whenever none of its
+    // operands needed a gradient, but its value derives from this batch's
+    // input: baking it would replay the probe's data forever.
+    if (std::strcmp(n->op, "leaf") == 0 || folded_.count(n.get()) != 0) {
       out->baked = n;
       return true;
     }
     return false;  // produced by an op the trace did not record
+  }
+
+  /// Forward-only folding: every operand is a frozen leaf or an already
+  /// folded result, so the probe's value is the value of every replay.
+  bool foldable(const OpRecord& r) {
+    for (const NodePtr& in : r.in) {
+      SrcRef s;
+      if (in != nullptr && (!resolve(in, &s) || s.is_val)) return false;
+    }
+    return true;
   }
 
   void add_in(EmitSpec& spec, const SrcRef& s) {
@@ -210,6 +242,10 @@ class Compiler {
     const std::size_t idx = preg_->packs.size();
     preg_->packs.emplace_back();
     pack_idx_.emplace(key, idx);
+    if (forward_only_) {  // frozen weights: one pack serves every replay
+      preg_->packs[idx] = rptcn::gemm_pack_b(w->value.raw(), ldb, trans_b, k, n);
+      return idx;
+    }
     EmitSpec spec;
     spec.name = "pack_w";
     builder_.emit(spec, [preg = preg_, idx, w, ldb, trans_b, k,
@@ -283,9 +319,26 @@ class Compiler {
 
   bool emit_forward(const OpRecord& r) {
     Node* res = r.result.get();
-    const bool is_loss = res == loss_.get();
+    const bool is_output = res == output_.get();
+    if (forward_only_) {
+      switch (r.kind) {
+        case OpKind::kDropout:  // a training-mode forward: not servable
+        case OpKind::kSpatialDropout:
+        case OpKind::kMseLoss:
+        case OpKind::kMaeLoss:
+        case OpKind::kPinballLoss:
+          return false;
+        default:
+          break;
+      }
+      if (foldable(r)) {
+        if (is_output) return false;  // an input-independent output
+        folded_.insert(res);
+        return true;
+      }
+    }
     const ValueId out =
-        is_loss ? builder_.output_value() : new_value(res->value.size());
+        is_output ? builder_.output_value() : new_value(res->value.size());
     switch (r.kind) {
       case OpKind::kAdd:
       case OpKind::kMul:
@@ -333,11 +386,12 @@ class Compiler {
       case OpKind::kMseLoss:
       case OpKind::kMaeLoss:
       case OpKind::kPinballLoss:
-        if (!is_loss) return false;  // a loss that is not THE loss
+        if (!is_output) return false;  // a loss that is not THE loss
         if (!fwd_loss(r, out)) return false;
-        loss_emitted_ = true;
+        output_emitted_ = true;
         break;
     }
+    if (forward_only_ && is_output) output_emitted_ = true;
     val_[res] = out;
     rec_of_[res] = &r;
     return true;
@@ -465,7 +519,8 @@ class Compiler {
     const std::size_t k = r.in[1]->value.dim(2);
     const std::size_t t_out = r.result->value.dim(2);
     const std::size_t d = r.a, pad = r.b;
-    // Same shape-only dispatch the eager forward makes with the true batch.
+    // Same shape-only dispatch the eager forward makes (pinned to N=1 under
+    // SingleWindowConvDispatch).
     const bool use_gemm = ag::fwd::conv1d_uses_gemm(n, cin, cout, k, t_out);
     const bool prepatch =
         use_gemm && ag::fwd::conv1d_gemm_single_chunk(n, cin, k, t_out);
@@ -809,7 +864,7 @@ class Compiler {
     SrcRef p;
     if (!resolve(r.in[0], &p)) return false;
     const std::size_t n = r.in[0]->value.size();
-    if (value_floats_of_target_ != n) return false;  // pred/target mismatch
+    if (target_floats_ != n) return false;  // pred/target mismatch
     const OpKind kind = r.kind;
     const float tau = r.scalar;
     EmitSpec spec;
@@ -855,7 +910,7 @@ class Compiler {
     auto rit = rec_of_.find(n);
     if (rit == rec_of_.end()) return false;  // unrecorded closure fired
     const OpRecord& r = *rit->second;
-    const bool is_loss = n == loss_.get();
+    const bool is_loss = n == output_.get();
     ValueId gy = 0;
     if (!is_loss) {
       auto git = gslot_.find(n);
@@ -1143,7 +1198,8 @@ class Compiler {
     const std::size_t k = r.in[1]->value.dim(2);
     const std::size_t t_out = r.result->value.dim(2);
     const std::size_t d = r.a, pad = r.b;
-    const bool lower = ag::fwd::conv1d_uses_gemm(n, cin, cout, k, t_out);
+    const bool lower =
+        ag::fwd::conv1d_backward_uses_gemm(n, cin, cout, k, t_out);
     // Same regime the forward emitter checked: when one chunk covers the
     // batch, dX and dW share a single dy gather, and dW reuses the patch
     // matrix the forward conv already built from this x.
@@ -1642,22 +1698,20 @@ class Compiler {
     return true;
   }
 
- public:
-  std::size_t value_floats_of_target_ = 0;  // set by compile_trace
-
- private:
   const TapeTrace& trace_;
   NodePtr input_;
-  NodePtr loss_;
-  const std::vector<Variable>& params_;
+  NodePtr output_;  ///< the training loss, or the forward-only result
+  bool forward_only_ = false;
   GraphBuilder builder_;
   std::shared_ptr<PackRegistry> preg_;
+  std::size_t target_floats_ = 0;
   ValueId target_ = 0;
-  bool loss_emitted_ = false;
+  bool output_emitted_ = false;
   std::unordered_map<const Node*, ValueId> val_;
   std::unordered_map<const Node*, const OpRecord*> rec_of_;
   std::unordered_map<const Node*, ValueId> norms_of_;
   std::unordered_map<const Node*, ValueId> mask_of_;
+  std::unordered_set<const Node*> folded_;
   std::unordered_map<const Node*, GSlot> gslot_;
   std::unordered_map<ValueId, std::size_t> floats_;
   std::map<std::pair<const Node*, bool>, std::size_t> pack_idx_;
@@ -1665,21 +1719,10 @@ class Compiler {
   std::unordered_map<ValueId, ValueId> dyg_of_;
 };
 
-std::shared_ptr<const TrainProgram> compile_trace(
-    const TapeTrace& trace, const NodePtr& input, const NodePtr& loss,
-    const std::vector<Variable>& params,
-    const std::vector<std::size_t>& offsets, std::size_t target_floats) {
-  Compiler compiler(trace, input, loss, params, offsets, target_floats);
-  compiler.value_floats_of_target_ = target_floats;
-  std::shared_ptr<const Executable> exec = compiler.run();
-  if (exec == nullptr) return nullptr;
-  auto prog = std::make_shared<TrainProgram>();
-  prog->exec = std::move(exec);
-  return prog;
-}
-
 /// The PlannedStep implementation behind make_planned_step. One instance per
 /// fit() call; shape-keyed program cache with weights_version invalidation.
+/// Replay is single-threaded (the trainer's batch loop): the pack registry
+/// and any captured dropout RNG streams are mutated in place.
 class TrainStep final : public opt::PlannedStep {
  public:
   TrainStep(nn::Module& model, opt::ForwardFn forward, opt::Adam& adam,
@@ -1728,9 +1771,9 @@ class TrainStep final : public opt::PlannedStep {
   }
 
  private:
-  void run_program(const TrainProgram& prog, const Tensor& x, const Tensor& y,
+  void run_program(const Executable& prog, const Tensor& x, const Tensor& y,
                    float* loss_out) {
-    pool::Scratch arena(prog.exec->arena_floats());
+    pool::Scratch arena(prog.arena_floats());
     float loss = 0.0f;
     ExecContext ctx;
     ctx.input = x.raw();
@@ -1745,7 +1788,7 @@ class TrainStep final : public opt::PlannedStep {
     if (prof) {
       static auto* acc =
           new std::map<std::string, std::pair<double, std::size_t>>();
-      for (const TensorOp& s : prog.exec->steps()) {
+      for (const TensorOp& s : prog.steps()) {
         const auto t0 = std::chrono::steady_clock::now();
         s.op(ctx);
         const auto t1 = std::chrono::steady_clock::now();
@@ -1765,12 +1808,12 @@ class TrainStep final : public opt::PlannedStep {
                        100.0 * kv.second.first / total);
       }
     } else {
-      for (const TensorOp& s : prog.exec->steps()) s.op(ctx);
+      for (const TensorOp& s : prog.steps()) s.op(ctx);
     }
     *loss_out = loss;
     if (obs::enabled())
       train_metrics().arena_bytes.set_max(
-          static_cast<double>(prog.exec->arena_floats() * sizeof(float)));
+          static_cast<double>(prog.arena_floats() * sizeof(float)));
   }
 
   void finish_from_slab() {
@@ -1797,9 +1840,10 @@ class TrainStep final : public opt::PlannedStep {
     }
     const float eager_loss = loss.value().item();
 
-    std::shared_ptr<const TrainProgram> prog =
-        compile_trace(trace, xv.node(), loss.node(), params_, adam_.offsets(),
-                      y.size());
+    std::shared_ptr<const Executable> prog =
+        Compiler(trace, xv.node(), loss.node(), params_, adam_.offsets(),
+                 y.size())
+            .run();
     bool ok = prog != nullptr;
     if (ok) {
       // Rewind each distinct dropout stream to its pre-probe state; the
@@ -1852,12 +1896,38 @@ class TrainStep final : public opt::PlannedStep {
   float tau_;
   float clip_norm_;
   std::uint64_t version_;
-  std::map<std::array<std::size_t, 3>, std::shared_ptr<const TrainProgram>>
+  std::map<std::array<std::size_t, 3>, std::shared_ptr<const Executable>>
       programs_;
   std::vector<float> slab_;
 };
 
 }  // namespace
+
+std::shared_ptr<const Executable> compile_forward(const opt::ForwardFn& forward,
+                                                  const Tensor& probe) {
+  NoGradScope no_grad;
+  ag::trace::TapeTrace trace;
+  const Variable xv(probe);
+  Variable out;
+  {
+    ag::trace::Recording rec(&trace);
+    out = forward(xv);
+  }
+  if (!out.defined()) return nullptr;
+  std::shared_ptr<const Executable> exec =
+      Compiler(trace, xv.node(), out.node()).run();
+  if (exec == nullptr) return nullptr;
+  // Verify on the probe itself. Stepping by hand rather than through
+  // Executable::run keeps the check out of the graph/replays counter.
+  const Tensor& ref = out.value();
+  Tensor replay(ref.shape());
+  pool::Scratch arena(exec->arena_floats());
+  const ExecContext ctx{probe.raw(), replay.raw(), arena.data()};
+  for (const TensorOp& s : exec->steps()) s.op(ctx);
+  if (std::memcmp(replay.raw(), ref.raw(), ref.size() * sizeof(float)) != 0)
+    return nullptr;
+  return exec;
+}
 
 std::shared_ptr<opt::PlannedStep> make_planned_step(
     nn::Module& model, const opt::ForwardFn& forward, opt::Optimizer& optimizer,

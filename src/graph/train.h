@@ -1,43 +1,49 @@
-// Planned training step: capture forward + backward + Adam into one
-// JIT-lite program (ISSUE 8).
+// The tape compiler: record -> compile -> verify -> replay, shared by the
+// planned training step and planned serving.
 //
-// The eager training loop rebuilds the autograd tape every batch: node and
-// closure allocations, shape checks, dispatch branches, and a buffer-pool
-// round trip per intermediate and per gradient. For a fixed batch shape the
-// step is completely static, so all of that is capture-time work:
+// Every registry net has exactly one description, its nn::Module forward.
+// Both executors are built from a recording of that forward:
 //
-//  * probe   — run ONE eager step under an ag::trace::Recording. The probe
-//    IS that batch's training step (no duplicated work on fallback); the
-//    trace records every forward op and the backward closures' firing order.
-//  * compile — re-emit the trace as flat TensorOps against a GraphBuilder:
-//    forward values and intermediate gradients share one liveness-planned
-//    arena; parameter gradients land in the Adam optimizer's contiguous
-//    slab at its own offsets; weight-side GEMM operands are prepacked once
-//    per replay and reused across the step (LSTM gate weights are consumed
-//    once per timestep in forward and again in backward).
-//  * verify  — rewind the dropout RNG streams to their pre-probe state,
-//    replay the program on the probe batch, and demand bitwise equality of
-//    the loss and of every parameter gradient against the tape's. Only a
-//    program that passes is cached; a mismatch pins the shape to the eager
-//    path.
-//  * replay  — each following batch runs the flat program, then
-//    clip_grad_slab + Adam::step_planned over the slab. Bit-identical loss
-//    curves vs the eager loop are the contract (tests/test_graph_train.cpp).
+//  * record  — run the eager forward once on a probe batch under an
+//    ag::trace::Recording. The trace lists every forward op (kind,
+//    operands, scalar payload, dropout RNG state) and, for a training step,
+//    the backward closures' firing order.
+//  * compile — re-emit the trace as flat TensorOps against a GraphBuilder,
+//    making every shape-dependent dispatch decision (GEMM small-vs-blocked,
+//    conv direct-vs-im2col) with the predicates the eager kernels evaluate
+//    per call. Values share one liveness-planned arena. Only true leaves
+//    (parameters, constants) are baked; a parentless node that some
+//    untraced op produced fails the compile, since its value derives from
+//    the probe's input.
+//  * verify  — replay the program on the probe batch and demand bitwise
+//    equality with the eager result. Only a program that passes is cached;
+//    a mismatch pins that shape to the eager forward.
+//  * replay  — every later batch of that shape runs the flat program.
 //
-// Invalidation: nn::Module::weights_version() is recorded at capture and
-// checked every step. Out-of-plan parameter mutations (checkpoint restore,
-// best-epoch rollback, hot-swap loads) bump it and drop every cached
-// program — prepacked operands and captured RNG stream structure die with
-// them. In-plan Adam updates do not bump it; packs are refreshed from the
-// live parameter tensors at the top of every replay instead.
+// Training (make_planned_step): the probe IS that batch's training step.
+// The program writes parameter gradients into the Adam optimizer's
+// contiguous slab; clip_grad_slab + Adam::step_planned finish the step.
+// Verification also rewinds the dropout RNG streams and compares every
+// parameter gradient. nn::Module::weights_version() is recorded at capture
+// and checked every step: out-of-plan mutations (checkpoint restore,
+// best-epoch rollback, hot-swap loads) drop every cached program. In-plan
+// Adam updates do not bump it; weight prepacks are refreshed at the top of
+// every replay instead.
+//
+// Serving (compile_forward): only the forward records are emitted, with the
+// traced result as the program output. The caller's leaves are frozen (a
+// serve::InferenceSession compiles against its own private copy of the
+// net), so ops whose operands are all leaves — weight_norm — fold to their
+// probe values, and weight prepacks happen once at compile time.
 //
 // Escape hatches: RPTCN_DISABLE_PLAN=1 (or set_planning_enabled(false))
-// makes step() decline every batch; NnTrainConfig.planned_step=false keeps
-// the factory from being wired at all.
+// makes every caller run the eager forward / step; NnTrainConfig.
+// planned_step=false keeps the training factory from being wired at all.
 #pragma once
 
 #include <memory>
 
+#include "graph/plan.h"
 #include "nn/module.h"
 #include "opt/trainer.h"
 
@@ -51,5 +57,17 @@ namespace rptcn::graph {
 std::shared_ptr<opt::PlannedStep> make_planned_step(
     nn::Module& model, const opt::ForwardFn& forward, opt::Optimizer& optimizer,
     const opt::TrainOptions& options);
+
+/// Forward-only compile for inputs of probe's shape: records `forward` on
+/// `probe` (under NoGradScope), compiles the forward records, and returns
+/// the program only if replaying it on `probe` reproduces the eager result
+/// bit-for-bit; nullptr means "serve this shape eagerly". The module behind
+/// `forward` must be in eval mode and its parameters must stay unchanged
+/// for the program's lifetime (they are read in place, and weight-derived
+/// values are folded). Conv dispatch follows the caller's thread, so
+/// compiling under ag::SingleWindowConvDispatch yields a batch-invariant
+/// serving plan.
+std::shared_ptr<const Executable> compile_forward(const opt::ForwardFn& forward,
+                                                  const Tensor& probe);
 
 }  // namespace rptcn::graph

@@ -5,9 +5,7 @@
 
 #include "autograd/ops.h"
 #include "common/check.h"
-#include "graph/capture.h"
 #include "graph/plan.h"
-#include "graph/snapshot.h"
 #include "graph/train.h"
 
 namespace rptcn::models {
@@ -63,23 +61,6 @@ TrainCurves fit_net(Net& net, const NnTrainConfig& cfg,
   opt::TrainOptions options = make_train_options(cfg);
   if (cfg.planned_step && graph::planning_enabled())
     options.planned_step_factory = graph::make_planned_step;
-  if (cfg.planned_eval && graph::planning_enabled()) {
-    options.eval_forward_factory = [&net]() -> opt::ForwardFn {
-      // Fresh capture per epoch: the weights just changed. dispatch_n=0
-      // keeps conv dispatch on the true batch size, the same decisions
-      // net.forward makes — so planned validation losses match the tape's
-      // bit-for-bit.
-      graph::CaptureOptions copts;
-      copts.dispatch_n = 0;
-      auto plans = std::make_shared<graph::PlanCache>(
-          graph::make_capture_fn(graph::snapshot(net), copts));
-      return [plans](const Variable& x) {
-        const Tensor& in = x.value();
-        return Variable(
-            plans->get(in.dim(0), in.dim(1), in.dim(2))->run(in));
-      };
-    };
-  }
   const auto history =
       opt::fit(net, forward, dataset.train, dataset.valid, adam, options);
   return {history.train_loss, history.valid_loss};

@@ -22,12 +22,6 @@ struct NnTrainConfig {
   std::uint64_t seed = 42;
   opt::Loss loss = opt::Loss::kMse;  ///< kPinball -> quantile forecaster
   float pinball_tau = 0.9f;
-  /// Run each epoch's validation pass through the planned executor
-  /// (graph capture + arena replay) instead of the tape forward. Loss
-  /// curves are bit-identical either way (the planned executor's
-  /// contract); this trades a per-epoch capture for faster evaluation on
-  /// large validation sets. Ignored while RPTCN_DISABLE_PLAN=1.
-  bool planned_eval = false;
   /// Run each training batch through the planned full-step executor
   /// (graph::make_planned_step): forward + backward + clip + Adam replayed
   /// as one flat program per batch shape. Loss curves and final weights are

@@ -31,7 +31,7 @@ class Conv1d : public Module {
   std::size_t out_channels() const { return out_channels_; }
   const Conv1dOptions& options() const { return options_; }
 
-  // Parameter access for the tape-free weight snapshot (src/serve).
+  // Read-only parameter access, for inspection.
   const Variable& weight_v() const { return weight_v_; }
   const Variable& gain() const { return gain_; }  ///< undefined unless weight_norm
   const Variable& bias() const { return bias_; }  ///< undefined unless bias

@@ -21,7 +21,7 @@ class Linear : public Module {
   std::size_t in_features() const { return in_features_; }
   std::size_t out_features() const { return out_features_; }
 
-  // Parameter access for the tape-free weight snapshot (src/serve).
+  // Read-only parameter access, for inspection.
   const Variable& weight() const { return weight_; }
   const Variable& bias() const { return bias_; }  ///< undefined unless bias
 

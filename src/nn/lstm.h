@@ -27,7 +27,7 @@ class Lstm : public Module {
 
   std::size_t hidden_size() const { return hidden_; }
 
-  // Parameter access for the tape-free weight snapshot (src/serve).
+  // Read-only parameter access, for inspection.
   const Variable& gate_weights() const { return w_; }
   const Variable& gate_biases() const { return b_; }
 

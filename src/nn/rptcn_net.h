@@ -39,7 +39,7 @@ class RptcnNet : public Module {
 
   const RptcnOptions& options() const { return options_; }
 
-  // Layer access for the tape-free weight snapshot (src/serve).
+  // Read-only layer access, for parameter inspection.
   const Tcn& tcn() const { return tcn_; }
   const Conv1d* fc() const { return fc_.get(); }
   const TemporalAttention* attention() const { return attention_.get(); }

@@ -26,7 +26,7 @@ class TemporalBlock : public Module {
   /// x: [N, Cin, T] -> [N, Cout, T].
   Variable forward(const Variable& x, Rng& rng) const;
 
-  // Layer access for the tape-free weight snapshot (src/serve).
+  // Read-only layer access, for parameter inspection.
   const Conv1d& conv1() const { return conv1_; }
   const Conv1d& conv2() const { return conv2_; }
   const Conv1d* shortcut() const { return shortcut_.get(); }

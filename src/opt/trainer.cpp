@@ -164,12 +164,7 @@ TrainHistory fit(nn::Module& model, const ForwardFn& forward,
     history.train_loss.push_back(epoch_loss / static_cast<double>(seen));
 
     model.set_training(false);
-    // The factory re-captures per epoch: weights changed, so any planned
-    // executor it returns must be rebuilt from this epoch's parameters.
-    const ForwardFn eval_forward = options.eval_forward_factory != nullptr
-                                       ? options.eval_forward_factory()
-                                       : forward;
-    const double vloss = evaluate_loss(eval_forward, valid,
+    const double vloss = evaluate_loss(forward, valid,
                                        options.batch_size, options.loss,
                                        options.pinball_tau);
     history.valid_loss.push_back(vloss);

@@ -70,14 +70,6 @@ struct TrainOptions {
   /// obs::enabled(), fit() additionally notifies the shared MetricsObserver
   /// whether or not it appears here.
   std::vector<EpochObserver*> observers;
-  /// Optional planned-executor hook for the per-epoch validation pass.
-  /// Invoked after each epoch's set_training(false), i.e. against the
-  /// freshly-updated weights; the returned forward replaces `forward` for
-  /// that evaluation only. Wired by models::fit_net when
-  /// NnTrainConfig.planned_eval is set (captures a graph::snapshot of the
-  /// epoch's weights and replays it through the planned executor — by the
-  /// bit-identity contract the loss curve is unchanged).
-  std::function<ForwardFn()> eval_forward_factory;
   /// Optional planned training step (ISSUE 8). Invoked once at the start of
   /// fit(); when it returns non-null, each batch goes through
   /// PlannedStep::step instead of the eager forward/backward/clip/step

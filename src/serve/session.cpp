@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "autograd/ops.h"
+#include "graph/train.h"
 #include "models/nn_forecasters.h"
 
 namespace rptcn::serve {
@@ -27,110 +29,69 @@ models::Forecaster& require_forecaster(
 
 }  // namespace
 
-InferenceSession::InferenceSession(std::shared_ptr<models::Forecaster> forecaster,
-                                   SessionOptions options)
-    : InferenceSession(require_forecaster(forecaster), options) {
-  // Only delegating sessions need the keep-alive; a snapshot is
+InferenceSession::InferenceSession(std::shared_ptr<models::Forecaster> forecaster)
+    : InferenceSession(require_forecaster(forecaster)) {
+  // Only delegating sessions need the keep-alive; a net copy is
   // self-contained and holding the forecaster would double its weights.
   if (delegate_ != nullptr) owner_ = std::move(forecaster);
 }
 
-InferenceSession::InferenceSession(models::Forecaster& forecaster,
-                                   SessionOptions options)
+InferenceSession::InferenceSession(models::Forecaster& forecaster)
     : name_(forecaster.name()) {
-  const auto take = [this, &options](const auto& net) {
-    snap_ = serve::snapshot(net);
-    horizon_ = net.options().horizon;
-    input_features_ = net.options().input_features;
-    if (options.quantized) init_quantized();
-    if (!quantized()) init_plans();
-  };
   if (const auto* rptcn = dynamic_cast<const models::RptcnForecaster*>(&forecaster)) {
-    take(require_net(rptcn->net(), name_));
+    adopt(require_net(rptcn->net(), name_));
   } else if (const auto* tcn = dynamic_cast<const models::TcnForecaster*>(&forecaster)) {
-    take(require_net(tcn->net(), name_));
+    adopt(require_net(tcn->net(), name_));
   } else if (const auto* lstm = dynamic_cast<const models::LstmForecaster*>(&forecaster)) {
-    take(require_net(lstm->net(), name_));
+    adopt(require_net(lstm->net(), name_));
   } else if (const auto* bilstm = dynamic_cast<const models::BiLstmForecaster*>(&forecaster)) {
-    take(require_net(bilstm->net(), name_));
+    adopt(require_net(bilstm->net(), name_));
   } else if (const auto* cnnlstm = dynamic_cast<const models::CnnLstmForecaster*>(&forecaster)) {
-    take(require_net(cnnlstm->net(), name_));
+    adopt(require_net(cnnlstm->net(), name_));
   } else {
     // No tensor weights (ARIMA, XGBoost): serve through the forecaster's own
-    // batch-invariant predict(), serialised by delegate_mutex_.
+    // batch-invariant predict(), serialised by eager_mutex_.
     delegate_ = &forecaster;
   }
 }
 
-InferenceSession::InferenceSession(const nn::RptcnNet& net,
-                                   SessionOptions options)
-    : name_("RPTCN"),
-      horizon_(net.options().horizon),
-      input_features_(net.options().input_features),
-      snap_(serve::snapshot(net)) {
-  if (options.quantized) init_quantized();  // no-op: RPTCN stays float
-  init_plans();
+InferenceSession::InferenceSession(const nn::RptcnNet& net) : name_("RPTCN") {
+  adopt(net);
 }
 
-InferenceSession::InferenceSession(const nn::LstmNet& net,
-                                   SessionOptions options)
-    : name_("LSTM"),
-      horizon_(net.options().horizon),
-      input_features_(net.options().input_features),
-      snap_(serve::snapshot(net)) {
-  if (options.quantized) init_quantized();
-  if (!quantized()) init_plans();
+InferenceSession::InferenceSession(const nn::LstmNet& net) : name_("LSTM") {
+  adopt(net);
 }
 
-InferenceSession::InferenceSession(const nn::BiLstmNet& net,
-                                   SessionOptions options)
-    : name_("BiLSTM"),
-      horizon_(net.options().horizon),
-      input_features_(net.options().input_features),
-      snap_(serve::snapshot(net)) {
-  if (options.quantized) init_quantized();
-  if (!quantized()) init_plans();
+InferenceSession::InferenceSession(const nn::BiLstmNet& net)
+    : name_("BiLSTM") {
+  adopt(net);
 }
 
-InferenceSession::InferenceSession(const nn::CnnLstm& net,
-                                   SessionOptions options)
-    : name_("CNN-LSTM"),
-      horizon_(net.options().horizon),
-      input_features_(net.options().input_features),
-      snap_(serve::snapshot(net)) {
-  if (options.quantized) init_quantized();
-  if (!quantized()) init_plans();
+InferenceSession::InferenceSession(const nn::CnnLstm& net)
+    : name_("CNN-LSTM") {
+  adopt(net);
 }
 
-void InferenceSession::init_quantized() {
-  // Quantize the GEMM-shaped weights of the LSTM-family snapshots; RPTCN
-  // (conv-bound) and delegated models fall through with qsnap_ left empty —
-  // quantized() then reports the truth. The float snap_ is kept: it is the
-  // reference the accuracy tests compare against, and horizon/feature
-  // metadata lives there.
-  if (const auto* lstm = std::get_if<LstmNetSnap>(&snap_)) {
-    qsnap_ = serve::quantize(*lstm);
-  } else if (const auto* bilstm = std::get_if<BiLstmNetSnap>(&snap_)) {
-    qsnap_ = serve::quantize(*bilstm);
-  } else if (const auto* cnnlstm = std::get_if<CnnLstmSnap>(&snap_)) {
-    qsnap_ = serve::quantize(*cnnlstm);
-  }
-}
+InferenceSession::~InferenceSession() = default;
 
-void InferenceSession::init_plans() {
-  // Capture closures deep-copy the snapshot's tensors, so the cache stays
-  // valid for the session's whole lifetime; serving captures pin conv
-  // dispatch to N=1 (CaptureOptions default), matching the eager runner's
-  // batch-invariance guarantee.
-  std::visit(
-      [this](const auto& snap) {
-        if constexpr (!std::is_same_v<std::decay_t<decltype(snap)>,
-                                      std::monostate>) {
-          plans_ = std::make_unique<graph::PlanCache>(
-              graph::make_capture_fn(snap));
-        }
-      },
-      snap_);
+template <typename Net>
+void InferenceSession::adopt(const Net& net) {
+  horizon_ = net.options().horizon;
+  input_features_ = net.options().input_features;
+  auto copy = std::make_unique<Net>(net.options());
+  const std::vector<Variable> src = net.parameters();
+  std::vector<Variable> dst = copy->parameters();
+  for (std::size_t i = 0; i < dst.size(); ++i)
+    dst[i].mutable_value() = src[i].value();
+  copy->set_training(false);
+  forward_ = [m = copy.get()](const Variable& x) { return m->forward(x); };
+  net_ = std::move(copy);
+  plans_ = std::make_unique<graph::PlanCache>([this](const Tensor& probe) {
+    std::lock_guard<std::mutex> lock(eager_mutex_);
+    ag::SingleWindowConvDispatch single_window;
+    return graph::compile_forward(forward_, probe);
+  });
 }
 
 std::string InferenceSession::expected_shape() const {
@@ -159,44 +120,19 @@ Tensor InferenceSession::run(const Tensor& inputs) const {
                                       << expected_shape() << ", got "
                                       << inputs.shape_string());
   if (delegate_ != nullptr) {
-    runs_.fetch_add(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(delegate_mutex_);
+    std::lock_guard<std::mutex> lock(eager_mutex_);
     return delegate_->predict(inputs);
   }
-  RPTCN_CHECK(input_features_ == 0 || inputs.dim(1) == input_features_,
+  RPTCN_CHECK(inputs.dim(1) == input_features_,
               "InferenceSession: model \""
                   << name_ << "\" expects " << expected_shape() << ", got "
                   << inputs.shape_string());
-  runs_.fetch_add(1, std::memory_order_relaxed);
-  if (!std::holds_alternative<std::monostate>(qsnap_)) {
-    plan_bypass_.fetch_add(1, std::memory_order_relaxed);
-    plan_bypass_counter_.add(1);
-    return std::visit(
-        [&](const auto& qsnap) -> Tensor {
-          if constexpr (std::is_same_v<std::decay_t<decltype(qsnap)>,
-                                       std::monostate>) {
-            RPTCN_CHECK(false, "InferenceSession: no quantized snapshot");
-            return Tensor();  // unreachable; silences -Wreturn-type
-          } else {
-            return serve::forward(qsnap, inputs);
-          }
-        },
-        qsnap_);
-  }
-  if (plans_ != nullptr && graph::planning_enabled())
-    return plans_->get(inputs.dim(0), inputs.dim(1), inputs.dim(2))
-        ->run(inputs);
-  return std::visit(
-      [&](const auto& snap) -> Tensor {
-        if constexpr (std::is_same_v<std::decay_t<decltype(snap)>,
-                                     std::monostate>) {
-          RPTCN_CHECK(false, "InferenceSession: no snapshot");
-          return Tensor();  // unreachable; silences -Wreturn-type
-        } else {
-          return serve::forward(snap, inputs);
-        }
-      },
-      snap_);
+  if (graph::planning_enabled())
+    if (const auto plan = plans_->get(inputs)) return plan->run(inputs);
+  std::lock_guard<std::mutex> lock(eager_mutex_);
+  ag::SingleWindowConvDispatch single_window;
+  NoGradScope no_grad;
+  return forward_(Variable(inputs)).value();
 }
 
 }  // namespace rptcn::serve

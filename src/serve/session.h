@@ -1,98 +1,81 @@
-// InferenceSession: immutable, thread-safe, tape-free inference over a
-// fitted Forecaster.
+// InferenceSession: immutable, thread-safe inference over a fitted
+// Forecaster.
 //
-// Construction snapshots the forecaster's weights into read-only storage
-// (serve/snapshot.h); run() executes the batched forward through the
-// ag::fwd kernels with no autograd Variable allocation. Any number of
-// threads may call run() concurrently on one session — the snapshot is
-// never written after construction.
+// Construction copies the fitted net into a private, eval-mode nn::Module
+// the session alone owns, so refitting the forecaster or overwriting its
+// parameters later never changes what the session serves, and the session
+// carries no reference back to it. run() replays a planned program for the
+// input's [N, F, T] from a graph::PlanCache seeded by the tape compiler's
+// forward-only entry (graph::compile_forward): the copy's forward is
+// recorded on the first request of each shape, compiled, verified
+// bit-for-bit against that eager forward, and cached. A shape whose program
+// fails to compile or verify, and every run while planning is disabled
+// (RPTCN_DISABLE_PLAN=1), runs the copy's eager forward instead, serialised
+// by a mutex because module forwards write state (RptcnNet records its
+// attention weights).
 //
-// Non-tensor models (ARIMA, XGBoost) have no weights to snapshot; for those
-// the session delegates run() to the forecaster's own predict() behind a
+// Batch invariance: recording, compiling and eager fallbacks all run under
+// ag::SingleWindowConvDispatch, so each row of a coalesced batch is
+// bit-identical to the unbatched (N=1) forward of that window.
+//
+// Non-tensor models (ARIMA, XGBoost) have no net to copy; for those the
+// session delegates run() to the forecaster's own predict() behind the same
 // mutex (their per-sample prediction loops are batch-invariant, so results
 // still match the unbatched path bit-for-bit). Construct from a
 // shared_ptr<Forecaster> and the session shares ownership of the delegate,
 // so it can never dangle; with the reference constructor the forecaster
-// must outlive the session. Snapshotted sessions carry no reference back.
-// Planned execution: snapshotted sessions own a graph::PlanCache seeded
-// from their snapshot. run() replays the captured-and-planned executable
-// for the input's [N, F, T] (bit-identical to the eager runners; see
-// src/graph/plan.h), falling back to the eager forward when planning is
-// disabled (RPTCN_DISABLE_PLAN=1). Hot-swap safety is structural: the plan
-// cache lives and dies with its session, so a BatchingEngine swap installs
-// a fresh cache and stale plans can never see new weights.
+// must outlive the session.
+//
+// Hot-swap safety is structural: the plan cache lives and dies with its
+// session, so a BatchingEngine swap installs a fresh cache and stale plans
+// can never see new weights.
 #pragma once
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <variant>
 
-#include "graph/capture.h"
 #include "graph/plan.h"
-#include "obs/metrics.h"
-#include "serve/quant.h"
-#include "serve/snapshot.h"
+#include "nn/module.h"
+#include "opt/trainer.h"
 
 namespace rptcn::models {
 class Forecaster;
 }
 
+namespace rptcn::nn {
+class RptcnNet;
+class LstmNet;
+class BiLstmNet;
+class CnnLstm;
+}  // namespace rptcn::nn
+
 namespace rptcn::serve {
-
-/// Construction-time serving options.
-struct SessionOptions {
-  /// Serve through the int8 quantized snapshot (serve/quant.h) instead of
-  /// the float planned path. Applies to the LSTM-family nets; the
-  /// conv-bound RPTCN net ignores the request and serves float32 (check
-  /// quantized() for what actually engaged). Quantized runs bypass the
-  /// plan cache: the planned replay's prepacked-GEMM advantage is subsumed
-  /// by the pre-quantized weights, and the int8 runner is eager. Each such
-  /// bypass bumps the process-wide `serve/plan_bypass_quantized` counter
-  /// and the session's stats().plan_bypass_quantized, so the perf cliff is
-  /// observable rather than silent.
-  bool quantized = false;
-};
-
-/// Per-session run accounting (monotonic since construction).
-struct SessionStats {
-  std::uint64_t runs = 0;  ///< run() calls that dispatched a forward
-  /// run() calls that served the eager int8 path instead of a planned
-  /// executable. Equals `runs` on a quantized session, 0 otherwise.
-  std::uint64_t plan_bypass_quantized = 0;
-};
 
 class InferenceSession {
  public:
-  /// Snapshot a fitted forecaster (any registry model). Neural forecasters
-  /// must have been fit() or restore()d first.
-  explicit InferenceSession(models::Forecaster& forecaster,
-                            SessionOptions options = {});
+  /// Copy a fitted forecaster (any registry model). Neural forecasters must
+  /// have been fit() or restore()d first.
+  explicit InferenceSession(models::Forecaster& forecaster);
 
   /// Same, but the session co-owns the forecaster while it delegates
   /// (non-tensor models) — the delegate cannot be freed under a live
-  /// session no matter how the caller sequences teardown. Snapshotted
-  /// models release the forecaster immediately; the snapshot is
+  /// session no matter how the caller sequences teardown. Neural models
+  /// release the forecaster immediately; the session's copy is
   /// self-contained.
-  explicit InferenceSession(std::shared_ptr<models::Forecaster> forecaster,
-                            SessionOptions options = {});
+  explicit InferenceSession(std::shared_ptr<models::Forecaster> forecaster);
 
-  // Direct snapshots of a network, for callers that own the net itself.
-  explicit InferenceSession(const nn::RptcnNet& net,
-                            SessionOptions options = {});
-  explicit InferenceSession(const nn::LstmNet& net,
-                            SessionOptions options = {});
-  explicit InferenceSession(const nn::BiLstmNet& net,
-                            SessionOptions options = {});
-  explicit InferenceSession(const nn::CnnLstm& net,
-                            SessionOptions options = {});
+  // Direct copies of a network, for callers that own the net itself.
+  explicit InferenceSession(const nn::RptcnNet& net);
+  explicit InferenceSession(const nn::LstmNet& net);
+  explicit InferenceSession(const nn::BiLstmNet& net);
+  explicit InferenceSession(const nn::CnnLstm& net);
 
+  ~InferenceSession();
   InferenceSession(const InferenceSession&) = delete;
   InferenceSession& operator=(const InferenceSession&) = delete;
 
-  /// Batched tape-free forward: inputs [N, F, T] -> predictions [N, horizon].
+  /// Batched forward: inputs [N, F, T] -> predictions [N, horizon].
   /// Thread-safe. Each output row is bit-identical to the unbatched (N=1)
   /// autograd forward of the same window.
   Tensor run(const Tensor& inputs) const;
@@ -102,25 +85,11 @@ class InferenceSession {
   std::size_t horizon() const { return horizon_; }
   /// Expected feature count F; 0 when unknown (delegated models).
   std::size_t input_features() const { return input_features_; }
-  /// True iff run() actually serves the int8 quantized path. False when
-  /// quantization was not requested, the model has no quantizable snapshot
-  /// (delegated models), or the net is RPTCN (conv-bound, stays float).
-  bool quantized() const { return !std::holds_alternative<std::monostate>(qsnap_); }
-
-  /// Snapshot of this session's run accounting. Thread-safe; counts relaxed
-  /// (a concurrent reader may be one run behind a racing writer).
-  SessionStats stats() const {
-    SessionStats s;
-    s.runs = runs_.load(std::memory_order_relaxed);
-    s.plan_bypass_quantized = plan_bypass_.load(std::memory_order_relaxed);
-    return s;
-  }
 
  private:
-  /// Seed plans_ from the (just-assigned) snapshot variant.
-  void init_plans();
-  /// Build qsnap_ from snap_ when options request quantized serving.
-  void init_quantized();
+  /// Take a private eval-mode copy of `net` and seed plans_ from it.
+  template <typename Net>
+  void adopt(const Net& net);
   /// Expected input shape for error messages: "[N, F, T]" plus the shapes
   /// already captured by the plan cache.
   std::string expected_shape() const;
@@ -128,24 +97,18 @@ class InferenceSession {
   std::string name_;
   std::size_t horizon_ = 0;
   std::size_t input_features_ = 0;
-  std::variant<std::monostate, RptcnSnap, LstmNetSnap, BiLstmNetSnap,
-               CnnLstmSnap>
-      snap_;
-  /// Int8 twin of snap_, populated iff quantized serving engaged; run()
-  /// prefers it over the planned float path.
-  std::variant<std::monostate, QLstmNetSnap, QBiLstmNetSnap, QCnnLstmSnap>
-      qsnap_;
+  /// The session's frozen copy of the fitted net; null for delegated models.
+  std::unique_ptr<nn::Module> net_;
+  /// net_'s typed forward.
+  opt::ForwardFn forward_;
   /// Shape-keyed planned executables; null for delegated models.
   std::unique_ptr<graph::PlanCache> plans_;
-  models::Forecaster* delegate_ = nullptr;  ///< set iff snap_ is monostate
+  models::Forecaster* delegate_ = nullptr;  ///< set iff net_ is null
   /// Keeps `delegate_` alive when constructed from a shared_ptr.
   std::shared_ptr<models::Forecaster> owner_;
-  mutable std::mutex delegate_mutex_;
-  mutable std::atomic<std::uint64_t> runs_{0};
-  mutable std::atomic<std::uint64_t> plan_bypass_{0};
-  // Registry handles are process-lifetime stable; resolved once here.
-  obs::Counter& plan_bypass_counter_ =
-      obs::metrics().counter("serve/plan_bypass_quantized");
+  /// Serialises every eager forward of net_ (recordings included) and every
+  /// delegated predict().
+  mutable std::mutex eager_mutex_;
 };
 
 }  // namespace rptcn::serve

@@ -81,9 +81,8 @@ FittedGeneration fit_generation(const data::TimeSeriesFrame& frame,
           *std::min_element(valid_curve.begin(), valid_curve.end());
 
     // The session co-owns the forecaster while it delegates, so the live
-    // snapshot can never outlive the model backing it.
-    g.session = std::make_shared<serve::InferenceSession>(
-        forecaster, serve::SessionOptions{options.quantized_serving});
+    // session can never outlive the model backing it.
+    g.session = std::make_shared<serve::InferenceSession>(forecaster);
     g.forecaster = std::move(forecaster);
 
     save_checkpoint(g, options);

@@ -55,11 +55,6 @@ struct RetrainOptions {
   /// Metrics tenant label for the stream/retrain* series and the generation
   /// gauge (empty keeps the historical unlabeled names).
   std::string tenant;
-  /// Serve each fitted generation through the int8 quantized snapshot
-  /// (serve::SessionOptions::quantized). LSTM-family models only; other
-  /// models silently keep the float path (the session reports the truth via
-  /// quantized()).
-  bool quantized_serving = false;
 
   /// Throws common::CheckError naming the offending field.
   void validate() const;

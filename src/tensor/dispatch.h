@@ -1,10 +1,9 @@
 // Runtime kernel dispatch: cpuid-probed SIMD tiers for the numeric substrate.
 //
 // Every hot kernel in tensor_ops.cpp (the blocked GEMM micro-kernel and its
-// pack routines, the small-shape GEMM, the im2col patch writer, the shared
-// vexp/vtanh transcendental kernels, and the int8 GEMM behind quantized
-// serving) is reached through one per-process KernelTable of function
-// pointers. Three tiers are registered:
+// pack routines, the small-shape GEMM, the im2col patch writer and the
+// shared vexp/vtanh transcendental kernels) is reached through one
+// per-process KernelTable of function pointers. Three tiers are registered:
 //
 //   scalar — portable baseline, compiled with no ISA flags. Always present.
 //   avx2   — 256-bit intrinsics (compiled with -mavx2 -mfma).
@@ -26,7 +25,6 @@
 //     in scalar and vector form. No libm in any tier, so no libm variance
 //     either — results are also identical across glibc versions.
 //   * im2col / packing: pure data movement, trivially exact.
-//   * int8 GEMM: integer arithmetic, exact in any evaluation order.
 // tests/test_kernel_dispatch.cpp enforces all of this bitwise, per tier,
 // including remainder tails. Committed goldens/CSVs are therefore
 // arch-independent: any tier regenerates them byte-for-byte.
@@ -88,13 +86,6 @@ struct KernelTable {
                  std::size_t nc, std::size_t cin, std::size_t t_in,
                  std::size_t k, std::size_t d, std::size_t pad,
                  std::size_t t_out, float* patches) = nullptr;
-
-  /// Int8 GEMM for quantized serving: C[m,n] (int32, overwritten) =
-  /// A[m,k] (s8, row-major) x B[n,k]^T (s8, row-major — the natural
-  /// [out, in] weight layout). Exact integer arithmetic in every tier.
-  void (*gemm_s8)(std::size_t m, std::size_t n, std::size_t k,
-                  const std::int8_t* a, const std::int8_t* b,
-                  std::int32_t* c) = nullptr;
 };
 
 /// The active tier's table. First call resolves the tier (cpuid ∩ compiled

@@ -1,16 +1,8 @@
 // AVX2+FMA kernel tier. Compiled with -mavx2 -mfma (gated by the
 // RPTCN_KERNELS_AVX2 define from CMake); registers a 256-bit 8x8 GEMM
-// micro-kernel, vectorised exp/tanh through the shared polynomial cores,
-// and a madd_epi16-based int8 GEMM. Bit-identical to the scalar tier by
-// construction — see kernels_detail.h for the contract.
-//
-// Int8 note: we deliberately use s8 x s8 via sign-extension to s16 +
-// _mm256_madd_epi16 instead of the u8·s8 vpmaddubsw idiom — maddubs
-// saturates its intermediate s16 sums (e.g. 255*127+255*127 > 32767),
-// which would make results depend on element pairing. madd_epi16 widens its
-// s16 x s16 products to s32 before the pair-add, and sign-extended s8 inputs
-// can never hit the one saturating madd case (both operands -32768), so the
-// accumulation is exact in every tier.
+// micro-kernel and vectorised exp/tanh through the shared polynomial cores.
+// Bit-identical to the scalar tier by construction — see kernels_detail.h
+// for the contract.
 
 #include "tensor/dispatch.h"
 
@@ -112,42 +104,6 @@ void micro_kernel_avx2(std::size_t kc, const float* ap, const float* bp,
   _mm256_storeu_ps(acc + 7 * 8, c7);
 }
 
-std::int32_t hsum_epi32(__m256i v) {
-  const __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  __m128i s = _mm_add_epi32(lo, hi);
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(s);
-}
-
-std::int32_t dot_s8_avx2(const std::int8_t* a, const std::int8_t* b,
-                         std::size_t k) {
-  __m256i acc = _mm256_setzero_si256();
-  std::size_t p = 0;
-  for (; p + 16 <= k; p += 16) {
-    const __m256i av = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + p)));
-    const __m256i bv = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + p)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(av, bv));
-  }
-  std::int32_t sum = hsum_epi32(acc);
-  for (; p < k; ++p)
-    sum += static_cast<std::int32_t>(a[p]) * static_cast<std::int32_t>(b[p]);
-  return sum;
-}
-
-void gemm_s8_avx2(std::size_t m, std::size_t n, std::size_t k,
-                  const std::int8_t* a, const std::int8_t* b,
-                  std::int32_t* c) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + i * k;
-    for (std::size_t j = 0; j < n; ++j)
-      c[i * n + j] = dot_s8_avx2(arow, b + j * k, k);
-  }
-}
-
 const KernelTable kTable = {
     /*arch=*/KernelArch::kAvx2,
     /*mr=*/8,
@@ -159,7 +115,6 @@ const KernelTable kTable = {
     /*vexp=*/vexp_avx2,
     /*vtanh=*/vtanh_avx2,
     /*im2col=*/kdetail::im2col_impl,
-    /*gemm_s8=*/gemm_s8_avx2,
 };
 
 }  // namespace

@@ -1,8 +1,7 @@
 // AVX-512 kernel tier. Compiled with -mavx512f -mavx512bw -mavx512dq
 // -mavx512vl -mfma (gated by RPTCN_KERNELS_AVX512 from CMake); registers a
-// 512-bit 16x16 GEMM micro-kernel (16 zmm accumulators), mask-blended
-// exp/tanh through the shared polynomial cores, and a 512-bit madd_epi16
-// int8 GEMM. Bit-identical to the scalar tier by construction — the wider
+// 512-bit 16x16 GEMM micro-kernel (16 zmm accumulators) and mask-blended
+// exp/tanh through the shared polynomial cores. Bit-identical to the scalar tier by construction — the wider
 // micro-tile only changes which elements are computed together, never the
 // per-element fma chain (zero-padded panel lanes are separate tile elements
 // that edge writeback simply discards — they never touch real outputs).
@@ -92,33 +91,6 @@ void micro_kernel_avx512(std::size_t kc, const float* ap, const float* bp,
   for (int r = 0; r < 16; ++r) _mm512_storeu_ps(acc + r * 16, c[r]);
 }
 
-std::int32_t dot_s8_avx512(const std::int8_t* a, const std::int8_t* b,
-                           std::size_t k) {
-  __m512i acc = _mm512_setzero_si512();
-  std::size_t p = 0;
-  for (; p + 32 <= k; p += 32) {
-    const __m512i av = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + p)));
-    const __m512i bv = _mm512_cvtepi8_epi16(
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + p)));
-    acc = _mm512_add_epi32(acc, _mm512_madd_epi16(av, bv));
-  }
-  std::int32_t sum = _mm512_reduce_add_epi32(acc);
-  for (; p < k; ++p)
-    sum += static_cast<std::int32_t>(a[p]) * static_cast<std::int32_t>(b[p]);
-  return sum;
-}
-
-void gemm_s8_avx512(std::size_t m, std::size_t n, std::size_t k,
-                    const std::int8_t* a, const std::int8_t* b,
-                    std::int32_t* c) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + i * k;
-    for (std::size_t j = 0; j < n; ++j)
-      c[i * n + j] = dot_s8_avx512(arow, b + j * k, k);
-  }
-}
-
 const KernelTable kTable = {
     /*arch=*/KernelArch::kAvx512,
     /*mr=*/16,
@@ -130,7 +102,6 @@ const KernelTable kTable = {
     /*vexp=*/vexp_avx512,
     /*vtanh=*/vtanh_avx512,
     /*im2col=*/kdetail::im2col_impl,
-    /*gemm_s8=*/gemm_s8_avx512,
 };
 
 }  // namespace

@@ -286,26 +286,6 @@ inline void im2col_impl(const float* x, std::size_t xs, std::size_t xc,
   }
 }
 
-// -- int8 GEMM ----------------------------------------------------------------
-
-/// Reference s8 x s8 -> s32 GEMM: C[m,n] = A[m,k] * B[n,k]^T, C overwritten.
-/// Integer arithmetic is exact, so any tier's reordering is bit-identical.
-inline void gemm_s8_impl(std::size_t m, std::size_t n, std::size_t k,
-                         const std::int8_t* a, const std::int8_t* b,
-                         std::int32_t* c) {
-  for (std::size_t i = 0; i < m; ++i) {
-    const std::int8_t* arow = a + i * k;
-    for (std::size_t j = 0; j < n; ++j) {
-      const std::int8_t* brow = b + j * k;
-      std::int32_t acc = 0;
-      for (std::size_t p = 0; p < k; ++p)
-        acc += static_cast<std::int32_t>(arow[p]) *
-               static_cast<std::int32_t>(brow[p]);
-      c[i * n + j] = acc;
-    }
-  }
-}
-
 // Scalar entry points for the elementwise drivers (usable as CoreS template
 // arguments from any tier).
 inline float exp_scalar_lane(float x) { return exp_core<VecScalar>(x); }

@@ -30,7 +30,6 @@ const KernelTable kTable = {
     /*vexp=*/vexp_scalar,
     /*vtanh=*/vtanh_scalar,
     /*im2col=*/kdetail::im2col_impl,
-    /*gemm_s8=*/kdetail::gemm_s8_impl,
 };
 
 }  // namespace

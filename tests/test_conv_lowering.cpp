@@ -3,10 +3,16 @@
 // Both paths compute the same convolution and may differ only in float
 // summation order, so forward values and all three gradients must agree
 // to allclose tolerance, and the lowered path must pass finite-difference
-// gradcheck on its own.
+// gradcheck on its own. The dispatch tests pin the shape-only GEMM-vs-direct
+// decision, including ag::SingleWindowConvDispatch (serving's batch-invariant
+// N=1 decision); the direct-kernel test checks that a batched direct call,
+// forked or serial, reproduces each window's own call bit-for-bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include "autograd/gradcheck.h"
@@ -157,6 +163,138 @@ TEST(Conv1dLoweringDispatch, AutoLowersPaperShapeAndKeepsTinyDirect) {
     EXPECT_EQ(direct_calls.value(), d0 + 1) << "tiny shape must stay direct";
   }
   obs::set_enabled(obs_was_enabled);
+}
+
+// Residual-block shape whose kAuto decision flips with the batch: one window
+// (2*1*8*8*3*24 = 9216 flops) stays below the GEMM cutoff, four windows cross
+// it.
+constexpr std::size_t kFlipC = 8, kFlipK = 3, kFlipT = 24, kFlipN = 4;
+
+bool flip_shape_uses_gemm(std::size_t n) {
+  return ag::fwd::conv1d_uses_gemm(n, kFlipC, kFlipC, kFlipK, kFlipT);
+}
+
+/// Rows [i, i+1) of a [N, C, T] tensor as a [1, C, T] tensor.
+Tensor row_of(const Tensor& x, std::size_t i) {
+  const std::size_t row = x.dim(1) * x.dim(2);
+  Tensor one({1, x.dim(1), x.dim(2)});
+  std::copy_n(x.raw() + i * row, row, one.raw());
+  return one;
+}
+
+TEST(Conv1dLoweringDispatch, SingleWindowScopePinsTheN1Decision) {
+  ag::set_conv1d_impl(Conv1dImpl::kAuto);
+  ASSERT_FALSE(flip_shape_uses_gemm(1));
+  ASSERT_TRUE(flip_shape_uses_gemm(kFlipN));
+  {
+    ag::SingleWindowConvDispatch outer;
+    EXPECT_FALSE(flip_shape_uses_gemm(kFlipN)) << "scope must decide as N=1";
+    {
+      ag::SingleWindowConvDispatch inner;
+      EXPECT_FALSE(flip_shape_uses_gemm(kFlipN));
+    }
+    EXPECT_FALSE(flip_shape_uses_gemm(kFlipN))
+        << "closing a nested scope must keep the outer one alive";
+    // Explicit implementation pins win over the scope either way.
+    {
+      ImplGuard gemm(Conv1dImpl::kIm2col);
+      EXPECT_TRUE(flip_shape_uses_gemm(kFlipN));
+    }
+    {
+      ImplGuard direct(Conv1dImpl::kDirect);
+      EXPECT_FALSE(ag::fwd::conv1d_uses_gemm(32, 16, 16, 3, 24));
+    }
+  }
+  EXPECT_TRUE(flip_shape_uses_gemm(kFlipN))
+      << "the true-batch decision must come back once the scope closes";
+}
+
+TEST(Conv1dLoweringDispatch, SingleWindowScopeIsThreadLocal) {
+  ag::set_conv1d_impl(Conv1dImpl::kAuto);
+  bool other_thread_gemm = false;
+  {
+    ag::SingleWindowConvDispatch pinned_here;
+    std::thread other([&] { other_thread_gemm = flip_shape_uses_gemm(kFlipN); });
+    other.join();
+    EXPECT_FALSE(flip_shape_uses_gemm(kFlipN));
+  }
+  EXPECT_TRUE(other_thread_gemm) << "a scope leaked into another thread";
+
+  bool pinned_there = true;
+  std::thread pinning([&] {
+    ag::SingleWindowConvDispatch scope;
+    pinned_there = !flip_shape_uses_gemm(kFlipN);
+  });
+  pinning.join();
+  EXPECT_TRUE(pinned_there);
+  EXPECT_TRUE(flip_shape_uses_gemm(kFlipN))
+      << "another thread's scope pinned this one";
+}
+
+TEST(Conv1dLoweringDispatch, BatchedRowsUnderScopeMatchEachWindowsN1Forward) {
+  // Under the scope a coalesced batch runs the direct loops its windows run
+  // alone (the per-path counters show which), so every row reproduces its
+  // window's N=1 forward bit-for-bit.
+  ag::set_conv1d_impl(Conv1dImpl::kAuto);
+  const bool obs_was_enabled = obs::enabled();
+  obs::set_enabled(true);
+  auto& gemm_calls = obs::metrics().counter("kernel/conv1d_gemm_calls");
+  auto& direct_calls = obs::metrics().counter("kernel/conv1d_direct_calls");
+  Rng rng(31);
+  const Variable x(Tensor::randn({kFlipN, kFlipC, kFlipT}, rng));
+  const Variable w(Tensor::randn({kFlipC, kFlipC, kFlipK}, rng));
+  const Variable b(Tensor::randn({kFlipC}, rng));
+  const std::size_t dilation = 2;
+
+  const std::uint64_t g0 = gemm_calls.value();
+  (void)ag::conv1d(x, w, b, dilation);
+  EXPECT_EQ(gemm_calls.value(), g0 + 1) << "unpinned batch must lower to GEMM";
+
+  Tensor batched;
+  {
+    ag::SingleWindowConvDispatch scope;
+    const std::uint64_t d0 = direct_calls.value();
+    batched = ag::conv1d(x, w, b, dilation).value();
+    EXPECT_EQ(direct_calls.value(), d0 + 1) << "pinned batch must stay direct";
+  }
+  const std::size_t row = kFlipC * kFlipT;
+  for (std::size_t i = 0; i < kFlipN; ++i) {
+    const Tensor one =
+        ag::conv1d(Variable(row_of(x.value(), i)), w, b, dilation).value();
+    EXPECT_EQ(std::memcmp(batched.raw() + i * row, one.raw(),
+                          row * sizeof(float)),
+              0)
+        << "row " << i << " differs from its window's N=1 forward";
+  }
+  obs::set_enabled(obs_was_enabled);
+}
+
+TEST(Conv1dLoweringDirect, ForkedDirectKernelMatchesPerWindowCalls) {
+  // Pinned direct forks an OpenMP region over (window, channel) when one
+  // window reaches the GEMM flop cutoff (16 channels here) and runs serially
+  // below it (kFlipC channels). Either way, every row of the batched call
+  // must match its window's own call bit-for-bit.
+  ASSERT_FALSE(ag::fwd::conv1d_uses_gemm(1, kFlipC, kFlipC, kFlipK, kFlipT));
+  ASSERT_TRUE(ag::fwd::conv1d_uses_gemm(1, 16, 16, kFlipK, kFlipT));
+  ImplGuard direct(Conv1dImpl::kDirect);
+  Rng rng(43);
+  const std::size_t n = 6;
+  for (const std::size_t c : {kFlipC, std::size_t{16}}) {
+    const Tensor x = Tensor::randn({n, c, kFlipT}, rng);
+    const Tensor w = Tensor::randn({c, c, kFlipK}, rng);
+    const Tensor b = Tensor::randn({c}, rng);
+    for (const std::size_t dilation : {std::size_t{1}, std::size_t{4}}) {
+      const Tensor batched = ag::fwd::conv1d(x, w, &b, dilation);
+      const std::size_t row = c * kFlipT;
+      for (std::size_t i = 0; i < n; ++i) {
+        const Tensor one = ag::fwd::conv1d(row_of(x, i), w, &b, dilation);
+        EXPECT_EQ(std::memcmp(batched.raw() + i * row, one.raw(),
+                              row * sizeof(float)),
+                  0)
+            << "channels " << c << " dilation " << dilation << " row " << i;
+      }
+    }
+  }
 }
 
 }  // namespace

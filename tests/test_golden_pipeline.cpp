@@ -10,9 +10,7 @@
 //
 // To regenerate after an intentional numerics change:
 //   RPTCN_UPDATE_GOLDEN=1 ./rptcn_tests --gtest_filter='GoldenPipeline.*'
-// and commit the rewritten tests/golden/rptcn_pipeline.csv (and
-// tests/golden/lstm_quant_serving.csv — the quantized-serving lane below
-// uses the same fixture format and the same regen switch).
+// and commit the rewritten tests/golden/rptcn_pipeline.csv.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -198,113 +196,6 @@ TEST(GoldenPipeline, PlannedServingIsBitIdenticalOnGoldenTrajectory) {
           << "planned row " << i << " diverges from the eager forward";
   }
   graph::set_planning_enabled(planning_was);
-}
-
-/// Fixed-seed LSTM pipeline for the quantized-serving lane (the RPTCN net
-/// is conv-bound and declines quantization, so the int8 path is gated on
-/// the LSTM it actually serves).
-std::unique_ptr<core::RptcnPipeline> fit_golden_lstm_pipeline() {
-  trace::TraceConfig trace_cfg;
-  trace_cfg.num_machines = 2;
-  trace_cfg.duration_steps = 400;
-  trace_cfg.seed = 123;
-  trace::ClusterSimulator sim(trace_cfg);
-  sim.run();
-
-  core::PipelineConfig cfg;
-  cfg.target = "cpu_util_percent";
-  cfg.model_name = "LSTM";
-  cfg.scenario = core::Scenario::kMulExp;
-  cfg.prepare.window.window = 16;
-  cfg.prepare.window.horizon = 1;
-  cfg.model.nn.max_epochs = 2;
-  cfg.model.nn.patience = 2;
-  cfg.model.nn.seed = 7;
-  cfg.model.lstm.hidden = 8;
-
-  auto pipeline = std::make_unique<core::RptcnPipeline>(cfg);
-  pipeline->fit(sim.machine_trace(0));
-  return pipeline;
-}
-
-std::string quant_golden_path() {
-  return std::string(RPTCN_GOLDEN_DIR) + "/lstm_quant_serving.csv";
-}
-
-TEST(GoldenPipeline, QuantizedLstmServingStaysOnGoldenTrajectory) {
-  // The int8 quantized lane: fit the fixed-seed LSTM pipeline, serve its
-  // held-out test windows through a float32 session and an int8 session,
-  // and gate (a) the absolute quantized trajectory against the committed
-  // fixture and (b) the quantized-vs-float32 delta against hard bounds.
-  // The delta bounds are the accuracy contract of serve/quant.h: they do
-  // not come from the fixture, so no regeneration can loosen them.
-  const auto pipeline = fit_golden_lstm_pipeline();
-  ASSERT_TRUE(pipeline->fitted());
-  serve::InferenceSession fp32(*pipeline->forecaster());
-  serve::InferenceSession quant(*pipeline->forecaster(),
-                                serve::SessionOptions{true});
-  ASSERT_TRUE(quant.quantized());
-  ASSERT_FALSE(fp32.quantized());
-
-  const auto& test = pipeline->dataset().test;
-  const std::size_t n = test.samples();
-  ASSERT_GT(n, 0u);
-  const Tensor yf = fp32.run(test.inputs);
-  const Tensor yq = quant.run(test.inputs);
-  ASSERT_EQ(yq.size(), yf.size());
-
-  double se = 0.0, ape = 0.0, q_abs = 0.0;
-  double max_abs = 0.0;
-  for (std::size_t i = 0; i < yq.size(); ++i) {
-    const double f = yf.raw()[i];
-    const double q = yq.raw()[i];
-    se += (q - f) * (q - f);
-    ape += std::abs(q - f) / (std::abs(f) + 1e-6);
-    q_abs += std::abs(q);
-    max_abs = std::max(max_abs, std::abs(q - f));
-  }
-  const double count = static_cast<double>(yq.size());
-  const double delta_mse = se / count;
-  const double delta_mape = ape / count;
-
-  // Hard accuracy bounds (normalised [0,1] targets).
-  EXPECT_LT(delta_mse, 1e-4) << "int8 serving drifted from float32 (MSE)";
-  EXPECT_LT(delta_mape, 2e-2) << "int8 serving drifted from float32 (MAPE)";
-  EXPECT_LT(max_abs, 0.05) << "int8 serving drifted from float32 (max)";
-
-  std::map<std::string, double> metrics;
-  metrics["quant_pred_mean_abs"] = q_abs / count;
-  metrics["quant_vs_float_mse"] = delta_mse;
-  metrics["quant_vs_float_mape"] = delta_mape;
-
-  if (std::getenv("RPTCN_UPDATE_GOLDEN") != nullptr) {
-    GoldenMap fresh;
-    for (const auto& [key, value] : metrics) {
-      GoldenEntry e;
-      e.value = value;
-      // The delta metrics sit near the int8 noise floor, so they get a
-      // generous relative band plus an absolute floor; the absolute
-      // trajectory gets the usual 2%.
-      e.rel_tol = key == "quant_pred_mean_abs" ? 2e-2 : 0.5;
-      e.abs_tol = key == "quant_pred_mean_abs" ? 1e-6 : 1e-6;
-      fresh[key] = e;
-    }
-    write_golden(quant_golden_path(), fresh);
-    GTEST_LOG_(INFO) << "rewrote " << quant_golden_path();
-  }
-
-  const GoldenMap golden = read_golden(quant_golden_path());
-  ASSERT_EQ(golden.size(), metrics.size())
-      << "fixture key set out of sync with the test; regenerate with "
-         "RPTCN_UPDATE_GOLDEN=1";
-  for (const auto& [key, entry] : golden) {
-    const auto it = metrics.find(key);
-    ASSERT_NE(it, metrics.end()) << "fixture has unknown key " << key;
-    const double tol = entry.abs_tol + entry.rel_tol * std::abs(entry.value);
-    EXPECT_NEAR(it->second, entry.value, tol)
-        << key << " drifted from the quantized golden trajectory (allowed ±"
-        << tol << "); if intentional, regenerate with RPTCN_UPDATE_GOLDEN=1";
-  }
 }
 
 TEST(GoldenPipeline, TrajectoryIsDeterministic) {

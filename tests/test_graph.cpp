@@ -1,26 +1,28 @@
-// Tests for the JIT-lite executor (src/graph): arena planning invariants
-// (liveness sharing, no overlap while live, in-place aliasing), capture
-// parity against the eager snapshot runners for every supported net (the
-// bit-identity contract from plan.h), PlanCache behaviour (capture-once,
-// hit/miss counters, eviction), InferenceSession integration including the
-// RPTCN_DISABLE_PLAN-style fallback and shape-error messages, and the
-// trainer's planned_eval path. The "Graph" prefix is matched by the TSAN CI
-// job's -R filter.
+// Tests for the planned executor (src/graph): arena planning invariants
+// (liveness sharing, no overlap while live, in-place aliasing), parity of
+// the forward-only tape compile (graph::compile_forward) against the eager
+// module forward for every supported net (the bit-identity contract from
+// plan.h) on both conv paths, weight folding in serving plans, compile
+// determinism and shape checks, PlanCache behaviour
+// (capture-once, hit/miss counters, eviction, pinned shapes), and
+// InferenceSession integration including the RPTCN_DISABLE_PLAN-style
+// fallback and shape-error messages. The "Graph" prefix is matched by the
+// TSAN CI job's -R filter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "autograd/ops.h"
+#include "autograd/trace.h"
 #include "autograd/variable.h"
 #include "common/check.h"
 #include "common/rng.h"
-#include "data/timeseries.h"
-#include "data/windowing.h"
-#include "graph/capture.h"
 #include "graph/plan.h"
-#include "graph/snapshot.h"
-#include "models/nn_forecasters.h"
+#include "graph/train.h"
 #include "nn/cnn_lstm.h"
 #include "nn/lstm.h"
 #include "nn/rptcn_net.h"
@@ -96,6 +98,22 @@ std::shared_ptr<const Executable> copy_executable(std::size_t n, std::size_t f,
   return g.finish();
 }
 
+std::shared_ptr<const Executable> copy_capture(const Tensor& probe) {
+  return copy_executable(probe.dim(0), probe.dim(1), probe.dim(2));
+}
+
+/// Eval-mode forward of a net, as the serving entry records it.
+template <typename Net>
+opt::ForwardFn eval_forward(Net& net) {
+  net.set_training(false);
+  return [&net](const Variable& x) { return net.forward(x); };
+}
+
+Tensor eager(const opt::ForwardFn& forward, const Tensor& x) {
+  NoGradScope no_grad;
+  return forward(Variable(x)).value();
+}
+
 // -- planner invariants -------------------------------------------------------
 
 TEST(GraphPlanner, DeadBlocksAreReusedAcrossLifetimes) {
@@ -168,7 +186,8 @@ TEST(GraphPlanner, LiveArenaBlocksNeverOverlapInRealCapture) {
   opt.tcn.channels = {6, 6};
   opt.fc_dim = 6;
   nn::RptcnNet net(opt);
-  const auto exec = capture(snapshot(net), 4, 3, 12);
+  const auto exec = compile_forward(eval_forward(net), random_tensor({4, 3, 12}, 13));
+  ASSERT_NE(exec, nullptr);
   const auto& vals = exec->values();
   for (std::size_t i = 0; i < vals.size(); ++i) {
     if (vals[i].loc != Loc::kArena || vals[i].aliased) continue;
@@ -186,21 +205,26 @@ TEST(GraphPlanner, LiveArenaBlocksNeverOverlapInRealCapture) {
   }
 }
 
-// -- capture parity (the bit-identity contract) -------------------------------
+// -- forward-only compile parity (the bit-identity contract) -----------------
 
-template <typename Snap>
-void expect_capture_parity(const Snap& snap, std::size_t f, std::size_t t) {
-  for (const std::size_t n : {std::size_t{1}, std::size_t{5}}) {
-    const Tensor x = random_tensor({n, f, t}, 100 + n);
-    const Tensor eager = forward(snap, x);
-    const auto exec = capture(snap, n, f, t);
-    ASSERT_NE(exec, nullptr);
-    expect_same_bits(eager, exec->run(x));
-    // Replaying the same executable again (arena re-bound from the pool)
-    // must not be contaminated by the previous run.
-    expect_same_bits(eager, exec->run(x));
-    const Tensor x2 = random_tensor({n, f, t}, 200 + n);
-    expect_same_bits(forward(snap, x2), exec->run(x2));
+/// At N=1 and N=5, with conv dispatch on the true batch and pinned to the
+/// N=1 decision (the serving mode), the verified program reproduces the
+/// eager module forward on its probe, on a second replay (arena re-bound
+/// from the pool), and on a second, different input.
+void expect_forward_parity(const opt::ForwardFn& forward, std::size_t f,
+                           std::size_t t) {
+  for (const bool single_window : {false, true}) {
+    std::optional<ag::SingleWindowConvDispatch> pin;
+    if (single_window) pin.emplace();
+    for (const std::size_t n : {std::size_t{1}, std::size_t{5}}) {
+      const Tensor x = random_tensor({n, f, t}, 100 + n);
+      const auto exec = compile_forward(forward, x);
+      ASSERT_NE(exec, nullptr);
+      expect_same_bits(eager(forward, x), exec->run(x));
+      expect_same_bits(eager(forward, x), exec->run(x));
+      const Tensor x2 = random_tensor({n, f, t}, 200 + n);
+      expect_same_bits(eager(forward, x2), exec->run(x2));
+    }
   }
 }
 
@@ -211,7 +235,7 @@ TEST(GraphCapture, RptcnParityMatchesEagerRunner) {
   opt.fc_dim = 6;
   opt.seed = 21;
   nn::RptcnNet net(opt);
-  expect_capture_parity(snapshot(net), 3, 12);
+  expect_forward_parity(eval_forward(net), 3, 12);
 }
 
 TEST(GraphCapture, TcnVariantParityWithoutAttentionOrFc) {
@@ -222,7 +246,7 @@ TEST(GraphCapture, TcnVariantParityWithoutAttentionOrFc) {
   opt.use_fc = false;
   opt.seed = 22;
   nn::RptcnNet net(opt);
-  expect_capture_parity(snapshot(net), 2, 10);
+  expect_forward_parity(eval_forward(net), 2, 10);
 }
 
 TEST(GraphCapture, LstmParityMatchesEagerRunner) {
@@ -232,7 +256,7 @@ TEST(GraphCapture, LstmParityMatchesEagerRunner) {
   opt.horizon = 2;
   opt.seed = 23;
   nn::LstmNet net(opt);
-  expect_capture_parity(snapshot(net), 3, 12);
+  expect_forward_parity(eval_forward(net), 3, 12);
 }
 
 TEST(GraphCapture, BiLstmParityMatchesEagerRunner) {
@@ -241,7 +265,7 @@ TEST(GraphCapture, BiLstmParityMatchesEagerRunner) {
   opt.hidden = 6;
   opt.seed = 24;
   nn::BiLstmNet net(opt);
-  expect_capture_parity(snapshot(net), 2, 9);
+  expect_forward_parity(eval_forward(net), 2, 9);
 }
 
 TEST(GraphCapture, CnnLstmParityMatchesEagerRunner) {
@@ -251,27 +275,157 @@ TEST(GraphCapture, CnnLstmParityMatchesEagerRunner) {
   opt.hidden = 8;
   opt.seed = 25;
   nn::CnnLstm net(opt);
-  expect_capture_parity(snapshot(net), 3, 12);
+  expect_forward_parity(eval_forward(net), 3, 12);
 }
 
-TEST(GraphCapture, TrueBatchDispatchMatchesNetForward) {
-  // dispatch_n = 0 (trainer eval): the plan must reproduce net.forward()'s
-  // true-batch conv dispatch, which at N=5 picks the GEMM lowering where
-  // the serving pin (dispatch_n = 1) would stay direct.
+TEST(GraphCapture, ServingPlanFoldsWeightNorm) {
+  // The TCN convs are weight-normed; a serving plan's leaves are frozen, so
+  // every weight_norm folds to its probe value at compile time instead of
+  // being recomputed on each replay.
   nn::RptcnOptions opt;
   opt.input_features = 3;
   opt.tcn.channels = {6, 6};
   opt.fc_dim = 6;
   opt.seed = 26;
   nn::RptcnNet net(opt);
-  net.set_training(false);
-  NoGradScope no_grad;
-  const Tensor x = random_tensor({5, 3, 12}, 31);
-  const Tensor eager = net.forward(Variable(x)).value();
-  CaptureOptions copts;
-  copts.dispatch_n = 0;
-  const auto exec = capture(snapshot(net), 5, 3, 12, copts);
-  expect_same_bits(eager, exec->run(x));
+  const opt::ForwardFn forward = eval_forward(net);
+  const Tensor x = random_tensor({2, 3, 12}, 27);
+  ag::trace::TapeTrace trace;
+  {
+    NoGradScope no_grad;
+    ag::trace::Recording rec(&trace);
+    (void)forward(Variable(x));
+  }
+  ASSERT_TRUE(std::any_of(
+      trace.ops.begin(), trace.ops.end(), [](const ag::trace::OpRecord& r) {
+        return r.kind == ag::trace::OpKind::kWeightNorm;
+      })) << "the eager forward no longer weight-normalises";
+
+  const auto exec = compile_forward(forward, x);
+  ASSERT_NE(exec, nullptr);
+  for (const TensorOp& step : exec->steps()) {
+    EXPECT_NE(step.name, "weight_norm") << "weight_norm replays per call";
+    EXPECT_NE(step.name, "pack_w") << "weight prepack replays per call";
+  }
+  expect_same_bits(eager(forward, x), exec->run(x));
+}
+
+bool has_step(const Executable& exec, const std::string& name) {
+  return std::any_of(exec.steps().begin(), exec.steps().end(),
+                     [&](const TensorOp& s) { return s.name == name; });
+}
+
+/// Pins one conv1d implementation for the test body, restoring kAuto.
+class ConvImplGuard {
+ public:
+  explicit ConvImplGuard(ag::Conv1dImpl impl) { ag::set_conv1d_impl(impl); }
+  ~ConvImplGuard() { ag::set_conv1d_impl(ag::Conv1dImpl::kAuto); }
+  ConvImplGuard(const ConvImplGuard&) = delete;
+  ConvImplGuard& operator=(const ConvImplGuard&) = delete;
+};
+
+TEST(GraphCapture, PaperShapeRptcnParityThroughTheGemmConvPath) {
+  // The paper's configuration ({16,16,16}, k=3, window 24) lowers its TCN
+  // convs to im2col+GEMM even for a single window, so it is the parity case
+  // for the compiler's GEMM conv emitter in serving mode.
+  nn::RptcnOptions opt;
+  opt.input_features = 4;
+  opt.tcn.channels = {16, 16, 16};
+  opt.tcn.kernel_size = 3;
+  opt.fc_dim = 16;
+  opt.seed = 29;
+  nn::RptcnNet net(opt);
+  const opt::ForwardFn forward = eval_forward(net);
+  {
+    ag::SingleWindowConvDispatch pin;
+    const auto exec = compile_forward(forward, random_tensor({1, 4, 24}, 30));
+    ASSERT_NE(exec, nullptr);
+    EXPECT_TRUE(has_step(*exec, "conv1d_gemm"));
+  }
+  expect_forward_parity(forward, 4, 24);
+}
+
+TEST(GraphCapture, PinnedConvImplsCompileToTheirKernels) {
+  // set_conv1d_impl pins reach the compiled program: kDirect emits the
+  // direct loops, kIm2col the GEMM path. Both replay the eager forward
+  // bit-for-bit.
+  nn::RptcnOptions opt;
+  opt.input_features = 3;
+  opt.tcn.channels = {6, 6};  // 3 -> 6 adds a 1x1 shortcut
+  opt.fc_dim = 6;
+  opt.seed = 31;
+  nn::RptcnNet net(opt);
+  const opt::ForwardFn forward = eval_forward(net);
+  const Tensor x = random_tensor({2, 3, 12}, 32);
+  const Tensor x2 = random_tensor({2, 3, 12}, 33);
+  {
+    ConvImplGuard direct(ag::Conv1dImpl::kDirect);
+    const auto exec = compile_forward(forward, x);
+    ASSERT_NE(exec, nullptr);
+    EXPECT_TRUE(has_step(*exec, "conv1d_direct"));
+    EXPECT_FALSE(has_step(*exec, "conv1d_gemm"));
+    expect_same_bits(eager(forward, x2), exec->run(x2));
+  }
+  {
+    ConvImplGuard gemm(ag::Conv1dImpl::kIm2col);
+    const auto exec = compile_forward(forward, x);
+    ASSERT_NE(exec, nullptr);
+    EXPECT_TRUE(has_step(*exec, "conv1d_gemm"));
+    EXPECT_FALSE(has_step(*exec, "conv1d_direct"));
+    expect_same_bits(eager(forward, x2), exec->run(x2));
+  }
+}
+
+TEST(GraphCapture, RecompilingTheSameForwardGivesTheSameProgram) {
+  // PlanCache eviction recompiles a shape from whatever request arrives
+  // next; the program must not depend on which probe it was compiled from.
+  nn::LstmNetOptions opt;
+  opt.input_features = 3;
+  opt.hidden = 8;
+  opt.seed = 34;
+  nn::LstmNet net(opt);
+  const opt::ForwardFn forward = eval_forward(net);
+  const auto a = compile_forward(forward, random_tensor({3, 3, 10}, 35));
+  const auto b = compile_forward(forward, random_tensor({3, 3, 10}, 36));
+  ASSERT_NE(a, nullptr);
+  ASSERT_NE(b, nullptr);
+  ASSERT_EQ(a->step_count(), b->step_count());
+  for (std::size_t i = 0; i < a->step_count(); ++i)
+    EXPECT_EQ(a->steps()[i].name, b->steps()[i].name) << "step " << i;
+  EXPECT_EQ(a->arena_floats(), b->arena_floats());
+  const Tensor x = random_tensor({3, 3, 10}, 37);
+  expect_same_bits(a->run(x), b->run(x));
+}
+
+TEST(GraphCapture, ProgramRejectsInputsOfAnotherShape) {
+  nn::CnnLstmOptions opt;
+  opt.input_features = 2;
+  opt.conv_channels = 4;
+  opt.hidden = 6;
+  opt.seed = 38;
+  nn::CnnLstm net(opt);
+  const auto exec =
+      compile_forward(eval_forward(net), random_tensor({2, 2, 12}, 39));
+  ASSERT_NE(exec, nullptr);
+  EXPECT_THROW((void)exec->run(random_tensor({3, 2, 12}, 40)), CheckError);
+  EXPECT_THROW((void)exec->run(random_tensor({2, 2, 13}, 40)), CheckError);
+  EXPECT_THROW((void)exec->run(random_tensor({2, 12}, 40)), CheckError);
+}
+
+TEST(GraphCapture, TrainingModeForwardIsNotServable) {
+  // Dropout draws are live in training mode: the forward-only entry
+  // declines rather than freezing one draw's masks into the program.
+  nn::RptcnOptions opt;
+  opt.input_features = 2;
+  opt.tcn.channels = {4};
+  opt.tcn.dropout = 0.2f;
+  opt.fc_dim = 4;
+  nn::RptcnNet net(opt);
+  net.set_training(true);
+  const opt::ForwardFn forward = [&net](const Variable& x) {
+    return net.forward(x);
+  };
+  EXPECT_EQ(compile_forward(forward, random_tensor({2, 2, 8}, 28)), nullptr);
 }
 
 // -- plan cache ---------------------------------------------------------------
@@ -284,13 +438,13 @@ TEST(GraphPlanCache, CapturesOncePerShapeAndCountsHitsMisses) {
   const auto m0 = misses.value();
 
   int captures = 0;
-  PlanCache cache([&](std::size_t n, std::size_t f, std::size_t t) {
+  PlanCache cache([&](const Tensor& probe) {
     ++captures;
-    return copy_executable(n, f, t);
+    return copy_capture(probe);
   });
-  const auto a = cache.get(1, 2, 8);
-  const auto b = cache.get(1, 2, 8);
-  const auto c = cache.get(2, 2, 8);
+  const auto a = cache.get(Tensor({1, 2, 8}));
+  const auto b = cache.get(Tensor({1, 2, 8}));
+  const auto c = cache.get(Tensor({2, 2, 8}));
   EXPECT_EQ(captures, 2);
   EXPECT_EQ(a, b) << "second get of one shape must return the cached plan";
   EXPECT_NE(a, c);
@@ -300,15 +454,27 @@ TEST(GraphPlanCache, CapturesOncePerShapeAndCountsHitsMisses) {
 }
 
 TEST(GraphPlanCache, EvictsOldestShapeBeyondMaxPlans) {
-  PlanCache cache(copy_executable);
-  for (std::size_t t = 1; t <= PlanCache::kMaxPlans + 1; ++t) cache.get(1, 1, t);
+  PlanCache cache(copy_capture);
+  for (std::size_t t = 1; t <= PlanCache::kMaxPlans + 1; ++t)
+    cache.get(Tensor({1, 1, t}));
   EXPECT_EQ(cache.size(), PlanCache::kMaxPlans);
   const auto shapes = cache.shapes();
   const std::array<std::size_t, 3> oldest{1, 1, 1};
   EXPECT_EQ(std::count(shapes.begin(), shapes.end(), oldest), 0)
       << "oldest-inserted shape should have been evicted";
   // The evicted shape is re-capturable (a fresh miss, not an error).
-  EXPECT_NE(cache.get(1, 1, 1), nullptr);
+  EXPECT_NE(cache.get(Tensor({1, 1, 1})), nullptr);
+}
+
+TEST(GraphPlanCache, DeclinedShapeStaysPinnedWithoutRecapture) {
+  int captures = 0;
+  PlanCache cache([&](const Tensor&) -> std::shared_ptr<const Executable> {
+    ++captures;
+    return nullptr;
+  });
+  EXPECT_EQ(cache.get(Tensor({1, 2, 8})), nullptr);
+  EXPECT_EQ(cache.get(Tensor({1, 2, 8})), nullptr);
+  EXPECT_EQ(captures, 1) << "a declined shape must not be recompiled per call";
 }
 
 TEST(GraphMetrics, ReplaysAndArenaBytesAreRecorded) {
@@ -364,64 +530,6 @@ TEST(GraphSession, ShapeErrorNamesExpectedAndCapturedShapes) {
   }
 
   EXPECT_THROW((void)session.run(random_tensor({4, 12}, 63)), CheckError);
-}
-
-// -- trainer planned_eval -----------------------------------------------------
-
-models::ForecastDataset trainer_dataset() {
-  Rng rng(17);
-  const std::size_t length = 160;
-  std::vector<double> target{0.5};
-  for (std::size_t i = 1; i < length; ++i)
-    target.push_back(std::clamp(
-        0.5 + 0.85 * (target.back() - 0.5) + rng.normal(0.0, 0.02), 0.0, 1.0));
-  data::TimeSeriesFrame frame;
-  frame.add("cpu", target);
-
-  data::WindowOptions wopt;
-  wopt.window = 12;
-  wopt.horizon = 1;
-  auto split = data::chrono_split(data::make_windows(frame, "cpu", wopt));
-
-  models::ForecastDataset ds;
-  ds.train = std::move(split.train);
-  ds.valid = std::move(split.valid);
-  ds.test = std::move(split.test);
-  ds.window = wopt.window;
-  ds.horizon = wopt.horizon;
-  ds.target_channel = 0;
-  ds.target_series = target;
-  ds.train_len = ds.train.samples() + wopt.window;
-  ds.valid_len = ds.valid.samples();
-  return ds;
-}
-
-TEST(GraphTrainer, PlannedEvalReproducesTapeLossCurves) {
-  // planned_eval routes each epoch's validation pass through a fresh
-  // capture; by the bit-identity contract the loss curves must match the
-  // tape evaluation exactly, double for double.
-  const auto ds = trainer_dataset();
-  models::NnTrainConfig cfg;
-  cfg.max_epochs = 2;
-  cfg.patience = 2;
-  cfg.seed = 9;
-  nn::RptcnOptions opt;
-  opt.tcn.channels = {4, 4};
-  opt.fc_dim = 4;
-
-  models::RptcnForecaster tape(cfg, opt);
-  tape.fit(ds);
-
-  cfg.planned_eval = true;
-  models::RptcnForecaster planned(cfg, opt);
-  planned.fit(ds);
-
-  ASSERT_EQ(tape.curves().valid_loss.size(), planned.curves().valid_loss.size());
-  for (std::size_t i = 0; i < tape.curves().valid_loss.size(); ++i)
-    EXPECT_EQ(tape.curves().valid_loss[i], planned.curves().valid_loss[i]);
-  ASSERT_EQ(tape.curves().train_loss.size(), planned.curves().train_loss.size());
-  for (std::size_t i = 0; i < tape.curves().train_loss.size(); ++i)
-    EXPECT_EQ(tape.curves().train_loss[i], planned.curves().train_loss[i]);
 }
 
 }  // namespace

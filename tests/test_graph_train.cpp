@@ -12,6 +12,7 @@
 #include <cstring>
 #include <vector>
 
+#include "autograd/ops.h"
 #include "autograd/variable.h"
 #include "common/rng.h"
 #include "data/timeseries.h"
@@ -180,6 +181,73 @@ TEST(GraphTrainStep, PinballLossStepMatchesEager) {
                                        eager_params, x, y, options));
     expect_params_same_bits(planned_net, eager_net);
   }
+}
+
+TEST(GraphTrainStep, UntracedInputDerivedOpFallsBackInsteadOfBakingTheProbe) {
+  // ag::mul_scalar records no trace op. The input needs no gradient, so its
+  // result is parentless like a leaf, yet it derives from the batch: baking
+  // it as a constant would train every later batch on the probe's inputs.
+  // The compile must decline and the shape must train eagerly.
+  ObsGuard obs_on;
+  nn::RptcnOptions opt;
+  opt.input_features = 3;
+  opt.tcn.channels = {6, 6};
+  opt.fc_dim = 6;
+  opt.seed = 80;
+  nn::RptcnNet planned_net(opt);
+  nn::RptcnNet eager_net(opt);
+  planned_net.set_training(true);
+  eager_net.set_training(true);
+
+  opt::TrainOptions options;
+  options.loss = opt::Loss::kMse;
+  options.clip_norm = 1.0f;
+  opt::Adam planned_adam(planned_net.parameters(), 1e-3f);
+  opt::Adam eager_adam(eager_net.parameters(), 1e-3f);
+  std::vector<Variable> planned_params = planned_net.parameters();
+  std::vector<Variable> eager_params = eager_net.parameters();
+  const opt::ForwardFn planned_fwd = [&](const Variable& v) {
+    return planned_net.forward(ag::mul_scalar(v, 2.0f));
+  };
+  const opt::ForwardFn eager_fwd = [&](const Variable& v) {
+    return eager_net.forward(ag::mul_scalar(v, 2.0f));
+  };
+  auto step = make_planned_step(planned_net, planned_fwd, planned_adam, options);
+  ASSERT_NE(step, nullptr);
+
+  const auto fallbacks = [] {
+    return obs::metrics().counter("graph/train_fallbacks").value();
+  };
+  const std::uint64_t f0 = fallbacks();
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    const Tensor x = random_tensor({4, 3, 12}, 800 + i);
+    const Tensor y = random_tensor({4, 1}, 810 + i);
+    float planned_loss = -1.0f;
+    if (!step->step(x, y, &planned_loss))  // pinned shape: opt::fit's path
+      planned_loss = eager_step(planned_net, planned_fwd, planned_adam,
+                                planned_params, x, y, options);
+    EXPECT_EQ(planned_loss, eager_step(eager_net, eager_fwd, eager_adam,
+                                       eager_params, x, y, options))
+        << "batch " << i;
+    expect_params_same_bits(planned_net, eager_net);
+  }
+  EXPECT_EQ(fallbacks() - f0, 3u) << "the shape was not pinned to eager";
+
+  // The forward-only entry shares the resolver: compiled on one input, the
+  // same forward must not serve a second, different input with the probe's
+  // values.
+  planned_net.set_training(false);
+  const Tensor probe = random_tensor({2, 3, 12}, 820);
+  const Tensor other = random_tensor({2, 3, 12}, 821);
+  const auto exec = compile_forward(planned_fwd, probe);
+  EXPECT_EQ(exec, nullptr) << "an untraced input-derived op was baked";
+  NoGradScope no_grad;
+  const Tensor expected = planned_fwd(Variable(other)).value();
+  const Tensor served = exec != nullptr ? exec->run(other) : expected;
+  ASSERT_EQ(served.shape(), expected.shape());
+  EXPECT_EQ(std::memcmp(served.raw(), expected.raw(),
+                        expected.size() * sizeof(float)),
+            0);
 }
 
 // -- invalidation and escape hatches ------------------------------------------

@@ -26,6 +26,9 @@
 #include "autograd/ops.h"
 #include "common/check.h"
 #include "common/rng.h"
+#include "graph/plan.h"
+#include "nn/rptcn_net.h"
+#include "serve/session.h"
 #include "tensor/dispatch.h"
 #include "tensor/tensor_ops.h"
 
@@ -113,7 +116,6 @@ TEST(KernelDispatch, TablesAreFullyPopulated) {
     EXPECT_NE(kt.vexp, nullptr);
     EXPECT_NE(kt.vtanh, nullptr);
     EXPECT_NE(kt.im2col, nullptr);
-    EXPECT_NE(kt.gemm_s8, nullptr);
   }
 }
 
@@ -355,42 +357,6 @@ TEST(KernelDispatch, Im2colBitParityAcrossTiers) {
   }
 }
 
-TEST(KernelDispatch, Int8GemmExactAcrossTiers) {
-  ArchGuard guard;
-  Rng rng(707);
-  const GemmShape shapes[] = {{1, 1, 1},   {3, 5, 7},    {8, 8, 16},
-                              {9, 17, 31}, {16, 16, 32}, {17, 19, 33},
-                              {5, 40, 64}, {33, 9, 100}};
-  for (const GemmShape& s : shapes) {
-    std::vector<std::int8_t> a(s.m * s.k), b(s.n * s.k);
-    for (auto& v : a)
-      v = static_cast<std::int8_t>(rng.uniform_int(0, 254) - 127);
-    for (auto& v : b)
-      v = static_cast<std::int8_t>(rng.uniform_int(0, 254) - 127);
-
-    // Integer arithmetic is exact, so the test owns its own reference.
-    std::vector<std::int32_t> want(s.m * s.n, 0);
-    for (std::size_t i = 0; i < s.m; ++i)
-      for (std::size_t j = 0; j < s.n; ++j) {
-        std::int32_t acc = 0;
-        for (std::size_t p = 0; p < s.k; ++p)
-          acc += static_cast<std::int32_t>(a[i * s.k + p]) *
-                 static_cast<std::int32_t>(b[j * s.k + p]);
-        want[i * s.n + j] = acc;
-      }
-
-    for (KernelArch arch : available_tiers()) {
-      set_kernel_arch_for_testing(arch);
-      std::vector<std::int32_t> c(s.m * s.n, -1);
-      kernels().gemm_s8(s.m, s.n, s.k, a.data(), b.data(), c.data());
-      for (std::size_t i = 0; i < c.size(); ++i)
-        ASSERT_EQ(c[i], want[i])
-            << "gemm_s8 " << kernel_arch_name(arch) << " at " << i << " (m="
-            << s.m << " n=" << s.n << " k=" << s.k << ")";
-    }
-  }
-}
-
 TEST(KernelDispatch, ResolveArchRules) {
   const KernelArch best = best_supported_arch();
   EXPECT_EQ(resolve_arch(nullptr, best), best);
@@ -465,6 +431,41 @@ TEST(KernelDispatch, HighLevelOpsFollowTheForcedTier) {
                         "softmax_lastdim");
     }
   }
+}
+
+TEST(KernelDispatch, ServedForecastsAreBitIdenticalAcrossTiers) {
+  // A serving plan prepacks its weights for the tier active at compile
+  // time, and the conv/linear GEMMs run on that tier. Sessions built on
+  // each tier must still serve identical bits, planned and eager alike, so
+  // forecasts do not depend on the host's instruction set.
+  ArchGuard guard;
+  const bool planning_was = graph::planning_enabled();
+  nn::RptcnOptions opt;
+  opt.input_features = 3;
+  opt.horizon = 2;
+  opt.tcn.channels = {16, 16};  // paper-width convs: GEMM path at N=1
+  opt.fc_dim = 16;
+  opt.seed = 909;
+  nn::RptcnNet net(opt);
+  Rng rng(910);
+  Tensor x({5, 3, 24});
+  for (float& v : x.data()) v = static_cast<float>(rng.normal(0.0, 1.0));
+
+  std::vector<float> want;
+  for (KernelArch arch : available_tiers()) {
+    set_kernel_arch_for_testing(arch);
+    for (const bool planned : {true, false}) {
+      graph::set_planning_enabled(planned);
+      const serve::InferenceSession session(net);
+      const Tensor y = session.run(x);
+      if (want.empty())
+        want.assign(y.raw(), y.raw() + y.size());
+      else
+        expect_bits_equal(y.raw(), want.data(), y.size(), arch,
+                          planned ? "planned serving" : "eager serving");
+    }
+  }
+  graph::set_planning_enabled(planning_was);
 }
 
 }  // namespace

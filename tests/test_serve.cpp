@@ -1,5 +1,5 @@
-// Serving engine tests: inference/training parity (batched tape-free
-// forward bit-identical to the unbatched autograd forward for every
+// Serving engine tests: inference/training parity (batched planned and
+// eager serving bit-identical to the unbatched autograd forward for every
 // registry forecaster), InferenceSession contract checks, and
 // BatchingEngine behaviour (coalescing, future delivery, failure fan-out,
 // drain-on-shutdown, concurrent submitters).
@@ -9,12 +9,15 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <future>
 #include <thread>
 #include <vector>
 
 #include "common/check.h"
+#include "autograd/ops.h"
 #include "common/rng.h"
+#include "graph/plan.h"
 #include "models/nn_forecasters.h"
 #include "models/registry.h"
 #include "obs/metrics.h"
@@ -140,8 +143,30 @@ TEST_P(ServeParity, BatchedRunBitMatchesUnbatchedForward) {
   const auto ds = make_dataset();
   auto model = models::make_forecaster(GetParam(), tiny_config());
   model->fit(ds);
+  struct PlanningAndObsOn {
+    bool planning = graph::planning_enabled();
+    bool obs_on = obs::enabled();
+    PlanningAndObsOn() {
+      graph::set_planning_enabled(true);
+      obs::set_enabled(true);
+    }
+    ~PlanningAndObsOn() {
+      graph::set_planning_enabled(planning);
+      obs::set_enabled(obs_on);
+    }
+  } guard;
+  auto& replays = obs::metrics().counter("graph/replays");
+  const auto r0 = replays.value();
   InferenceSession session(*model);
   expect_bit_identical(ds, *model, session);
+  // The eager fallback is bit-identical too, so parity alone would not
+  // notice a neural net whose compile was declined: its run must replay a
+  // compiled program. ARIMA and XGBoost serve through their delegate.
+  const bool neural = GetParam() != "ARIMA" && GetParam() != "XGBoost";
+  if (neural)
+    EXPECT_GT(replays.value() - r0, 0u) << "served eagerly, not planned";
+  else
+    EXPECT_EQ(replays.value() - r0, 0u);
 }
 
 TEST_P(ServeParity, HoldsWithBufferPoolDisabled) {
@@ -152,6 +177,21 @@ TEST_P(ServeParity, HoldsWithBufferPoolDisabled) {
   const auto ds = make_dataset();
   auto model = models::make_forecaster(GetParam(), tiny_config());
   model->fit(ds);
+  InferenceSession session(*model);
+  expect_bit_identical(ds, *model, session);
+}
+
+TEST_P(ServeParity, HoldsWithPlanningDisabled) {
+  // RPTCN_DISABLE_PLAN=1 serves every request through the session's eager
+  // copy of the net (or the delegate); those rows must match too.
+  const auto ds = make_dataset();
+  auto model = models::make_forecaster(GetParam(), tiny_config());
+  model->fit(ds);
+  struct PlanningOff {
+    bool was = graph::planning_enabled();
+    PlanningOff() { graph::set_planning_enabled(false); }
+    ~PlanningOff() { graph::set_planning_enabled(was); }
+  } guard;
   InferenceSession session(*model);
   expect_bit_identical(ds, *model, session);
 }
@@ -218,22 +258,179 @@ TEST(ServeSession, ConcurrentRunsAgree) {
   opt.fc_dim = 4;
   opt.seed = 3;
   nn::RptcnNet net(opt);
-  InferenceSession session(net);
 
   Rng rng(21);
   Tensor input({4, 2, 16});
   for (float& v : input.data()) v = static_cast<float>(rng.normal(0.0, 1.0));
-  const Tensor expected = session.run(input);
 
+  // Planned replays, then the eager fallback (the session's private net,
+  // serialised by its mutex) — TSAN covers both.
+  const bool planning_was = graph::planning_enabled();
+  for (const bool planned : {true, false}) {
+    graph::set_planning_enabled(planned);
+    InferenceSession session(net);
+    const Tensor expected = session.run(input);
+
+    std::vector<std::thread> threads;
+    std::vector<Tensor> results(8);
+    for (std::size_t i = 0; i < results.size(); ++i)
+      threads.emplace_back(
+          [&, i] { results[i] = session.run(input); });
+    for (auto& th : threads) th.join();
+    for (const Tensor& r : results)
+      for (std::size_t j = 0; j < expected.size(); ++j)
+        ASSERT_EQ(r.data()[j], expected.data()[j]) << "planned=" << planned;
+  }
+  graph::set_planning_enabled(planning_was);
+}
+
+TEST(ServeSession, ServesItsOwnCopyAfterTheForecasterChanges) {
+  // The session copies the fitted net: overwriting the forecaster's
+  // parameters or refitting it must not change a single served bit.
+  const auto ds = make_dataset();
+  auto model = models::make_forecaster("RPTCN", tiny_config());
+  model->fit(ds);
+  InferenceSession session(*model);
+
+  const std::size_t n = 3;
+  const std::size_t f = ds.test.inputs.dim(1);
+  const std::size_t t = ds.test.inputs.dim(2);
+  Tensor batch({n, f, t});
+  std::copy_n(ds.test.inputs.raw(), n * f * t, batch.raw());
+  const Tensor before = session.run(batch);
+
+  auto* rptcn = dynamic_cast<models::RptcnForecaster*>(model.get());
+  ASSERT_NE(rptcn, nullptr);
+  for (Variable& p : rptcn->net()->parameters()) {
+    Tensor& v = p.mutable_value();
+    std::fill_n(v.raw(), v.size(), 0.25f);
+  }
+  const Tensor overwritten = session.run(batch);
+  model->fit(make_dataset(420, 23));
+  const Tensor refit = session.run(batch);
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    ASSERT_EQ(overwritten.raw()[i], before.raw()[i]) << "after overwrite";
+    ASSERT_EQ(refit.raw()[i], before.raw()[i]) << "after refit";
+  }
+}
+
+TEST(ServeSession, RowsMatchTheN1ForwardWhereBatchingCrossesTheConvCutoff) {
+  // 8 channels, k=3, window 24: one window's 8->8 convs stay below the conv
+  // GEMM cutoff, a batch of eight crosses it. The session must make the N=1
+  // decision for the whole batch, planned and eager alike, or its rows
+  // round differently from each window served alone (with the true-batch
+  // decision, most of these 32 outputs differ in their last bits).
+  nn::RptcnOptions opt;
+  opt.input_features = 2;
+  opt.horizon = 4;
+  opt.tcn.channels = {8, 8, 8};
+  opt.tcn.kernel_size = 3;
+  opt.fc_dim = 8;
+  opt.seed = 19;
+  nn::RptcnNet net(opt);
+  net.set_training(false);
+  const std::size_t n = 8;
+  ASSERT_FALSE(ag::fwd::conv1d_uses_gemm(1, 8, 8, 3, 24));
+  ASSERT_TRUE(ag::fwd::conv1d_uses_gemm(n, 8, 8, 3, 24));
+
+  Rng rng(29);
+  Tensor batch({n, 2, 24});
+  for (float& v : batch.data()) v = static_cast<float>(rng.normal(0.0, 1.0));
+
+  const bool planning_was = graph::planning_enabled();
+  for (const bool planned : {true, false}) {
+    graph::set_planning_enabled(planned);
+    InferenceSession session(net);
+    const Tensor out = session.run(batch);
+    for (std::size_t i = 0; i < n; ++i) {
+      Tensor one({1, 2, 24});
+      std::copy_n(batch.raw() + i * one.size(), one.size(), one.raw());
+      NoGradScope no_grad;
+      const Tensor ref = net.forward(Variable(one)).value();
+      for (std::size_t h = 0; h < out.dim(1); ++h)
+        EXPECT_EQ(out.at(i, h), ref.at(0, h))
+            << "planned=" << planned << " row " << i << " step " << h;
+    }
+  }
+  graph::set_planning_enabled(planning_was);
+}
+
+TEST(ServeSession, CompilesEachShapeOnceAndReplaysIt) {
+  // The serving counters the end-to-end benchmark reads: one capture per
+  // new [N, F, T], cache hits and replays after it, and nothing compiled or
+  // replayed while planning is disabled.
+  const bool obs_was = obs::enabled();
+  const bool planning_was = graph::planning_enabled();
+  obs::set_enabled(true);
+  graph::set_planning_enabled(true);
+  auto& captures = obs::metrics().counter("graph/captures");
+  auto& hits = obs::metrics().counter("graph/plan_cache_hits");
+  auto& misses = obs::metrics().counter("graph/plan_cache_misses");
+  auto& replays = obs::metrics().counter("graph/replays");
+
+  nn::RptcnOptions opt;
+  opt.input_features = 2;
+  opt.tcn.channels = {4, 4};
+  opt.fc_dim = 4;
+  nn::RptcnNet net(opt);
+  InferenceSession session(net);
+  const auto c0 = captures.value(), h0 = hits.value(), m0 = misses.value(),
+             r0 = replays.value();
+  for (const std::size_t n : {1, 1, 3, 1, 3})
+    (void)session.run(Tensor({n, 2, 16}));
+  EXPECT_EQ(captures.value() - c0, 2u);
+  EXPECT_EQ(misses.value() - m0, 2u);
+  EXPECT_EQ(hits.value() - h0, 3u);
+  EXPECT_EQ(replays.value() - r0, 5u);
+
+  graph::set_planning_enabled(false);
+  (void)session.run(Tensor({2, 2, 16}));
+  EXPECT_EQ(captures.value() - c0, 2u);
+  EXPECT_EQ(replays.value() - r0, 5u);
+  graph::set_planning_enabled(planning_was);
+  obs::set_enabled(obs_was);
+}
+
+TEST(ServeSession, ConcurrentFirstRequestsOfManyShapesAgree) {
+  // Threads race the first requests of many shapes (each compile records
+  // the session's private net under its mutex) against replays of shapes
+  // already cached. Every result must equal what a second session computes
+  // for the same input alone.
+  nn::RptcnOptions opt;
+  opt.input_features = 2;
+  opt.tcn.channels = {4, 4};
+  opt.fc_dim = 4;
+  opt.seed = 7;
+  nn::RptcnNet net(opt);
+  const InferenceSession shared(net);
+  const InferenceSession reference(net);
+
+  Rng rng(33);
+  std::vector<Tensor> inputs;
+  std::vector<Tensor> expected;
+  for (const std::size_t n : {1, 2, 5})
+    for (const std::size_t t : {12, 16}) {
+      Tensor x({n, 2, t});
+      for (float& v : x.data()) v = static_cast<float>(rng.normal(0.0, 1.0));
+      expected.push_back(reference.run(x));
+      inputs.push_back(std::move(x));
+    }
+
+  std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
-  std::vector<Tensor> results(8);
-  for (std::size_t i = 0; i < results.size(); ++i)
-    threads.emplace_back(
-        [&, i] { results[i] = session.run(input); });
-  for (auto& th : threads) th.join();
-  for (const Tensor& r : results)
-    for (std::size_t j = 0; j < expected.size(); ++j)
-      ASSERT_EQ(r.data()[j], expected.data()[j]);
+  for (std::size_t th = 0; th < 6; ++th)
+    threads.emplace_back([&, th] {
+      for (std::size_t j = 0; j < 2 * inputs.size(); ++j) {
+        const std::size_t i = (th + j) % inputs.size();
+        const Tensor out = shared.run(inputs[i]);
+        if (out.size() != expected[i].size() ||
+            std::memcmp(out.raw(), expected[i].raw(),
+                        out.size() * sizeof(float)) != 0)
+          mismatches.fetch_add(1);
+      }
+    });
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 // ---------------------------------------------------------------------------

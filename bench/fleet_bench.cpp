@@ -37,6 +37,7 @@
 #include "fleet/builder.h"
 #include "fleet/manager.h"
 #include "obs/metrics.h"
+#include "stream/channel.h"
 #include "stream/retrain.h"
 #include "stream/source.h"
 
@@ -112,11 +113,9 @@ struct RetrainFitResult {
 RetrainFitResult run_retrain_fit_bench() {
   const data::TimeSeriesFrame full =
       stream::make_mutating_trace(regime_a(), regime_a(), 300, 0, 23).frame;
-  stream::StreamSource source(
-      std::make_unique<stream::ReplayProvider>(full),
-      stream::SourceOptions{{"cpu_util_percent", "mem_util_percent"}, 512, {}});
-  while (source.poll()) {
-  }
+  stream::IngestChannel source({"cpu_util_percent", "mem_util_percent"},
+                              {512, {}});
+  source.replay(full);
   stream::RetrainOptions ropt;
   ropt.model_name = "RPTCN";
   ropt.model = cohort_spec(0).config;  // the NN cohorts' fit recipe
@@ -165,10 +164,10 @@ fleet::FleetOptions fleet_options(const BenchConfig& cfg) {
   o.max_queued_ticks = 1024;
   o.max_entity_backlog = 8;
   o.channel.capacity = 512;
-  // Frozen scalers (mirrors OnlinePipeline) keep the storm's level shift
-  // visible as a sustained out-of-range excursion; the adapting default
-  // stretches the min-max range over the shift within a tick and the
-  // input detectors never see it.
+  // Frozen scalers keep the storm's level shift visible as a sustained
+  // out-of-range excursion; the adapting default stretches the min-max
+  // range over the shift within a tick and the input detectors never see
+  // it.
   o.freeze_normalizer_at_bootstrap = true;
   o.retrain.history = 240;
   o.retrain.window.window = 16;

@@ -162,13 +162,13 @@ LatencyStats bench_batched(
   opt.max_batch = 32;
   opt.max_delay_us = 200;
   opt.workers = 1;
-  serve::BatchingEngine engine(std::move(session), opt);
+  serve::BatchingEngine engine(opt);
 
   // Warmup: one full coalesced batch.
   {
     const auto windows = make_windows(opt.max_batch, 13);
     std::vector<std::future<Tensor>> futs;
-    for (const Tensor& w : windows) futs.push_back(engine.submit(w));
+    for (const Tensor& w : windows) futs.push_back(engine.submit(w, session));
     for (auto& f : futs) f.get();
   }
 
@@ -200,7 +200,8 @@ LatencyStats bench_batched(
       issued[c].reserve(kRequestsPerSubmitter);
       for (std::size_t i = 0; i < kRequestsPerSubmitter; ++i)
         issued[c].push_back(
-            {engine.submit(windows[i % windows.size()]), Clock::now()});
+            {engine.submit(windows[i % windows.size()], session),
+             Clock::now()});
     });
   for (auto& t : submitters) t.join();
 

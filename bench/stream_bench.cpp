@@ -3,45 +3,49 @@
 //
 // The trace is `--pre` ticks of one workload regime followed by `--post`
 // ticks of a visibly different one (higher level, different AR dynamics) —
-// the high-dynamic scenario the paper targets. Two OnlinePipelines replay
-// the identical trace open-loop:
+// the high-dynamic scenario the paper targets. Each run serves the trace as
+// a one-entity fleet: bootstrap_cohort fits generation 1 on the first
+// `warmup` rows, then every later row is one tick (ingest + drain). Two
+// runs replay the identical trace:
 //
-//  * static   — bootstraps once and never retrains, with the min-max
-//               scaler frozen at the same moment: a real batch deployment
-//               ships weights and scaler pinned together.
+//  * static   — never retrains, with the min-max scaler frozen at
+//               bootstrap: a real batch deployment ships weights and scaler
+//               pinned together.
 //  * adaptive — online normalisation plus armed drift detectors; on a fire
-//               the rolling retrainer re-fits on the trailing window in the
-//               background and hot-swaps the result into the serving engine.
+//               the fleet re-fits on the trailing window in the background
+//               and installs the result.
 //
-// One-step residuals are measured in raw target units (each pipeline
-// denormalises its own forecast), so the post-mutation MSE ratio is fair
-// regardless of normalisation policy. Reported per pipeline: pre/post-drift
-// MSE, ingest p50/p99, swap count, staleness; for the adaptive run
-// additionally detection delay and retrain latency.
+// One-step residuals are measured in raw target units (each fleet
+// denormalises its own forecast when it issues it), so the post-mutation
+// MSE ratio is fair regardless of normalisation policy. Reported per run:
+// pre/post-drift MSE, tick-to-forecast p50/p99, installed retrains,
+// generation, staleness; for the adaptive run additionally detection delay
+// and retrain latency.
 //
 // Emits BENCH_streaming.json (override with --out <path>). CI runs a short
 // replay and asserts adaptive_beats_static_post_drift.
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <memory>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "fleet/builder.h"
 #include "obs/metrics.h"
-#include "stream/pipeline.h"
 #include "stream/source.h"
 
 namespace rptcn {
 namespace {
 
-using stream::OnlinePipeline;
-using stream::OnlinePipelineOptions;
+constexpr const char* kEntity = "stream";
 
 struct BenchConfig {
   std::size_t pre = 1200;   ///< ticks before the regime mutation
@@ -83,17 +87,32 @@ trace::WorkloadParams regime_b() {
   return p;
 }
 
-OnlinePipelineOptions pipeline_options(bool adaptive, std::size_t pre) {
-  OnlinePipelineOptions opt;
-  opt.source.features = {"cpu_util_percent", "mem_util_percent",
-                         "net_in", "net_out"};
-  opt.source.capacity = 2048;
-  opt.retrain.model_name = "RPTCN";
+/// Bootstrap on regime-A data only, well before the mutation, so both runs
+/// start from the same frozen snapshot of the old regime.
+std::size_t warmup_ticks(std::size_t pre) {
+  return std::min<std::size_t>(400, pre / 2 > 64 ? pre / 2 : 64);
+}
+
+models::ForecasterSpec model_spec() {
+  models::ForecasterSpec spec;
+  spec.name = "RPTCN";
   // Default 40-epoch recipe: retrains run in the background, so a properly
   // converged fit (a few hundred ms) costs ingest nothing.
-  opt.retrain.model.nn.seed = 9;
-  opt.retrain.model.rptcn.tcn.channels = {8, 8};
-  opt.retrain.model.rptcn.fc_dim = 8;
+  spec.config.nn.seed = 9;
+  spec.config.rptcn.tcn.channels = {8, 8};
+  spec.config.rptcn.fc_dim = 8;
+  return spec;
+}
+
+fleet::FleetOptions fleet_options(bool adaptive) {
+  fleet::FleetOptions opt;
+  opt.features = {"cpu_util_percent", "mem_util_percent", "net_in", "net_out"};
+  opt.shards = 1;
+  opt.workers = 1;
+  opt.retrain_workers = 1;
+  // A lone stream has no peers to coalesce with.
+  opt.engine.max_delay_us = 0;
+  opt.channel.capacity = 2048;
   // Trailing history long enough to span several segments of the workload's
   // endogenous regime chain (dwell times 30-600 ticks): a fit that sees
   // idle, steady and ramp levels learns the window dynamics, while a
@@ -102,22 +121,19 @@ OnlinePipelineOptions pipeline_options(bool adaptive, std::size_t pre) {
   opt.retrain.history = 512;
   opt.retrain.window.window = 24;
   opt.retrain.window.horizon = 1;
-  // Short cooldown: the retrainer is busy-proof (request() is rejected
-  // while a fit is in flight), so the cooldown only needs to stop trigger
-  // storms, and a long one delays the post-mutation correction.
+  // Short cooldown: a fire inside it is latched and filed once it expires,
+  // and the scheduler never runs two fits for one entity, so the cooldown
+  // only needs to stop trigger storms; a long one delays the post-mutation
+  // correction.
   opt.retrain.min_ticks_between = 32;
   // Quality gate: in-regime fits validate at 0.003-0.03 normalised; a fit
   // an order of magnitude above that is a bad basin, not a hard window.
   opt.retrain.max_valid_loss = 0.03;
   opt.retrain.fit_attempts = 3;
-  // Cadence backstop: a mediocre post-drift generation that no longer trips
-  // the detectors still gets replaced once its history window is pure new
-  // regime.
-  if (adaptive) opt.retrain_cadence = 160;
   // Detector tuning for this workload's scale. The residual Page-Hinkley
   // and window-ratio defaults are tight enough to fire on ordinary
   // stochastic wobble, and a false fire is costly here: it occupies the
-  // retrainer with a stale-regime fit exactly when the real mutation needs
+  // fit slot with a stale-regime fit exactly when the real mutation needs
   // it. Slack sits above the in-regime residual level (~0.1 normalised).
   opt.drift.residual_ph.delta = 0.05;
   opt.drift.residual_ph.lambda = 0.5;
@@ -127,17 +143,14 @@ OnlinePipelineOptions pipeline_options(bool adaptive, std::size_t pre) {
   // its residuals high but *stationary*, which neither Page-Hinkley nor the
   // ratio test can see. In-regime residuals sit near 0.1 normalised.
   opt.drift.windowed.level_threshold = 0.3;
-  // The level test needs only short_window samples after a swap resets the
-  // detectors — a small window halves the exposure of a bad generation.
+  // The level test needs only short_window samples after an install resets
+  // the detectors — a small window halves the exposure of a bad generation.
   opt.drift.windowed.short_window = 16;
   // The per-input Page-Hinkley default is tuned for residuals; on raw
   // normalised indicators the diurnal wander would trip it constantly, so
   // the input channel only reacts to genuine level moves.
   opt.drift.input_ph.lambda = 2.0;
   opt.drift.input_ph.delta = 0.02;
-  // Bootstrap on regime-A data only, well before the mutation, so both
-  // pipelines start from the same frozen snapshot of the old regime.
-  opt.warmup = std::min<std::size_t>(400, pre / 2 > 64 ? pre / 2 : 64);
   opt.retrain_on_drift = adaptive;
   // The static baseline is a *real* frozen deployment: weights and scaler
   // pinned together at bootstrap. Leaving the min-max scaler online would
@@ -145,6 +158,7 @@ OnlinePipelineOptions pipeline_options(bool adaptive, std::size_t pre) {
   // adaptation no batch-trained deployment gets. Residuals are compared in
   // raw target units, which are policy-independent.
   opt.freeze_normalizer_at_bootstrap = !adaptive;
+  opt.tenant = adaptive ? "stream-adaptive" : "stream-static";
   return opt;
 }
 
@@ -158,30 +172,43 @@ double percentile(const std::vector<double>& sorted, double p) {
 
 struct RunReport {
   double wall_seconds = 0.0;
-  std::size_t ticks = 0;
+  std::size_t ticks = 0;              ///< rows consumed, bootstrap included
   std::size_t residuals_pre = 0;
   std::size_t residuals_post = 0;
   double mse_pre = 0.0;
   double mse_post = 0.0;
-  double ingest_p50_s = 0.0;
-  double ingest_p99_s = 0.0;
-  std::uint64_t swaps = 0;
+  double latency_p50_s = 0.0;         ///< tick admission to forecast
+  double latency_p99_s = 0.0;
   std::uint64_t generation = 0;
   std::uint64_t drift_events = 0;
   std::size_t first_drift_tick = 0;   ///< first fire after the mutation
-  std::uint64_t retrains = 0;
-  std::uint64_t retrain_failures = 0;
+  std::uint64_t retrains = 0;         ///< generations installed past 1
+  std::uint64_t retrain_failures = 0; ///< fit errors + refused installs
+  std::uint64_t fits = 0;             ///< background retrain fits run
   double retrain_mean_s = 0.0;
-  double retrain_max_s = 0.0;
   double staleness_mean = 0.0;
   std::size_t staleness_max = 0;
 };
 
-RunReport replay(const data::TimeSeriesFrame& trace,
-                 const OnlinePipelineOptions& options, std::size_t pre,
-                 std::size_t tick_us, const std::string& dump_path = {}) {
-  const auto retrain_before =
-      obs::metrics().histogram("stream/retrain_seconds").snapshot();
+RunReport replay(const data::TimeSeriesFrame& trace, bool adaptive,
+                 std::size_t pre, std::size_t tick_us,
+                 const std::string& dump_path = {}) {
+  const fleet::FleetOptions options = fleet_options(adaptive);
+  fleet::EntitySpec spec;
+  spec.id = kEntity;
+  spec.model = model_spec();
+  auto fleet = fleet::FleetBuilder().options(options).add_entity(spec).build();
+
+  // An id-only entity is a private cohort of one, named after itself.
+  const std::size_t warmup = warmup_ticks(pre);
+  const stream::RetrainOutcome boot =
+      fleet->bootstrap_cohort(kEntity, trace.slice(0, warmup));
+  if (!boot.error.empty())
+    throw std::runtime_error("bootstrap fit failed: " + boot.error);
+  // The bootstrap fit is already in the histogram; only later fits count.
+  obs::Histogram& fit_hist =
+      obs::metrics().histogram("fleet/retrain_seconds", options.tenant);
+  const obs::HistogramSnapshot fits_before = fit_hist.snapshot();
 
   std::ofstream dump;
   if (!dump_path.empty()) {
@@ -189,87 +216,93 @@ RunReport replay(const data::TimeSeriesFrame& trace,
     dump << "tick,actual_raw,predicted_raw,residual_raw,generation,drift\n";
   }
 
-  OnlinePipeline loop(std::make_unique<stream::ReplayProvider>(trace),
-                      options);
+  std::vector<const std::vector<double>*> cols;
+  for (const std::string& name : options.features)
+    cols.push_back(&trace.column(name));
+  std::vector<double> row(cols.size());
+
   RunReport r;
-  std::uint64_t seen_retrains = 0;
-  std::vector<double> ingest;
+  r.ticks = trace.length();
   double sq_pre = 0.0;
   double sq_post = 0.0;
+  std::optional<fleet::EntityForecast> due;  ///< forecast of the next tick
+  std::uint64_t generation = 1;
+  std::uint64_t drift_seen = 0;
+  std::size_t last_install_tick = warmup;
   double staleness_sum = 0.0;
-  std::size_t staleness_n = 0;
   Stopwatch wall;
   const auto start = std::chrono::steady_clock::now();
-  while (auto tick = loop.step()) {
-    ++r.ticks;
+  for (std::size_t t = warmup; t < trace.length(); ++t) {
+    const std::size_t tick = t + 1;  // 1-based, bootstrap rows included
     if (tick_us > 0)
       std::this_thread::sleep_until(
-          start + std::chrono::microseconds(tick_us) * r.ticks);
-    ingest.push_back(tick->ingest_seconds);
-    if (tick->residual_ready) {
+          start + std::chrono::microseconds(tick_us) * (t - warmup + 1));
+    for (std::size_t f = 0; f < cols.size(); ++f) row[f] = (*cols[f])[t];
+    const fleet::Admission verdict = fleet->ingest(kEntity, row);
+    if (verdict != fleet::Admission::kAccepted)
+      throw std::runtime_error(std::string("tick not admitted: ") +
+                               fleet::admission_name(verdict));
+    fleet->drain();
+
+    const fleet::EntityStats s = fleet->entity_stats(kEntity);
+    const bool drift = s.drift_events > drift_seen;
+    drift_seen = s.drift_events;
+    if (drift && tick > pre && r.first_drift_tick == 0)
+      r.first_drift_tick = tick;
+    if (s.generation != generation) {
+      generation = s.generation;
+      last_install_tick = tick;
+      std::cout << "  [retrain] generation " << generation << " live at tick "
+                << tick << "\n";
+    }
+    const std::size_t staleness = tick - last_install_tick;
+    staleness_sum += static_cast<double>(staleness);
+    r.staleness_max = std::max(r.staleness_max, staleness);
+
+    if (due.has_value() && due->tick + 1 == s.ticks) {
+      const double actual = (*cols[0])[t];
+      const double residual = std::abs(actual - due->predicted_raw);
       if (dump.is_open())
-        dump << tick->tick << ',' << tick->actual_raw << ','
-             << tick->predicted_raw << ',' << tick->residual_raw << ','
-             << tick->generation << ',' << (tick->drift ? 1 : 0) << '\n';
-      const double sq = tick->residual_raw * tick->residual_raw;
-      if (tick->tick > pre) {
-        sq_post += sq;
+        dump << tick << ',' << actual << ',' << due->predicted_raw << ','
+             << residual << ',' << due->generation << ',' << (drift ? 1 : 0)
+             << '\n';
+      if (tick > pre) {
+        sq_post += residual * residual;
         ++r.residuals_post;
       } else {
-        sq_pre += sq;
+        sq_pre += residual * residual;
         ++r.residuals_pre;
       }
     }
-    if (tick->drift && tick->tick > pre && r.first_drift_tick == 0)
-      r.first_drift_tick = tick->tick;
-    if (loop.bootstrapped()) {
-      staleness_sum += static_cast<double>(loop.staleness_ticks());
-      r.staleness_max = std::max(r.staleness_max, loop.staleness_ticks());
-      ++staleness_n;
-    }
-    if (loop.retrainer() && loop.retrainer()->completed() > seen_retrains) {
-      seen_retrains = loop.retrainer()->completed();
-      const stream::RetrainOutcome o = loop.retrainer()->last();
-      std::cout << "  [retrain] gen " << o.generation << " at tick "
-                << tick->tick << " (" << o.reason << "): valid_loss "
-                << o.valid_loss << ", " << o.train_samples << " samples, "
-                << o.fit_seconds << " s, " << o.attempts << " attempt(s)"
-                << (o.quality_rejected ? " — REJECTED by quality gate"
-                                       : (o.swapped ? "" : " — NOT swapped"))
-                << "\n";
-    }
+    const std::vector<fleet::EntityForecast> latest =
+        fleet->latest_forecasts();
+    due.reset();
+    if (!latest.empty()) due = latest.front();
   }
-  if (loop.retrainer()) loop.retrainer()->wait_idle();
+  fleet->scheduler().wait_idle();
   r.wall_seconds = wall.elapsed_seconds();
 
   if (r.residuals_pre > 0)
     r.mse_pre = sq_pre / static_cast<double>(r.residuals_pre);
   if (r.residuals_post > 0)
     r.mse_post = sq_post / static_cast<double>(r.residuals_post);
-  std::sort(ingest.begin(), ingest.end());
-  r.ingest_p50_s = percentile(ingest, 0.50);
-  r.ingest_p99_s = percentile(ingest, 0.99);
-  if (staleness_n > 0)
-    r.staleness_mean = staleness_sum / static_cast<double>(staleness_n);
-  if (loop.engine()) {
-    const serve::EngineStats stats = loop.engine()->stats();
-    r.swaps = stats.swaps;
-    r.generation = stats.generation;
-  }
-  r.drift_events = loop.drift().events();
-  if (loop.retrainer()) {
-    r.retrains = loop.retrainer()->completed();
-    r.retrain_failures = loop.retrainer()->failures();
-  }
+  std::vector<double> latencies = fleet->latencies_seconds();
+  std::sort(latencies.begin(), latencies.end());
+  r.latency_p50_s = percentile(latencies, 0.50);
+  r.latency_p99_s = percentile(latencies, 0.99);
+  const std::size_t live = trace.length() - warmup;
+  if (live > 0) r.staleness_mean = staleness_sum / static_cast<double>(live);
 
-  const auto retrain_after =
-      obs::metrics().histogram("stream/retrain_seconds").snapshot();
-  const std::uint64_t fits = retrain_after.count - retrain_before.count;
-  if (fits > 0) {
+  const fleet::EntityStats s = fleet->entity_stats(kEntity);
+  r.generation = s.generation;
+  r.drift_events = s.drift_events;
+  r.retrains = s.retrains;
+  r.retrain_failures = fleet->stats().retrains_failed;
+  const obs::HistogramSnapshot fits_after = fit_hist.snapshot();
+  r.fits = fits_after.count - fits_before.count;
+  if (r.fits > 0)
     r.retrain_mean_s =
-        (retrain_after.sum - retrain_before.sum) / static_cast<double>(fits);
-    r.retrain_max_s = retrain_after.max;  // max is monotone; good enough
-  }
+        (fits_after.sum - fits_before.sum) / static_cast<double>(r.fits);
   return r;
 }
 
@@ -282,9 +315,8 @@ void emit_run(std::ofstream& out, const char* name, const RunReport& r,
       << "      \"mse_post_drift\": " << r.mse_post << ",\n"
       << "      \"residuals\": {\"pre\": " << r.residuals_pre
       << ", \"post\": " << r.residuals_post << "},\n"
-      << "      \"ingest_seconds\": {\"p50\": " << r.ingest_p50_s
-      << ", \"p99\": " << r.ingest_p99_s << "},\n"
-      << "      \"swaps\": " << r.swaps << ",\n"
+      << "      \"tick_to_forecast_seconds\": {\"p50\": " << r.latency_p50_s
+      << ", \"p99\": " << r.latency_p99_s << "},\n"
       << "      \"generation\": " << r.generation << ",\n"
       << "      \"drift_events\": " << r.drift_events << ",\n"
       << "      \"first_drift_tick_post_mutation\": " << r.first_drift_tick
@@ -292,7 +324,7 @@ void emit_run(std::ofstream& out, const char* name, const RunReport& r,
       << "      \"retrains\": " << r.retrains << ",\n"
       << "      \"retrain_failures\": " << r.retrain_failures << ",\n"
       << "      \"retrain_seconds\": {\"mean\": " << r.retrain_mean_s
-      << ", \"max\": " << r.retrain_max_s << "},\n"
+      << ", \"fits\": " << r.fits << "},\n"
       << "      \"staleness_ticks\": {\"mean\": " << r.staleness_mean
       << ", \"max\": " << r.staleness_max << "}\n"
       << "    }" << (trailing_comma ? "," : "") << "\n";
@@ -315,12 +347,13 @@ int run(int argc, char** argv) {
       cfg.dump = argv[++i];
   }
 
-  obs::set_enabled(true);  // retrain latency comes from stream/* histograms
+  obs::set_enabled(true);  // retrain latency comes from fleet/* histograms
 
   std::cout << "=== RPTCN streaming bench ===\n"
             << "replay: " << cfg.pre << " regime-A ticks + " << cfg.post
             << " regime-B ticks (mutation at tick " << cfg.pre << "), seed "
-            << cfg.seed << "\n\n";
+            << cfg.seed << ", bootstrap on the first "
+            << warmup_ticks(cfg.pre) << "\n\n";
 
   // The returned schedule pins the flip tick; asserting it against --pre
   // keeps the scoring-window split honest if the generator ever changes.
@@ -335,13 +368,11 @@ int run(int argc, char** argv) {
 
   std::cout << "[static]   frozen bootstrap snapshot...\n";
   const RunReport frozen =
-      replay(trace, pipeline_options(/*adaptive=*/false, cfg.pre), cfg.pre,
-             cfg.tick_us,
+      replay(trace, /*adaptive=*/false, cfg.pre, cfg.tick_us,
              cfg.dump.empty() ? std::string() : cfg.dump + ".static.csv");
-  std::cout << "[adaptive] drift-triggered rolling retrain...\n";
+  std::cout << "[adaptive] drift-triggered background retrain...\n";
   const RunReport adaptive =
-      replay(trace, pipeline_options(/*adaptive=*/true, cfg.pre), cfg.pre,
-             cfg.tick_us,
+      replay(trace, /*adaptive=*/true, cfg.pre, cfg.tick_us,
              cfg.dump.empty() ? std::string() : cfg.dump + ".adaptive.csv");
 
   const double improvement = adaptive.mse_post > 0.0
@@ -353,11 +384,12 @@ int run(int argc, char** argv) {
           ? adaptive.first_drift_tick - cfg.pre
           : 0;
 
-  std::cout << "\n            post-drift MSE   swaps  retrains\n"
-            << "  static    " << frozen.mse_post << "   " << frozen.swaps
-            << "      " << frozen.retrains << "\n"
-            << "  adaptive  " << adaptive.mse_post << "   " << adaptive.swaps
-            << "      " << adaptive.retrains << "\n"
+  std::cout << "\n            post-drift MSE   generation  retrains\n"
+            << "  static    " << frozen.mse_post << "   " << frozen.generation
+            << "           " << frozen.retrains << "\n"
+            << "  adaptive  " << adaptive.mse_post << "   "
+            << adaptive.generation << "           " << adaptive.retrains
+            << "\n"
             << "  improvement (static/adaptive): " << improvement << "x\n"
             << "  detection delay: " << detection_delay << " ticks, "
             << "retrain mean " << adaptive.retrain_mean_s << " s\n";
@@ -367,7 +399,8 @@ int run(int argc, char** argv) {
       << "  \"bench\": \"rptcn_streaming\",\n"
       << "  \"replay\": {\"pre_ticks\": " << cfg.pre
       << ", \"post_ticks\": " << cfg.post << ", \"mutation_tick\": "
-      << cfg.pre << ", \"seed\": " << cfg.seed
+      << cfg.pre << ", \"warmup_ticks\": " << warmup_ticks(cfg.pre)
+      << ", \"seed\": " << cfg.seed
       << ", \"tick_interval_us\": " << cfg.tick_us
       << ", \"mse_units\": \"raw_target\"},\n"
       << "  \"pipelines\": {\n";

@@ -1,25 +1,26 @@
 // Streaming quickstart: watch the online loop detect a regime change,
-// retrain in the background, and hot-swap the serving model.
+// retrain in the background, and install the new model.
 //
 //   ./stream_demo [--pre N] [--post N] [--seed S] [--tick-us U]
 //
 // Replays a synthetic single-container trace whose workload mutates at a
-// known tick (regime A -> regime B). The OnlinePipeline ingests tick by
-// tick, forecasts one step ahead through the micro-batching engine, feeds
-// the residuals to the drift detectors, and — when they fire — re-fits an
-// RPTCN on the trailing window on a background thread and swaps it in
-// without stalling ingestion. The log shows the residuals spiking at the
-// mutation, the detector firing, and the error recovering after the swap.
+// known tick (regime A -> regime B) through a one-entity fleet. The fleet
+// bootstraps an RPTCN on the first rows, then ingests tick by tick,
+// forecasts one step ahead through its batching engine, feeds the residuals
+// to the drift detectors, and — when they fire — re-fits on the trailing
+// window on a background thread and installs the result without stalling
+// ingestion. The log shows the residuals spiking at the mutation, the
+// detector firing, and the error recovering after the install.
 #include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <iomanip>
 #include <iostream>
-#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
-#include "stream/pipeline.h"
+#include "fleet/builder.h"
 #include "stream/source.h"
 
 namespace rptcn {
@@ -64,14 +65,13 @@ int run(int argc, char** argv) {
   // enough to span several endogenous regime segments, a validation-loss
   // quality gate with seed retries, and an absolute residual-level trigger
   // on top of the Page-Hinkley / ratio detectors.
-  stream::OnlinePipelineOptions opt;
-  opt.source.features = {"cpu_util_percent", "mem_util_percent",
-                         "net_in", "net_out"};
-  opt.source.capacity = 2048;
-  opt.retrain.model_name = "RPTCN";
-  opt.retrain.model.nn.seed = 9;
-  opt.retrain.model.rptcn.tcn.channels = {8, 8};
-  opt.retrain.model.rptcn.fc_dim = 8;
+  fleet::FleetOptions opt;
+  opt.features = {"cpu_util_percent", "mem_util_percent", "net_in", "net_out"};
+  opt.shards = 1;
+  opt.workers = 1;
+  opt.retrain_workers = 1;
+  opt.engine.max_delay_us = 0;  // a lone stream has no peers to coalesce with
+  opt.channel.capacity = 2048;
   opt.retrain.history = 512;
   opt.retrain.window.window = 24;
   opt.retrain.window.horizon = 1;
@@ -85,56 +85,80 @@ int run(int argc, char** argv) {
   opt.drift.windowed.short_window = 16;
   opt.drift.input_ph.lambda = 2.0;
   opt.drift.input_ph.delta = 0.02;
-  opt.retrain_cadence = 160;
-  opt.warmup = pre > 800 ? 400 : pre / 2;
+  opt.tenant = "stream-demo";
 
+  fleet::EntitySpec container;
+  container.id = "container";
+  container.model.name = "RPTCN";
+  container.model.config.nn.seed = 9;
+  container.model.config.rptcn.tcn.channels = {8, 8};
+  container.model.config.rptcn.fc_dim = 8;
+  auto fleet = fleet::FleetBuilder().options(opt).add_entity(container).build();
+
+  const std::size_t warmup = pre > 800 ? 400 : pre / 2;
   std::cout << "=== RPTCN streaming demo ===\n"
             << "regime A for " << pre << " ticks, then regime B for " << post
-            << " ticks; bootstrap after " << opt.warmup << " ticks\n\n";
+            << " ticks; bootstrap after " << warmup << " ticks\n\n";
 
-  stream::OnlinePipeline loop(std::make_unique<stream::ReplayProvider>(trace),
-                              opt);
+  std::cout << std::fixed << std::setprecision(4);
+  // An id-only entity is a private cohort of one, named after itself.
+  const stream::RetrainOutcome boot =
+      fleet->bootstrap_cohort(container.id, trace.slice(0, warmup));
+  if (!boot.error.empty()) {
+    std::cerr << "bootstrap fit failed: " << boot.error << "\n";
+    return 1;
+  }
+  std::cout << "[tick " << std::setw(5) << warmup
+            << "] bootstrap: generation 1 is live (fit " << boot.fit_seconds
+            << " s)\n";
+
+  std::vector<const std::vector<double>*> cols;
+  for (const std::string& name : opt.features)
+    cols.push_back(&trace.column(name));
+  std::vector<double> row(cols.size());
 
   double ewma_residual = 0.0;
   bool ewma_primed = false;
-  std::size_t ticks = 0;
+  fleet::EntityStats seen = fleet->entity_stats(container.id);
+  std::size_t install_tick = warmup;
   const auto start = std::chrono::steady_clock::now();
-  std::cout << std::fixed << std::setprecision(4);
-  while (auto tick = loop.step()) {
+  for (std::size_t t = warmup; t < trace.length(); ++t) {
+    const std::size_t tick = t + 1;
     if (tick_us > 0)
       std::this_thread::sleep_until(
-          start + std::chrono::microseconds(tick_us) * ++ticks);
-    if (tick->bootstrapped)
-      std::cout << "[tick " << std::setw(5) << tick->tick
-                << "] bootstrap: generation 1 is live (fit "
-                << loop.bootstrap_outcome().fit_seconds << " s)\n";
-    if (tick->residual_ready) {
+          start + std::chrono::microseconds(tick_us) * (t - warmup + 1));
+    for (std::size_t f = 0; f < cols.size(); ++f) row[f] = (*cols[f])[t];
+    fleet->ingest(container.id, row);
+    fleet->drain();
+
+    const fleet::EntityStats s = fleet->entity_stats(container.id);
+    if (s.residuals > seen.residuals) {
       ewma_residual = ewma_primed
-                          ? 0.95 * ewma_residual + 0.05 * tick->residual
-                          : tick->residual;
+                          ? 0.95 * ewma_residual + 0.05 * s.last_residual
+                          : s.last_residual;
       ewma_primed = true;
     }
-    if (tick->drift)
-      std::cout << "[tick " << std::setw(5) << tick->tick
-                << "] drift detected (" << loop.drift().last_reason()
-                << "), residual ewma " << ewma_residual
-                << (tick->retrain_requested ? " -> retrain scheduled" : "")
-                << "\n";
-    if (tick->tick % 100 == 0 && loop.bootstrapped())
-      std::cout << "[tick " << std::setw(5) << tick->tick
-                << "] residual ewma " << ewma_residual << ", generation "
-                << loop.engine()->generation() << ", staleness "
-                << loop.staleness_ticks() << " ticks\n";
+    if (s.drift_events > seen.drift_events)
+      std::cout << "[tick " << std::setw(5) << tick << "] drift detected ("
+                << s.last_drift_reason << "), residual ewma "
+                << ewma_residual << "\n";
+    if (s.generation != seen.generation) {
+      install_tick = tick;
+      std::cout << "[tick " << std::setw(5) << tick << "] generation "
+                << s.generation << " is live\n";
+    }
+    if (tick % 100 == 0)
+      std::cout << "[tick " << std::setw(5) << tick << "] residual ewma "
+                << ewma_residual << ", generation " << s.generation
+                << ", staleness " << tick - install_tick << " ticks\n";
+    seen = s;
   }
-  if (loop.retrainer()) loop.retrainer()->wait_idle();
+  fleet->scheduler().wait_idle();
 
-  const serve::EngineStats stats = loop.engine()->stats();
-  std::cout << "\nfinal: generation " << stats.generation << ", "
-            << stats.swaps << " hot-swap(s), "
-            << loop.drift().events() << " drift event(s), "
-            << (loop.retrainer() ? loop.retrainer()->completed() : 0)
-            << " retrain(s), " << stats.completed
-            << " forecasts served\n";
+  const fleet::EntityStats s = fleet->entity_stats(container.id);
+  std::cout << "\nfinal: generation " << s.generation << ", " << s.retrains
+            << " retrain(s) installed, " << s.drift_events
+            << " drift event(s), " << s.forecasts << " forecasts served\n";
   return 0;
 }
 

@@ -165,33 +165,23 @@ stream::RetrainOutcome FleetManager::bootstrap_cohort(
   RPTCN_CHECK(!members.empty(),
               "bootstrap_cohort: no entities in cohort \"" << cohort << "\"");
 
-  std::vector<const std::vector<double>*> cols;
-  cols.reserve(features_.size());
-  for (const std::string& name : features_) {
-    RPTCN_CHECK(frame.has(name),
-                "bootstrap_cohort frame is missing feature: " << name);
-    cols.push_back(&frame.column(name));
-  }
-
   // A scratch channel replays the frame once, producing exactly the
   // cleaned history + normalizer state every seeded member ends up with.
   stream::IngestChannel scratch(features_, options_.channel);
-  std::vector<double> row(features_.size(), 0.0);
-  for (std::size_t t = 0; t < frame.length(); ++t) {
-    for (std::size_t f = 0; f < cols.size(); ++f) row[f] = (*cols[f])[t];
-    scratch.ingest(row);
-  }
+  scratch.replay(frame);
   const std::size_t retained =
       std::min(scratch.ticks(), options_.channel.capacity);
   const std::size_t span = std::min(options_.retrain.history, retained);
 
+  const stream::RetrainOptions opts =
+      retrain_options_for(members.front()->spec);
   stream::FittedGeneration g;
   {
     obs::ScopedTimer timer(retrain_seconds_);
-    g = stream::fit_generation_gated(
-        scratch.history(span), scratch.normalizer(),
-        retrain_options_for(members.front()->spec), /*next_generation=*/1,
-        "bootstrap:" + cohort);
+    g = stream::fit_generation_gated(scratch.history(span),
+                                     scratch.normalizer(), opts,
+                                     /*next_generation=*/1,
+                                     "bootstrap:" + cohort, cohort);
   }
   if (g.session == nullptr) {
     retrains_failed_.fetch_add(1, std::memory_order_relaxed);
@@ -199,7 +189,10 @@ stream::RetrainOutcome FleetManager::bootstrap_cohort(
     return g.outcome;
   }
   // A gate-rejected bootstrap is still installed — some model must serve,
-  // and drift retraining replaces a mediocre one later (pipeline parity).
+  // and drift retraining replaces a mediocre one later. The gated fit only
+  // checkpoints passing generations, so save this one here: every serving
+  // generation has a restorable checkpoint.
+  if (g.outcome.quality_rejected) stream::save_checkpoint(g, opts, cohort);
 
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -207,12 +200,7 @@ stream::RetrainOutcome FleetManager::bootstrap_cohort(
   }
   for (Entity* e : members) {
     std::lock_guard<std::mutex> state(e->state_mutex);
-    if (seed_history) {
-      for (std::size_t t = 0; t < frame.length(); ++t) {
-        for (std::size_t f = 0; f < cols.size(); ++f) row[f] = (*cols[f])[t];
-        e->channel.ingest(row);
-      }
-    }
+    if (seed_history) e->channel.replay(frame);
     if (e->generation == 0) {
       e->session = g.session;
       e->generation = 1;
@@ -408,7 +396,7 @@ bool FleetManager::harvest_due(Entity& e) {
   const Entity::PendingForecast p = *e.pending;
   e.pending.reset();
   // The targeted tick was dropped: no ground truth, discard (the residual
-  // stream stays strictly one-step — same rule as OnlinePipeline).
+  // stream stays strictly one-step).
   if (p.due_provider_tick < now) return false;
   const double actual = e.channel.latest_norm(0);
   const double residual = std::abs(actual - p.predicted_norm);
@@ -506,14 +494,22 @@ void FleetManager::retrain_entity(const RetrainRequest& r) {
     next_generation = e->generation + 1;
   }
 
+  const stream::RetrainOptions opts = retrain_options_for(e->spec);
   stream::FittedGeneration g;
   {
     obs::ScopedTimer timer(retrain_seconds_);
-    g = stream::fit_generation_gated(history, normalizer,
-                                     retrain_options_for(e->spec),
-                                     next_generation, r.reason);
+    g = stream::fit_generation_gated(history, normalizer, opts,
+                                     next_generation, r.reason, e->spec.id);
   }
-  const bool installed = g.session != nullptr && !g.outcome.quality_rejected;
+  // A checkpoint that should exist but could not be written refuses the
+  // install: the live model must never get ahead of its restorable state.
+  // kUnsupported (ARIMA/XGBoost) is no failure — they have no weights file.
+  const bool checkpoint_failed =
+      !opts.checkpoint_dir.empty() &&
+      g.outcome.checkpoint != models::CheckpointStatus::kOk &&
+      g.outcome.checkpoint != models::CheckpointStatus::kUnsupported;
+  const bool installed = g.session != nullptr &&
+                         !g.outcome.quality_rejected && !checkpoint_failed;
   {
     std::lock_guard<std::mutex> state(e->state_mutex);
     e->retrain_inflight = false;
@@ -582,6 +578,7 @@ EntityStats FleetManager::entity_stats(const std::string& id) const {
   s.ticks = e->channel.ticks();
   s.dropped = e->channel.dropped();
   s.forecasts = e->forecasts;
+  s.residuals = e->residuals_scored;
   s.drift_events = e->drift_events;
   s.retrains = e->retrains;
   s.last_drift_reason = e->drift.last_reason();

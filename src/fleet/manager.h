@@ -1,8 +1,8 @@
-// FleetManager: one engine surface, thousands of entities.
-//
-// The single-tenant stack (StreamSource -> DriftMonitor -> BatchingEngine
-// -> RollingRetrainer) multiplied naively is N engines, N normalizers and N
-// retrain threads. The fleet layer multiplexes instead:
+// FleetManager: the streaming adapt loop — ingest a tick, forecast one
+// step, watch the residuals for drift, refit in the background, install the
+// new model — for one entity or thousands. A single stream is a one-entity
+// fleet; N entities share engines, workers and the retrain budget instead
+// of multiplying them:
 //
 //  * Model registry keyed by entity id. Each entity carries an immutable
 //    shared_ptr<const InferenceSession>; entities in one cohort share the
@@ -10,8 +10,8 @@
 //    literal pointer sharing, observable as stats().unique_snapshots.
 //    A retrained entity splinters onto a private generation; the cohort
 //    pointer lives on in the others.
-//  * Engine sharding: `shards` BatchingEngines in multi-tenant shard mode,
-//    entity -> shard by FNV-1a hash of the id (deterministic across runs).
+//  * Engine sharding: `shards` BatchingEngines, entity -> shard by FNV-1a
+//    hash of the id (deterministic across runs).
 //    Requests pin their entity's session; the engine coalesces runs of
 //    same-session same-shape windows, so a cohort hashed to one shard
 //    still batches its forwards together.
@@ -25,7 +25,10 @@
 //    proceed in parallel.
 //  * Elastic retraining: drift severity (detector statistic over its
 //    threshold) becomes the priority of a RetrainScheduler request; at
-//    most retrain_workers fits run fleet-wide, worst drift first.
+//    most retrain_workers fits run fleet-wide, worst drift first. With
+//    retrain.checkpoint_dir set, every installed generation is first
+//    checkpointed as <dir>/<id>.gen_<N>.ckpt (<cohort> for a bootstrap),
+//    and a retrain whose checkpoint cannot be written is not installed.
 //
 // Tick-to-forecast latency is stamped at ingest-accept and recorded when
 // the pinned forecast future delivers — mailbox wait, batching delay and
@@ -65,9 +68,10 @@ struct EntityStats {
   std::uint64_t generation = 0;    ///< 0 = not bootstrapped yet
   bool shares_cohort_session = false;  ///< still on the cohort snapshot
   std::uint64_t ticks = 0;         ///< complete ticks accepted
-  std::uint64_t dropped = 0;       ///< incomplete ticks dropped
+  std::uint64_t dropped = 0;       ///< non-finite ticks dropped
   std::uint64_t rejected = 0;      ///< admissions bounced for this entity
   std::uint64_t forecasts = 0;
+  std::uint64_t residuals = 0;     ///< forecasts scored against their target
   std::uint64_t drift_events = 0;
   std::uint64_t retrains = 0;      ///< generations installed past bootstrap
   /// What fired most recently: "residual-ph", "error-ratio" or
@@ -81,9 +85,8 @@ struct EntityStats {
 };
 
 /// One entity's newest delivered forecast — the sched layer's input. The
-/// raw value is denormalised under the entity's normalizer state at
-/// delivery time, so with a frozen normalizer it is exactly what the
-/// single-tenant stack would report.
+/// raw value is denormalised under the entity's normalizer state when the
+/// forecast is issued.
 struct EntityForecast {
   std::string entity;
   double predicted_norm = 0.0;  ///< target feature, normalised
@@ -130,8 +133,9 @@ class FleetManager {
   void add_entity(EntitySpec spec);
 
   /// Cold start one cohort: fit a single generation on `frame` (gated, the
-  /// best attempt kept) and install the resulting session — ONE shared
-  /// object — into every cohort member that has no private generation yet.
+  /// best attempt kept and checkpointed even when the gate rejected it) and
+  /// install the resulting session — ONE shared object — into every cohort
+  /// member that has no private generation yet.
   /// When `seed_history` is true the frame's complete rows are also folded
   /// into each member's channel, so forecasting starts immediately.
   /// Returns the fit outcome; on a failed fit nothing is installed.
@@ -212,7 +216,7 @@ class FleetManager {
     struct PendingForecast {
       double predicted_norm = 0.0;
       /// Provider-tick (accepted + dropped) the forecast targets; a dropped
-      /// target discards the forecast — same due-dating as OnlinePipeline.
+      /// target discards the forecast unscored.
       std::size_t due_provider_tick = 0;
       std::uint64_t generation = 0;
     };
@@ -277,8 +281,8 @@ class FleetManager {
   obs::Gauge& queue_depth_gauge_;
   obs::Gauge& unique_snapshots_gauge_;
 
-  /// One engine per shard, multi-tenant mode (every request pins its
-  /// session). Created up front; never resized.
+  /// One engine per shard (every request pins its entity's session).
+  /// Created up front; never resized.
   std::vector<std::unique_ptr<serve::BatchingEngine>> engines_;
 
   /// Guards the registry, mailboxes and ready queue. Never held while a

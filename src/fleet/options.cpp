@@ -6,11 +6,11 @@ namespace rptcn::fleet {
 
 void EntitySpec::validate() const {
   RPTCN_CHECK(!id.empty(), "EntitySpec.id must be non-empty");
-  RPTCN_CHECK(id.find_first_of("{}=") == std::string::npos,
-              "EntitySpec.id must not contain '{', '}' or '=': \"" << id
-                                                                   << "\"");
-  RPTCN_CHECK(cohort.find_first_of("{}=") == std::string::npos,
-              "EntitySpec.cohort must not contain '{', '}' or '=': \""
+  RPTCN_CHECK(id.find_first_of("{}=/") == std::string::npos,
+              "EntitySpec.id must not contain '{', '}', '=' or '/': \""
+                  << id << "\"");
+  RPTCN_CHECK(cohort.find_first_of("{}=/") == std::string::npos,
+              "EntitySpec.cohort must not contain '{', '}', '=' or '/': \""
                   << cohort << "\"");
   model.validate();
 }

@@ -3,8 +3,8 @@
 //
 // Everything is an Options struct with a validate() that throws
 // common::CheckError naming the offending field — the same construction API
-// the serve/stream layers expose (EngineOptions, SourceOptions,
-// PipelineOptions, ...), scaled from one pipeline to N entities.
+// the serve/stream layers expose (EngineOptions, ChannelOptions,
+// DriftOptions, RetrainOptions).
 #pragma once
 
 #include <cstddef>
@@ -21,12 +21,13 @@ namespace rptcn::fleet {
 
 /// One entity (machine / container / service instance) the fleet serves.
 struct EntitySpec {
-  /// Unique entity key; also the deterministic shard hash input.
+  /// Unique entity key; also the deterministic shard hash input and the
+  /// stem of the entity's checkpoint file names (so no '/').
   std::string id;
   /// Snapshot-sharing group. Entities in one cohort are bootstrapped from a
   /// single fit and share one immutable InferenceSession (shared_ptr) until
   /// drift splinters them onto private generations. Empty = the entity id:
-  /// a private cohort of one, no sharing.
+  /// a private cohort of one, no sharing. Names the bootstrap checkpoint.
   std::string cohort;
   /// Cold-start recipe for the cohort's model. The first spec registered
   /// for a cohort wins; later members inherit it.
@@ -59,18 +60,21 @@ struct FleetOptions {
 
   /// Per-entity streaming state: ring depth + normalizer policy.
   stream::ChannelOptions channel;
-  /// Pin every member's scaler when its cohort bootstraps (mirrors
-  /// OnlinePipeline::freeze_normalizer_at_bootstrap). A frozen scaler makes
-  /// a later regime shift visible to the input detectors as a sustained
-  /// out-of-range excursion instead of being absorbed into the running
-  /// min/max; the adapting default re-scales drifted inputs back into the
-  /// model's training range.
+  /// Pin every member's scaler when its cohort bootstraps — the honest
+  /// frozen-deployment baseline, since a real batch deployment ships scaler
+  /// and weights frozen together. A frozen scaler makes a later regime
+  /// shift visible to the input detectors as a sustained out-of-range
+  /// excursion instead of being absorbed into the running min/max; the
+  /// adapting default re-scales drifted inputs back into the model's
+  /// training range, which silently domain-adapts even a never-retrained
+  /// model's inputs.
   bool freeze_normalizer_at_bootstrap = false;
   /// Per-entity drift template. The tenant field is overwritten per shard
   /// so detector gauges aggregate per shard and roll up per fleet.
   stream::DriftOptions drift;
-  /// Retrain recipe template: window/horizon/history/split/gate/cooldown.
-  /// model_name/model are overridden by each entity's ForecasterSpec.
+  /// Retrain recipe template: window/horizon/history/split/gate/cooldown/
+  /// checkpoint_dir. model_name/model are overridden by each entity's
+  /// ForecasterSpec.
   stream::RetrainOptions retrain;
 
   /// False freezes every bootstrap snapshot (measure drift, never act) —

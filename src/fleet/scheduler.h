@@ -1,9 +1,8 @@
-// RetrainScheduler: RollingRetrainer generalised from 1 to N.
+// RetrainScheduler: the fleet's background fit queue.
 //
-// The single-pipeline retrainer is a one-thread pool with a busy flag: one
-// entity, one in-flight fit. A fleet has thousands of entities whose drift
-// events cluster (a regime change hits a whole cohort at once), so the
-// scheduler is an elastic priority queue in front of a bounded worker pool:
+// A fleet has up to thousands of entities whose drift events cluster (a
+// regime change hits a whole cohort at once), so the scheduler is an
+// elastic priority queue in front of a bounded worker pool:
 //
 //  * request() files (entity, priority, reason); priority is the drift
 //    severity the manager computes from the detector statistics, so the

@@ -86,7 +86,7 @@ void SessionSource::fit(const data::TimeSeriesFrame& history,
   normalizer.freeze();
 
   stream::FittedGeneration g = stream::fit_generation_gated(
-      tail, normalizer, options_.retrain, generation_ + 1, reason);
+      tail, normalizer, options_.retrain, generation_ + 1, reason, name_);
   last_outcome_ = g.outcome;
   if (g.session == nullptr) return;  // incumbent keeps serving
   session_ = std::move(g.session);

@@ -15,22 +15,10 @@ void EngineOptions::validate() const {
                   << tenant << "\"");
 }
 
-BatchingEngine::BatchingEngine(std::shared_ptr<const InferenceSession> session,
-                               EngineOptions options)
-    : BatchingEngine(std::move(session), std::move(options),
-                     /*allow_null_session=*/false) {}
-
 BatchingEngine::BatchingEngine(EngineOptions options)
-    : BatchingEngine(nullptr, std::move(options),
-                     /*allow_null_session=*/true) {}
-
-BatchingEngine::BatchingEngine(std::shared_ptr<const InferenceSession> session,
-                               EngineOptions options, bool allow_null_session)
     : options_(std::move(options)),
       requests_(obs::metrics().counter("serve/requests", options_.tenant)),
       batches_(obs::metrics().counter("serve/batches", options_.tenant)),
-      swaps_counter_(
-          obs::metrics().counter("serve/swaps_total", options_.tenant)),
       queue_depth_(obs::metrics().gauge("serve/queue_depth", options_.tenant)),
       batch_size_(
           obs::metrics().histogram("serve/batch_size", options_.tenant)),
@@ -38,10 +26,7 @@ BatchingEngine::BatchingEngine(std::shared_ptr<const InferenceSession> session,
                                            options_.tenant)),
       forward_time_(
           obs::metrics().histogram("serve/forward_seconds", options_.tenant)) {
-  RPTCN_CHECK(allow_null_session || session != nullptr,
-              "BatchingEngine needs a session");
   options_.validate();
-  live_ = WeightSnapshot{std::move(session), 1};
   if (options_.workers == 0) options_.workers = 1;
   workers_.reserve(options_.workers);
   for (std::size_t i = 0; i < options_.workers; ++i)
@@ -57,19 +42,10 @@ BatchingEngine::~BatchingEngine() {
   for (auto& w : workers_) w.join();
 }
 
-std::future<Tensor> BatchingEngine::submit(Tensor window) {
-  return enqueue(std::move(window), nullptr);
-}
-
 std::future<Tensor> BatchingEngine::submit(
     Tensor window, std::shared_ptr<const InferenceSession> session) {
   RPTCN_CHECK(session != nullptr,
               "BatchingEngine::submit(window, session) needs a session");
-  return enqueue(std::move(window), std::move(session));
-}
-
-std::future<Tensor> BatchingEngine::enqueue(
-    Tensor window, std::shared_ptr<const InferenceSession> session) {
   RPTCN_CHECK(window.rank() == 2,
               "BatchingEngine::submit expects one window [F,T], got "
                   << window.shape_string());
@@ -81,10 +57,6 @@ std::future<Tensor> BatchingEngine::enqueue(
   {
     std::lock_guard<std::mutex> lock(mutex_);
     RPTCN_CHECK(!stop_, "BatchingEngine::submit after shutdown began");
-    RPTCN_CHECK(p.session != nullptr || live_.session != nullptr,
-                "BatchingEngine::submit without a live session: a shard-mode "
-                "engine serves pinned sessions only (use submit(window, "
-                "session) or swap_session first)");
     queue_.push_back(std::move(p));
     ++submitted_;
     queue_depth_.set(static_cast<double>(queue_.size()));
@@ -92,32 +64,6 @@ std::future<Tensor> BatchingEngine::enqueue(
   requests_.add(1);
   cv_.notify_one();
   return fut;
-}
-
-std::uint64_t BatchingEngine::swap_session(
-    std::shared_ptr<const InferenceSession> session) {
-  RPTCN_CHECK(session != nullptr, "swap_session needs a session");
-  std::uint64_t generation;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    RPTCN_CHECK(!stop_, "BatchingEngine::swap_session after shutdown began");
-    live_ = WeightSnapshot{std::move(session), live_.generation + 1};
-    generation = live_.generation;
-    ++swaps_;
-  }
-  swaps_counter_.add(1);
-  return generation;
-}
-
-void BatchingEngine::flush() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  const std::uint64_t target = submitted_;
-  cv_.wait(lock, [this, target] { return completed_ >= target; });
-}
-
-std::size_t BatchingEngine::pending() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return queue_.size();
 }
 
 EngineStats BatchingEngine::stats() const {
@@ -128,30 +74,12 @@ EngineStats BatchingEngine::stats() const {
   s.submitted = submitted_;
   s.completed = completed_;
   s.batches = batches_run_;
-  s.swaps = swaps_;
-  s.generation = live_.generation;
   return s;
-}
-
-WeightSnapshot BatchingEngine::current() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return live_;
-}
-
-std::shared_ptr<const InferenceSession> BatchingEngine::session() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return live_.session;
-}
-
-std::uint64_t BatchingEngine::generation() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return live_.generation;
 }
 
 void BatchingEngine::worker_loop() {
   for (;;) {
     std::vector<Pending> batch;
-    WeightSnapshot snapshot;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -169,8 +97,7 @@ void BatchingEngine::worker_loop() {
       }
       // Coalesce a run of same-session, same-shape windows from the front; a
       // shape or session change starts the next batch so every request still
-      // gets served. Default-session requests (null) form their own runs and
-      // resolve the live snapshot below — the single-tenant semantics.
+      // gets served.
       const std::vector<std::size_t> shape = queue_.front().window.shape();
       const InferenceSession* pinned = queue_.front().session.get();
       while (!queue_.empty() && batch.size() < options_.max_batch &&
@@ -179,33 +106,21 @@ void BatchingEngine::worker_loop() {
         batch.push_back(std::move(queue_.front()));
         queue_.pop_front();
       }
-      // The batch runs end-to-end on the generation it was coalesced under:
-      // a concurrent swap_session() retires `live_` but this shared_ptr
-      // keeps the old snapshot alive until the batch delivers. Pinned
-      // batches captured their session at submit and ignore the live one.
-      snapshot = live_;
       in_flight_ += batch.size();
       queue_depth_.set(static_cast<double>(queue_.size()));
     }
-    const std::size_t delivered = batch.size();
-    const InferenceSession& session = batch.front().session != nullptr
-                                          ? *batch.front().session
-                                          : *snapshot.session;
-    run_batch(batch, session);
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      in_flight_ -= delivered;
-      completed_ += delivered;
-      ++batches_run_;
-    }
-    // Wake flush() waiters (and any worker parked on the queue predicate —
-    // it re-checks and sleeps again, which is cheap and rare).
-    cv_.notify_all();
+    run_batch(batch);
+    std::lock_guard<std::mutex> lock(mutex_);
+    in_flight_ -= batch.size();
+    completed_ += batch.size();
+    ++batches_run_;
   }
 }
 
-void BatchingEngine::run_batch(std::vector<Pending>& batch,
-                               const InferenceSession& session) {
+void BatchingEngine::run_batch(std::vector<Pending>& batch) {
+  // Every request of the batch pinned this session; the batch keeps it
+  // alive until the worker drops the batch.
+  const InferenceSession& session = *batch.front().session;
   const auto picked_up = std::chrono::steady_clock::now();
   for (const Pending& p : batch)
     queue_wait_.record(

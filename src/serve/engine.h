@@ -1,35 +1,33 @@
-// BatchingEngine: micro-batching request queue in front of an
-// InferenceSession.
+// BatchingEngine: micro-batching request queue in front of
+// InferenceSessions.
 //
 // Concurrent single-window requests are coalesced into one batched forward
 // over the N dimension (the im2col conv path and the fused LSTM gate GEMM
 // both amortise with N), trading up to `max_delay_us` of queueing latency
-// for throughput. Each submit() returns a future that delivers that
-// request's row of the batched output — bit-identical to running the window
-// alone, because the session pins per-layer kernel dispatch to its N=1
-// decision.
+// for throughput. Each submit() pins the session that serves it and returns
+// a future that delivers that request's row of the batched output —
+// bit-identical to running the window alone, because the session pins
+// per-layer kernel dispatch to its N=1 decision.
 //
 // Threading model: submit() may be called from any thread. `workers` engine
-// threads pop coalesced batches under one mutex; each batch forward runs
-// inside an ActiveJobScope so concurrent batches gate nested OpenMP exactly
-// like ThreadPool jobs do. A batch failure (e.g. a feature-count mismatch)
-// is delivered to every future of that batch; other batches are unaffected.
-// The destructor stops intake, drains every queued request, then joins.
+// threads pop coalesced batches under one mutex; a batch is a run of
+// same-session, same-shape requests from the queue head, so one engine
+// multiplexes any number of models and requests sharing a session still
+// batch together. Each batch forward runs inside an ActiveJobScope so
+// concurrent batches gate nested OpenMP exactly like ThreadPool jobs do. A
+// batch failure (e.g. a feature-count mismatch) is delivered to every
+// future of that batch; other batches are unaffected. The destructor stops
+// intake, drains every queued request, then joins.
 //
-// Hot-swap: the live model is a generation-counted WeightSnapshot.
-// swap_session() atomically installs a new session and bumps the
-// generation; a worker captures one snapshot under the queue mutex when it
-// picks a batch up, so every batch runs end-to-end on the generation it
-// started with — readers finish on the old generation, new batches see the
-// new one, and nothing ever blocks the submit path. flush() is the fence:
-// it blocks until every request submitted before the call has been
-// delivered, so swap + flush guarantees later submissions are answered by
-// the new weights only.
+// Installing a new model is the caller's business: requests carry their
+// session by shared_ptr, so a caller that replaces its session pointer has
+// every later submit answered by the new weights while requests already
+// queued finish on the session they pinned.
 //
-// Observability: serve/requests + serve/batches + serve/swaps_total
-// counters, serve/queue_depth gauge, serve/batch_size,
-// serve/queue_wait_seconds and serve/forward_seconds histograms, and a
-// "serve/batch" trace span around each batched forward.
+// Observability: serve/requests + serve/batches counters,
+// serve/queue_depth gauge, serve/batch_size, serve/queue_wait_seconds and
+// serve/forward_seconds histograms, and a "serve/batch" trace span around
+// each batched forward.
 #pragma once
 
 #include <chrono>
@@ -62,14 +60,6 @@ struct EngineOptions {
   void validate() const;
 };
 
-/// The engine's live model: an immutable session plus the monotone
-/// generation swap_session() bumps. A batch captures one WeightSnapshot
-/// when it is coalesced and runs entirely on it.
-struct WeightSnapshot {
-  std::shared_ptr<const InferenceSession> session;
-  std::uint64_t generation = 0;
-};
-
 /// Point-in-time engine state, for backpressure observation without
 /// scraping metrics JSON.
 struct EngineStats {
@@ -78,59 +68,25 @@ struct EngineStats {
   std::uint64_t submitted = 0;    ///< requests ever accepted
   std::uint64_t completed = 0;    ///< requests delivered (value or error)
   std::uint64_t batches = 0;      ///< batches run
-  std::uint64_t swaps = 0;        ///< swap_session() calls
-  std::uint64_t generation = 1;   ///< current snapshot generation
 };
 
 class BatchingEngine {
  public:
-  BatchingEngine(std::shared_ptr<const InferenceSession> session,
-                 EngineOptions options = {});
-  /// Multi-tenant shard mode: no default session — every request must pin
-  /// its own via submit(window, session). The default-session submit()
-  /// throws until swap_session() installs one.
-  explicit BatchingEngine(EngineOptions options);
+  explicit BatchingEngine(EngineOptions options = {});
   /// Stops intake, drains every queued request, joins the workers. Futures
   /// obtained from submit() always complete.
   ~BatchingEngine();
   BatchingEngine(const BatchingEngine&) = delete;
   BatchingEngine& operator=(const BatchingEngine&) = delete;
 
-  /// Enqueue one window [F, T]. The future delivers the forecast [horizon]
-  /// or rethrows the batch's failure. Throws if the engine is stopping.
-  std::future<Tensor> submit(Tensor window);
-
-  /// Enqueue one window pinned to `session` (fleet path: one shard engine
-  /// multiplexes many models). Pinned requests ignore the live snapshot and
-  /// hot-swaps entirely; workers coalesce runs of same-session, same-shape
-  /// requests, so entities sharing a snapshot still batch together.
+  /// Enqueue one window [F, T] served by `session`. The future delivers the
+  /// forecast [horizon] or rethrows the batch's failure. Throws if the
+  /// engine is stopping or `session` is null.
   std::future<Tensor> submit(Tensor window,
                              std::shared_ptr<const InferenceSession> session);
 
-  /// Atomically install a new session as the next generation and return
-  /// that generation. Batches already coalesced finish on the snapshot they
-  /// captured; batches coalesced after the call use the new session.
-  /// Throws if the engine is stopping.
-  std::uint64_t swap_session(std::shared_ptr<const InferenceSession> session);
-
-  /// Block until every request submitted before this call has been
-  /// delivered (in-flight batches included, not just the queue). Safe under
-  /// concurrent submit() — later requests are not waited for. Must not be
-  /// called from an engine worker (the hot-swap path calls it from the
-  /// retrain thread).
-  void flush();
-
-  /// Requests currently queued (not yet picked up by a worker).
-  std::size_t pending() const;
-
-  /// Queue depth, in-flight count, totals and the live generation.
+  /// Queue depth, in-flight count and totals.
   EngineStats stats() const;
-
-  /// The live weight snapshot (shared ownership, safe across swaps).
-  WeightSnapshot current() const;
-  /// The live session; shared_ptr because a swap may retire it any time.
-  std::shared_ptr<const InferenceSession> session() const;
-  std::uint64_t generation() const;
 
   const EngineOptions& options() const { return options_; }
 
@@ -139,27 +95,18 @@ class BatchingEngine {
     Tensor window;
     std::promise<Tensor> promise;
     std::chrono::steady_clock::time_point enqueued;
-    /// Pinned session (fleet path); null = resolve the live snapshot when
-    /// the batch is coalesced, exactly the single-tenant semantics.
     std::shared_ptr<const InferenceSession> session;
   };
 
-  BatchingEngine(std::shared_ptr<const InferenceSession> session,
-                 EngineOptions options, bool allow_null_session);
-
-  std::future<Tensor> enqueue(Tensor window,
-                              std::shared_ptr<const InferenceSession> session);
-
   void worker_loop();
-  /// Runs one coalesced batch on `session`; returns requests delivered.
-  void run_batch(std::vector<Pending>& batch, const InferenceSession& session);
+  /// Runs one coalesced batch on the session its requests share.
+  void run_batch(std::vector<Pending>& batch);
 
   EngineOptions options_;
 
   // Registry handles are process-lifetime stable; resolved once here.
   obs::Counter& requests_;
   obs::Counter& batches_;
-  obs::Counter& swaps_counter_;
   obs::Gauge& queue_depth_;
   obs::Histogram& batch_size_;
   obs::Histogram& queue_wait_;
@@ -168,12 +115,10 @@ class BatchingEngine {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::deque<Pending> queue_;
-  WeightSnapshot live_;            ///< guarded by mutex_
   std::size_t in_flight_ = 0;      ///< guarded by mutex_
   std::uint64_t submitted_ = 0;    ///< guarded by mutex_
   std::uint64_t completed_ = 0;    ///< guarded by mutex_
   std::uint64_t batches_run_ = 0;  ///< guarded by mutex_
-  std::uint64_t swaps_ = 0;        ///< guarded by mutex_
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

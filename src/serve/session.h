@@ -27,8 +27,8 @@
 // must outlive the session.
 //
 // Hot-swap safety is structural: the plan cache lives and dies with its
-// session, so a BatchingEngine swap installs a fresh cache and stale plans
-// can never see new weights.
+// session, so installing a new session (a fleet retrain) brings a fresh
+// cache and stale plans can never see new weights.
 #pragma once
 
 #include <memory>

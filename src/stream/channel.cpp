@@ -26,8 +26,7 @@ bool IngestChannel::ingest(const std::vector<double>& row) {
               "IngestChannel::ingest got " << row.size() << " values for "
                                            << names_.size() << " features");
   for (const double v : row) {
-    if (std::isnan(v)) {
-      // Same rule as data::clean_drop_incomplete: the whole tick vanishes.
+    if (!std::isfinite(v)) {
       ++dropped_;
       return false;
     }
@@ -36,6 +35,21 @@ bool IngestChannel::ingest(const std::vector<double>& row) {
   for (std::size_t f = 0; f < names_.size(); ++f) rings_[f].push(row[f]);
   ++ticks_;
   return true;
+}
+
+void IngestChannel::replay(const data::TimeSeriesFrame& frame) {
+  std::vector<const std::vector<double>*> cols;
+  cols.reserve(names_.size());
+  for (const std::string& name : names_) {
+    RPTCN_CHECK(frame.has(name), "IngestChannel::replay frame is missing "
+                                 "feature: " << name);
+    cols.push_back(&frame.column(name));
+  }
+  std::vector<double> row(names_.size());
+  for (std::size_t t = 0; t < frame.length(); ++t) {
+    for (std::size_t f = 0; f < cols.size(); ++f) row[f] = (*cols[f])[t];
+    ingest(row);
+  }
 }
 
 bool IngestChannel::ready(std::size_t window) const {

@@ -1,14 +1,12 @@
-// IngestChannel: the per-entity streaming state extracted from
-// StreamSource — per-indicator ring buffers plus the online normalizer,
-// fed by *pushed* rows instead of a pulled TickProvider.
+// IngestChannel: one stream's ingest state — per-indicator ring buffers
+// plus the online normalizer, fed by pushed rows.
 //
-// StreamSource (pull: provider -> channel) and the fleet layer (push:
-// thousands of entities multiplexed over a worker pool) share this class,
-// so the drop-incomplete semantics, normalisation and window extraction are
-// one implementation with one parity proof. ingest() is O(features),
-// allocation-free in steady state and lock-free — callers that share a
-// channel across threads serialize access themselves (the fleet's
-// per-entity mailbox does; StreamSource is single-threaded by contract).
+// The fleet layer owns one per entity (a single stream is a one-entity
+// fleet), so the drop-incomplete semantics, normalisation and window
+// extraction are one implementation with one parity proof. ingest() is
+// O(features), allocation-free in steady state and lock-free — callers that
+// share a channel across threads serialize access themselves (the fleet's
+// per-entity state mutex does).
 #pragma once
 
 #include <string>
@@ -36,14 +34,19 @@ class IngestChannel {
   explicit IngestChannel(std::vector<std::string> names,
                          ChannelOptions options = {});
 
-  /// Fold one tick into the channel. A row containing any NaN is dropped
-  /// whole — exactly data::clean_drop_incomplete — and false is returned;
-  /// a complete row updates the normalizer then the rings.
+  /// Fold one tick into the channel. A row holding any non-finite value
+  /// (NaN, as data::clean_drop_incomplete drops, or ±inf) is dropped whole
+  /// and false is returned: one such value would poison the running
+  /// min/max for good. A complete row updates the normalizer then the
+  /// rings.
   bool ingest(const std::vector<double>& row);
+
+  /// ingest() every row of `frame`, which must carry each of names().
+  void replay(const data::TimeSeriesFrame& frame);
 
   /// Complete ticks accepted into the rings.
   std::size_t ticks() const { return ticks_; }
-  /// Incomplete ticks dropped.
+  /// Non-finite ticks dropped.
   std::size_t dropped() const { return dropped_; }
   /// True once `window` ticks are retained.
   bool ready(std::size_t window) const;

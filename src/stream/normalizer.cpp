@@ -36,9 +36,9 @@ void OnlineNormalizer::observe(const std::vector<double>& row) {
                                                << names_.size()
                                                << " indicators");
   for (std::size_t i = 0; i < row.size(); ++i) {
-    RPTCN_CHECK(!std::isnan(row[i]),
-                "OnlineNormalizer::observe on NaN — drop incomplete ticks "
-                "upstream (StreamSource does)");
+    RPTCN_CHECK(std::isfinite(row[i]),
+                "OnlineNormalizer::observe on a non-finite value — drop such "
+                "ticks upstream (IngestChannel does)");
     ColumnState& c = cols_[i];
     if (count_ == 0) {
       c.min = c.max = c.mean = row[i];

@@ -41,8 +41,8 @@ class OnlineNormalizer {
   explicit OnlineNormalizer(std::vector<std::string> names,
                             NormalizerOptions options = {});
 
-  /// Fold one complete tick (one value per bound indicator) into the state.
-  /// A no-op while frozen.
+  /// Fold one complete tick (one finite value per bound indicator) into the
+  /// state. A no-op while frozen.
   void observe(const std::vector<double>& row);
 
   /// Stop folding observations: the scaler state is pinned to what has been

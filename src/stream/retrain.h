@@ -1,35 +1,28 @@
-// Rolling retrain: background re-fit on the trailing window, then atomic
-// hot-swap into the live serving engine.
+// Fitting one model generation from a stream's trailing history.
 //
-// The retrainer owns a one-thread common::ThreadPool. request() copies the
-// caller's trailing history frame and normalizer state into the job and
-// returns immediately — the ingest path never waits on training. The job
-// builds a supervised dataset (build_dataset, the same
-// transform -> window -> chronological-split recipe as the batch pipeline),
-// fits a fresh registry forecaster with the opt:: trainer (EpochObserver
-// hooks attach as everywhere else), snapshots it into an InferenceSession,
-// writes a per-generation weight checkpoint, and swap_session()s the result
-// into the BatchingEngine followed by flush() — after the swap is reported,
-// every new submit is answered by the new weights, while batches that were
-// already coalesced finished on their old generation.
+// build_dataset() turns a trailing raw frame plus the stream's normalizer
+// into a supervised dataset (the batch pipeline's transform -> window ->
+// chronological-split recipe); fit_generation() fits a fresh registry
+// forecaster on it with the opt:: trainer and snapshots it into an
+// InferenceSession; fit_generation_gated() adds the validation-loss quality
+// gate with perturbed-seed retries and checkpoints the winner. These are
+// the bodies of FleetManager's cohort bootstrap and drift retrains and of
+// sched::SessionSource; installing a fitted generation is the caller's job.
 //
-// Failure containment: a fit that throws marks the outcome failed and
-// leaves the engine serving the previous generation. A checkpoint save that
-// fails (kIoError/kShapeMismatch) aborts the swap and propagates the
-// CheckpointStatus through RetrainOutcome — the live model and the on-disk
-// state never diverge. kUnsupported (ARIMA/XGBoost) still swaps: those
-// models have no weight checkpoints and are cheap to refit.
+// Failure containment: a fit that throws is reported in outcome.error with
+// no session, and a checkpoint save reports its models::CheckpointStatus
+// through RetrainOutcome, so an installer can refuse a generation whose
+// restorable state could not be written. kUnsupported (ARIMA/XGBoost) is
+// not a failure: those models have no weight checkpoints.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <string>
 
-#include "common/thread_pool.h"
 #include "data/windowing.h"
 #include "models/registry.h"
-#include "serve/engine.h"
+#include "serve/session.h"
 #include "stream/normalizer.h"
 
 namespace rptcn::stream {
@@ -45,15 +38,15 @@ struct RetrainOptions {
   std::string checkpoint_dir;        ///< per-generation weights ("" = none)
   /// Quality gate: a fit whose best validation loss (normalised units)
   /// exceeds this is retried with a perturbed weight seed, and if every
-  /// attempt fails the gate the swap is refused — the incumbent keeps
-  /// serving and the drift detectors re-trigger if it is genuinely stale.
+  /// attempt fails the gate the generation is flagged quality_rejected — a
+  /// retrain is then not installed, so the incumbent keeps serving and the
+  /// drift detectors re-trigger if it is genuinely stale.
   /// Fixed-seed training occasionally early-stops in a bad basin on one
   /// trailing window (an order of magnitude above its neighbours' loss);
   /// shipping such a generation costs far more than one extra fit. 0 = off.
   double max_valid_loss = 0.0;
   std::size_t fit_attempts = 2;      ///< total tries while the gate fails
-  /// Metrics tenant label for the stream/retrain* series and the generation
-  /// gauge (empty keeps the historical unlabeled names).
+  /// Metrics tenant label; FleetManager stamps its own tenant here.
   std::string tenant;
 
   /// Throws common::CheckError naming the offending field.
@@ -61,8 +54,7 @@ struct RetrainOptions {
 };
 
 struct RetrainOutcome {
-  std::uint64_t generation = 0;      ///< engine generation after the swap
-  bool swapped = false;
+  std::uint64_t generation = 0;      ///< generation the fit would install as
   models::CheckpointStatus checkpoint = models::CheckpointStatus::kUnsupported;
   std::string checkpoint_path;       ///< set when a checkpoint was written
   std::string reason;                ///< what triggered the retrain
@@ -83,22 +75,25 @@ struct FittedGeneration {
   RetrainOutcome outcome;
 };
 
-/// Write `g`'s weights to `<checkpoint_dir>/gen_<outcome.generation>.ckpt`,
-/// recording status and path in `g.outcome`. No-op when checkpointing is
-/// off or the fit failed.
-void save_checkpoint(FittedGeneration& g, const RetrainOptions& options);
+/// Write `g`'s weights to
+/// `<checkpoint_dir>/<name>.gen_<outcome.generation>.ckpt`, recording status
+/// and path in `g.outcome`. `name` keeps the lineages of different streams
+/// (fleet entities and cohorts) apart in one directory. No-op when
+/// checkpointing is off or the fit failed.
+void save_checkpoint(FittedGeneration& g, const RetrainOptions& options,
+                     const std::string& name);
 
-/// The retrainer's dataset recipe, exposed so tests (and the bootstrap fit)
-/// can reproduce bit-for-bit what a generation was trained on: transform
-/// `frame` (target = column 0) with `normalizer`, window it, split
-/// chronologically. Also the shape donor for Forecaster::restore.
+/// The fit's dataset recipe, exposed so tests can reproduce bit-for-bit what
+/// a generation was trained on: transform `frame` (target = column 0) with
+/// `normalizer`, window it, split chronologically. Also the shape donor for
+/// Forecaster::restore.
 models::ForecastDataset build_dataset(const data::TimeSeriesFrame& frame,
                                       const OnlineNormalizer& normalizer,
                                       const RetrainOptions& options);
 
-/// Synchronous fit of one generation (the bootstrap path and the body of
-/// every background retrain). Throws nothing: a failed fit is reported in
-/// outcome.error with forecaster/session left null.
+/// Synchronous fit of one generation, not checkpointed. Throws nothing: a
+/// failed fit is reported in outcome.error with forecaster/session left
+/// null.
 FittedGeneration fit_generation(const data::TimeSeriesFrame& frame,
                                 const OnlineNormalizer& normalizer,
                                 const RetrainOptions& options,
@@ -109,69 +104,16 @@ FittedGeneration fit_generation(const data::TimeSeriesFrame& frame,
 /// perturbed weight seed while the gate fails (up to fit_attempts fits) and
 /// returns the lowest-valid-loss attempt, outcome.quality_rejected set when
 /// even that one failed the gate. With the gate disabled this is exactly
-/// one fit_generation call. Under the gate only the winning attempt is
-/// checkpointed, and only when it passed — gen_<N>.ckpt always holds the
-/// weights outcome.checkpoint_path points at, never a losing retry's, and
-/// a rejected generation leaves no checkpoint behind (callers that install
-/// one anyway, like the bootstrap, save_checkpoint it themselves).
+/// one fit. Only the returned attempt is checkpointed (save_checkpoint
+/// under `checkpoint_name`), and only when it passed: the file always holds
+/// the weights outcome.checkpoint_path points at, never a losing retry's,
+/// and a rejected generation leaves no checkpoint behind (an installer that
+/// keeps it anyway, like a cohort bootstrap, saves it itself).
 FittedGeneration fit_generation_gated(const data::TimeSeriesFrame& frame,
                                       const OnlineNormalizer& normalizer,
                                       const RetrainOptions& options,
                                       std::uint64_t next_generation,
-                                      const std::string& reason);
-
-class RollingRetrainer {
- public:
-  /// The engine must outlive the retrainer.
-  RollingRetrainer(serve::BatchingEngine& engine, RetrainOptions options);
-  /// Waits for an in-flight retrain to finish (swap included).
-  ~RollingRetrainer();
-  RollingRetrainer(const RollingRetrainer&) = delete;
-  RollingRetrainer& operator=(const RollingRetrainer&) = delete;
-
-  /// Schedule a background retrain on `history` (trailing raw ticks, target
-  /// = column 0) under `normalizer`'s current state. Returns false — and
-  /// does nothing — while a retrain is in flight or the cooldown since the
-  /// last accepted trigger has not elapsed (`tick` is the caller's tick
-  /// counter, the cooldown clock).
-  bool request(data::TimeSeriesFrame history, OnlineNormalizer normalizer,
-               std::string reason, std::size_t tick);
-
-  /// A retrain is running (or queued) right now.
-  bool busy() const;
-  /// Block until the in-flight retrain (if any) completed and swapped.
-  void wait_idle();
-
-  /// Outcome of the most recently *finished* retrain (default before any).
-  RetrainOutcome last() const;
-  std::uint64_t completed() const;
-  std::uint64_t failures() const;
-
-  const RetrainOptions& options() const { return options_; }
-
- private:
-  void run_job(data::TimeSeriesFrame history, OnlineNormalizer normalizer,
-               std::string reason);
-
-  serve::BatchingEngine& engine_;
-  RetrainOptions options_;
-
-  // Registry handles are process-lifetime stable; resolved once here.
-  obs::Counter& retrains_counter_;
-  obs::Counter& failures_counter_;
-  obs::Counter& swap_aborts_counter_;
-  obs::Histogram& retrain_seconds_;
-  obs::Gauge& generation_gauge_;
-
-  mutable std::mutex mutex_;
-  std::future<void> inflight_;
-  bool has_trigger_ = false;
-  std::size_t last_trigger_tick_ = 0;
-  RetrainOutcome last_outcome_;
-  std::uint64_t completed_ = 0;
-  std::uint64_t failures_ = 0;
-
-  ThreadPool pool_;  ///< one worker; declared last so jobs see live members
-};
+                                      const std::string& reason,
+                                      const std::string& checkpoint_name);
 
 }  // namespace rptcn::stream

@@ -1,87 +1,6 @@
 #include "stream/source.h"
 
-#include <cmath>
-
-#include "common/check.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
-
 namespace rptcn::stream {
-
-namespace {
-
-/// Indicator enum index for a Table-I column name.
-std::size_t indicator_index(const std::string& name) {
-  const auto& all = trace::indicator_names();
-  for (std::size_t i = 0; i < all.size(); ++i)
-    if (all[i] == name) return i;
-  RPTCN_CHECK(false, "not a Table-I indicator: " << name);
-  return 0;  // unreachable
-}
-
-/// Kept feature names: the explicit list, or all eight in Table-I order.
-std::vector<std::string> resolve_names(const SourceOptions& options) {
-  if (!options.features.empty()) return options.features;
-  const auto& all = trace::indicator_names();
-  return {all.begin(), all.end()};
-}
-
-ChannelOptions channel_options(const SourceOptions& options) {
-  ChannelOptions c;
-  c.capacity = options.capacity;
-  c.normalizer = options.normalizer;
-  return c;
-}
-
-/// Validation hook for the member-initializer list (members initialize
-/// before the constructor body could call validate()).
-const SourceOptions& validated(const SourceOptions& options) {
-  options.validate();
-  return options;
-}
-
-}  // namespace
-
-void SourceOptions::validate() const {
-  RPTCN_CHECK(capacity > 0, "SourceOptions.capacity must be >= 1");
-  RPTCN_CHECK(tenant.find_first_of("{}=") == std::string::npos,
-              "SourceOptions.tenant must not contain '{', '}' or '=': \""
-                  << tenant << "\"");
-}
-
-// ---------------------------------------------------------------------------
-// Providers
-// ---------------------------------------------------------------------------
-
-ReplayProvider::ReplayProvider(data::TimeSeriesFrame frame)
-    : frame_(std::move(frame)) {
-  columns_.reserve(trace::kIndicatorCount);
-  for (const std::string& name : trace::indicator_names()) {
-    RPTCN_CHECK(frame_.has(name),
-                "ReplayProvider frame is missing indicator: " << name);
-    columns_.push_back(&frame_.column(name));
-  }
-}
-
-std::optional<trace::IndicatorSample> ReplayProvider::next() {
-  if (t_ >= frame_.length()) return std::nullopt;
-  trace::IndicatorSample sample;
-  for (std::size_t i = 0; i < columns_.size(); ++i)
-    sample.values[i] = (*columns_[i])[t_];
-  ++t_;
-  return sample;
-}
-
-ModelProvider::ModelProvider(const trace::WorkloadParams& params,
-                             std::uint64_t seed, double contention,
-                             std::size_t limit)
-    : model_(params, seed), contention_(contention), limit_(limit) {}
-
-std::optional<trace::IndicatorSample> ModelProvider::next() {
-  if (limit_ != 0 && emitted_ >= limit_) return std::nullopt;
-  ++emitted_;
-  return model_.step(contention_);
-}
 
 MutatingTrace make_mutating_trace(const trace::WorkloadParams& params_a,
                                   const trace::WorkloadParams& params_b,
@@ -131,51 +50,6 @@ MutatingTrace make_regime_trace(const std::vector<RegimeSegment>& segments,
   for (std::size_t i = 0; i < trace::kIndicatorCount; ++i)
     out.frame.add(names[i], std::move(cols[i]));
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// StreamSource
-// ---------------------------------------------------------------------------
-
-StreamSource::StreamSource(std::unique_ptr<TickProvider> provider,
-                           SourceOptions options)
-    : provider_(std::move(provider)),
-      ticks_counter_(obs::metrics().counter("stream/ticks_total",
-                                            validated(options).tenant)),
-      dropped_counter_(
-          obs::metrics().counter("stream/ticks_dropped", options.tenant)),
-      ingest_hist_(
-          obs::metrics().histogram("stream/ingest_seconds", options.tenant)),
-      channel_(resolve_names(options), channel_options(options)) {
-  RPTCN_CHECK(provider_ != nullptr, "StreamSource needs a provider");
-  feature_index_.reserve(channel_.features());
-  for (const std::string& name : channel_.names())
-    feature_index_.push_back(indicator_index(name));
-  row_.resize(channel_.features());
-}
-
-bool StreamSource::poll() {
-  if (exhausted_) return false;
-  obs::ScopedTimer timer(ingest_hist_);
-
-  std::optional<trace::IndicatorSample> sample = provider_->next();
-  if (!sample.has_value()) {
-    exhausted_ = true;
-    return false;
-  }
-  for (std::size_t f = 0; f < row_.size(); ++f)
-    row_[f] = sample->values[feature_index_[f]];
-  if (channel_.ingest(row_))
-    ticks_counter_.add(1);
-  else
-    dropped_counter_.add(1);
-  return true;
-}
-
-std::size_t StreamSource::ingest(std::size_t max_ticks) {
-  std::size_t consumed = 0;
-  while (consumed < max_ticks && poll()) ++consumed;
-  return consumed;
 }
 
 }  // namespace rptcn::stream

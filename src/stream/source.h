@@ -1,78 +1,21 @@
-// Live ingestion: tick providers and the StreamSource that pulls them into
-// per-indicator ring buffers.
-//
-// A TickProvider yields one eight-indicator sample per call — either
-// replayed from a recorded frame (ReplayProvider) or generated live by the
-// per-container workload model (ModelProvider). StreamSource::poll() pulls
-// one tick, drops incomplete (NaN) ticks with exactly the semantics of the
-// batch data::clean_drop_incomplete pass, folds the complete ones into an
-// OnlineNormalizer, and appends the raw values to fixed-capacity rings.
-// The ingest path is O(features) per tick, allocation-free in steady state,
-// and never touches a lock — retraining happens on another thread against a
-// *copy* of the trailing history (history()).
-//
-// Consistency with the batch path: replaying a prefix through a kMinMax
-// StreamSource leaves the normalizer in exactly the state of
-// MinMaxScaler::fit on the cleaned prefix, and latest_window() produces the
-// same float values data::make_windows would cut from the batch-normalised
-// frame (proven bit-for-bit in tests/test_stream.cpp).
+// Synthetic regime-switching traces for the streaming and fleet benches:
+// one or more trace::WorkloadModel segments stitched together at known
+// ticks, so a scenario can score drift detection and adaptation against the
+// exact flip points.
 #pragma once
 
-#include <memory>
-#include <optional>
+#include <cstdint>
+#include <vector>
 
-#include "obs/metrics.h"
-#include "stream/channel.h"
-#include "stream/normalizer.h"
-#include "stream/ring_buffer.h"
-#include "tensor/tensor.h"
-#include "trace/cluster.h"
+#include "data/timeseries.h"
 #include "trace/workload_model.h"
 
 namespace rptcn::stream {
 
-class TickProvider {
- public:
-  virtual ~TickProvider() = default;
-  /// Next sample, or nullopt once the stream is exhausted.
-  virtual std::optional<trace::IndicatorSample> next() = 0;
-};
-
-/// Replays a recorded frame (e.g. one ClusterSimulator container trace)
-/// tick by tick. The frame must carry all eight Table-I indicator columns.
-class ReplayProvider final : public TickProvider {
- public:
-  explicit ReplayProvider(data::TimeSeriesFrame frame);
-  std::optional<trace::IndicatorSample> next() override;
-
- private:
-  data::TimeSeriesFrame frame_;
-  std::vector<const std::vector<double>*> columns_;  ///< enum order
-  std::size_t t_ = 0;
-};
-
-/// Generates ticks live from one trace::WorkloadModel under fixed machine
-/// contention — the "simulator keeps emitting" end of the loop.
-class ModelProvider final : public TickProvider {
- public:
-  /// `limit` = 0 means unbounded.
-  ModelProvider(const trace::WorkloadParams& params, std::uint64_t seed,
-                double contention = 0.3, std::size_t limit = 0);
-  std::optional<trace::IndicatorSample> next() override;
-
-  const trace::WorkloadModel& model() const { return model_; }
-
- private:
-  trace::WorkloadModel model_;
-  double contention_;
-  std::size_t limit_;
-  std::size_t emitted_ = 0;
-};
-
 /// One regime flip inside a generated trace: the tick index of the first
 /// sample emitted under the new parameters, plus the scripted magnitude.
-/// Scenario benches align their scoring windows (and retrain cadences) to
-/// these instead of hard-coding tick numbers.
+/// Scenario benches align their scoring windows to these instead of
+/// hard-coding tick numbers.
 struct MutationEvent {
   std::size_t tick = 0;           ///< first tick of the new regime (0-based)
   double base_level_delta = 0.0;  ///< new base_level minus old base_level
@@ -110,83 +53,5 @@ MutatingTrace make_mutating_trace(const trace::WorkloadParams& params_a,
 /// with several flips at known ticks.
 MutatingTrace make_regime_trace(const std::vector<RegimeSegment>& segments,
                                 std::uint64_t seed, double contention = 0.3);
-
-struct SourceOptions {
-  /// Indicator columns to keep, target first. Empty = all eight in Table-I
-  /// order (target cpu_util_percent).
-  std::vector<std::string> features;
-  std::size_t capacity = 4096;  ///< ring depth (bounds history())
-  NormalizerOptions normalizer;
-  /// Metrics tenant label for stream/ticks_* and stream/ingest_seconds
-  /// (empty keeps the historical unlabeled names).
-  std::string tenant;
-
-  /// Throws common::CheckError naming the offending field.
-  void validate() const;
-};
-
-class StreamSource {
- public:
-  StreamSource(std::unique_ptr<TickProvider> provider,
-               SourceOptions options = {});
-
-  /// Pull one tick. Returns false once the provider is exhausted. An
-  /// incomplete tick (NaN in any kept feature) is consumed but dropped,
-  /// mirroring data::clean_drop_incomplete.
-  bool poll();
-  /// poll() up to `max_ticks` times; returns ticks consumed (incl. dropped).
-  std::size_t ingest(std::size_t max_ticks);
-
-  bool exhausted() const { return exhausted_; }
-  /// Complete ticks accepted into the rings.
-  std::size_t ticks() const { return channel_.ticks(); }
-  /// Incomplete ticks dropped.
-  std::size_t dropped() const { return channel_.dropped(); }
-  /// Provider ticks consumed (accepted + dropped) — the clock forecast
-  /// due-dating runs on, so forecasts aimed at a dropped tick expire
-  /// instead of drifting onto the next complete one.
-  std::size_t provider_ticks() const { return ticks() + dropped(); }
-  /// True once `window` ticks are retained.
-  bool ready(std::size_t window) const { return channel_.ready(window); }
-
-  std::size_t features() const { return channel_.features(); }
-  const std::vector<std::string>& names() const { return channel_.names(); }
-
-  /// Newest raw / normalised value of feature `f` (target is f = 0).
-  double latest_raw(std::size_t f) const { return channel_.latest_raw(f); }
-  double latest_norm(std::size_t f) const { return channel_.latest_norm(f); }
-
-  /// Trailing `window` ticks, normalised under the *current* normalizer
-  /// state, as a [F, window] float tensor ready for InferenceSession::run.
-  Tensor latest_window(std::size_t window) const {
-    return channel_.latest_window(window);
-  }
-
-  /// Copy of the trailing `count` raw ticks as a frame (feature order, the
-  /// retrainer's input). Requires count <= retained ticks.
-  data::TimeSeriesFrame history(std::size_t count) const {
-    return channel_.history(count);
-  }
-
-  const OnlineNormalizer& normalizer() const { return channel_.normalizer(); }
-  /// Pin the scaler state (see OnlineNormalizer::freeze). Raw ingestion into
-  /// the rings continues; only normalisation bounds stop following the data.
-  void freeze_normalizer() { channel_.freeze_normalizer(); }
-
-  /// The push-based per-entity core (rings + normalizer) the source pulls
-  /// into — shared with the fleet layer, which owns one per entity.
-  const IngestChannel& channel() const { return channel_; }
-
- private:
-  std::unique_ptr<TickProvider> provider_;
-  // Registry handles are process-lifetime stable; resolved once here.
-  obs::Counter& ticks_counter_;
-  obs::Counter& dropped_counter_;
-  obs::Histogram& ingest_hist_;
-  std::vector<std::size_t> feature_index_;  ///< indicator enum index per kept column
-  IngestChannel channel_;
-  std::vector<double> row_;                 ///< scratch, avoids per-tick alloc
-  bool exhausted_ = false;
-};
 
 }  // namespace rptcn::stream

@@ -1,13 +1,17 @@
 // Fleet-layer tests: deterministic sharding, snapshot dedup across a
 // cohort (and the splinter onto a private generation under live ingest),
-// retrain-scheduler priority / dedup / budget / queue bounds, admission
-// backpressure, and the typed-options construction API (named validation
-// errors, FleetBuilder, registry ForecasterSpec).
+// non-finite tick dropping, per-entity checkpoint names, retrain-scheduler
+// priority / dedup / budget / queue bounds, admission backpressure, and the
+// typed-options construction API (named validation errors, FleetBuilder,
+// registry ForecasterSpec).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -19,6 +23,9 @@
 #include "fleet/options.h"
 #include "fleet/scheduler.h"
 #include "models/registry.h"
+#include "serve/session.h"
+#include "stream/channel.h"
+#include "stream/retrain.h"
 #include "stream/source.h"
 #include "trace/workload_model.h"
 
@@ -251,6 +258,48 @@ TEST(FleetIngest, ForecastsEveryTickAndRecordsLatencies) {
   EXPECT_GT(es.mean_abs_residual, 0.0);
 }
 
+TEST(FleetIngest, NonFiniteTicksAreDroppedAndLeaveForecastsUntouched) {
+  // One +inf or -inf accepted into the running min/max would collapse every
+  // later window of that feature and make every forecast non-finite. Such
+  // ticks are dropped like NaN ones, so the entity keeps forecasting
+  // exactly what a twin fed the same rows without them forecasts.
+  FleetOptions o = tiny_fleet_options("non-finite");
+  o.retrain_on_drift = false;  // both twins stay on the cohort snapshot
+  auto fleet = FleetBuilder()
+                   .options(o)
+                   .add_cohort("twins", arima_spec(), 2, "twin-")
+                   .build();
+  fleet->bootstrap_cohort("twins", regime_trace(regime_a(), 240, 23));
+
+  const auto live = regime_trace(regime_a(), 30, 24);
+  const auto& cpu = live.column("cpu_util_percent");
+  const auto& mem = live.column("mem_util_percent");
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (std::size_t t = 0; t < 30; ++t) {
+    if (t == 10)
+      ASSERT_EQ(fleet->ingest("twin-0", {kInf, mem[t]}), Admission::kAccepted);
+    if (t == 20)
+      ASSERT_EQ(fleet->ingest("twin-0", {cpu[t], -kInf}),
+                Admission::kAccepted);
+    for (const std::string& id : {"twin-0", "twin-1"})
+      ASSERT_EQ(fleet->ingest(id, {cpu[t], mem[t]}), Admission::kAccepted);
+    fleet->drain();
+    // Compare after every complete row, so the tick right after each
+    // non-finite one is checked too.
+    const std::vector<EntityForecast> latest = fleet->latest_forecasts();
+    ASSERT_EQ(latest.size(), 2u);
+    EXPECT_EQ(latest[0].predicted_norm, latest[1].predicted_norm)
+        << "row " << t;
+    EXPECT_EQ(latest[0].predicted_raw, latest[1].predicted_raw)
+        << "row " << t;
+    EXPECT_TRUE(std::isfinite(latest[0].predicted_raw)) << "row " << t;
+  }
+  const EntityStats poisoned = fleet->entity_stats("twin-0");
+  EXPECT_EQ(poisoned.dropped, 2u);
+  EXPECT_EQ(poisoned.ticks, fleet->entity_stats("twin-1").ticks);
+  EXPECT_EQ(fleet->stats().ticks_dropped, 2u);
+}
+
 TEST(FleetIngest, UnknownEntityIsRejectedByName) {
   FleetOptions o = tiny_fleet_options("unknown");
   FleetManager fleet(o);
@@ -319,6 +368,119 @@ TEST(FleetIngest, GlobalQueueBoundShedsAcrossEntities) {
         ++queue_full;
   EXPECT_GT(queue_full, 0u);
   fleet->drain();
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoints
+// ---------------------------------------------------------------------------
+
+/// A tiny RPTCN: the checkpoint tests need weight files, not accuracy.
+models::ForecasterSpec tiny_rptcn_spec() {
+  models::ForecasterSpec spec;
+  spec.name = "RPTCN";
+  spec.config.nn.max_epochs = 2;
+  spec.config.nn.patience = 2;
+  spec.config.nn.seed = 9;
+  spec.config.rptcn.tcn.channels = {6, 6};
+  spec.config.rptcn.fc_dim = 6;
+  return spec;
+}
+
+TEST(FleetCheckpoint, CohortsRestoreFromTheirOwnCheckpoints) {
+  // Two one-entity RPTCN cohorts bootstrapped on different traces both
+  // reach generation 1; each must checkpoint under its own name, so each
+  // file restores to exactly the weights that cohort serves.
+  FleetOptions o = tiny_fleet_options("ckpt-names");
+  o.retrain.checkpoint_dir = ::testing::TempDir();
+  const models::ForecasterSpec rptcn = tiny_rptcn_spec();
+  auto fleet = FleetBuilder()
+                   .options(o)
+                   .add_entity({"ckpt-web", "", rptcn})
+                   .add_entity({"ckpt-db", "", rptcn})
+                   .build();
+
+  struct Lineage {
+    std::string id;
+    data::TimeSeriesFrame bootstrap;
+    data::TimeSeriesFrame live;
+    std::string checkpoint;
+  };
+  std::vector<Lineage> lineages = {
+      {"ckpt-web", regime_trace(regime_a(), 240, 31),
+       regime_trace(regime_a(), 1, 32), ""},
+      {"ckpt-db", regime_trace(regime_b(), 240, 33),
+       regime_trace(regime_b(), 1, 34), ""}};
+  for (Lineage& l : lineages) {
+    const stream::RetrainOutcome out =
+        fleet->bootstrap_cohort(l.id, l.bootstrap);
+    ASSERT_TRUE(out.error.empty()) << out.error;
+    ASSERT_EQ(out.checkpoint, models::CheckpointStatus::kOk);
+    l.checkpoint = out.checkpoint_path;
+  }
+  EXPECT_NE(lineages[0].checkpoint, lineages[1].checkpoint);
+  EXPECT_EQ(lineages[0].checkpoint,
+            o.retrain.checkpoint_dir + "/ckpt-web.gen_1.ckpt");
+
+  stream::RetrainOptions ropt = o.retrain;
+  ropt.model_name = rptcn.name;
+  ropt.model = rptcn.config;
+  for (const Lineage& l : lineages) {
+    ingest_blocking(*fleet, l.id, l.live, 0, 1);
+    fleet->drain();
+    // The entity's channel: the seeded bootstrap rows, then the live one.
+    stream::IngestChannel mirror(kFeatures, o.channel);
+    mirror.replay(l.bootstrap);
+    mirror.replay(l.live);
+
+    auto restored = models::make_forecaster(ropt.model_name, ropt.model);
+    const models::ForecastDataset donor = stream::build_dataset(
+        mirror.history(ropt.history), mirror.normalizer(), ropt);
+    ASSERT_EQ(restored->restore(donor, l.checkpoint),
+              models::CheckpointStatus::kOk);
+    serve::InferenceSession session(*restored);
+    const Tensor lw = mirror.latest_window(ropt.window.window);
+    Tensor one({1, lw.dim(0), lw.dim(1)});
+    std::copy_n(lw.raw(), lw.size(), one.raw());
+    const EntityStats served = fleet->entity_stats(l.id);
+    ASSERT_TRUE(served.has_forecast);
+    EXPECT_EQ(static_cast<float>(served.last_forecast_norm),
+              session.run(one).raw()[0])
+        << l.id << " does not serve what its checkpoint restores to";
+  }
+}
+
+TEST(FleetCheckpoint, RetrainWhoseCheckpointCannotBeWrittenIsNotInstalled) {
+  // The live model must never get ahead of its restorable state: with an
+  // unwritable checkpoint_dir a drift retrain fits fine but is refused,
+  // and the entity keeps serving its bootstrap generation.
+  FleetOptions o = tiny_fleet_options("ckpt-unwritable");
+  o.retrain_workers = 1;
+  o.retrain.checkpoint_dir = ::testing::TempDir() + "no_such_dir";
+  o.drift.residual_ph.lambda = 0.05;
+  o.drift.residual_ph.min_samples = 5;
+  o.drift.input_ph.lambda = 0.05;
+  o.drift.input_ph.min_samples = 5;
+  auto fleet = FleetBuilder()
+                   .options(o)
+                   .add_entity({"ckpt-refused", "", tiny_rptcn_spec()})
+                   .build();
+  const stream::RetrainOutcome boot =
+      fleet->bootstrap_cohort("ckpt-refused", regime_trace(regime_a(), 240, 41));
+  ASSERT_TRUE(boot.error.empty()) << boot.error;
+  // A bootstrap is installed even so: some model must serve.
+  EXPECT_EQ(boot.checkpoint, models::CheckpointStatus::kIoError);
+  EXPECT_EQ(fleet->entity_stats("ckpt-refused").generation, 1u);
+
+  ingest_blocking(*fleet, "ckpt-refused", regime_trace(regime_b(), 160, 42),
+                  0, 160);
+  fleet->drain();
+  fleet->scheduler().wait_idle();
+
+  const EntityStats s = fleet->entity_stats("ckpt-refused");
+  EXPECT_GT(s.drift_events, 0u);
+  EXPECT_EQ(s.generation, 1u) << "installed a generation it cannot restore";
+  EXPECT_EQ(s.retrains, 0u);
+  EXPECT_GE(fleet->stats().retrains_failed, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -524,6 +686,21 @@ TEST(FleetOptionsApi, EntitySpecValidatesIdAndModel) {
               EntitySpec s;
               s.validate();
             }).find("EntitySpec.id"),
+            std::string::npos);
+  // Ids and cohorts name checkpoint files, so they cannot hold a path
+  // separator.
+  EXPECT_NE(check_error_of([] {
+              EntitySpec s;
+              s.id = "rack/1";
+              s.validate();
+            }).find("EntitySpec.id"),
+            std::string::npos);
+  EXPECT_NE(check_error_of([] {
+              EntitySpec s;
+              s.id = "ok";
+              s.cohort = "../web";
+              s.validate();
+            }).find("EntitySpec.cohort"),
             std::string::npos);
   const std::string err = check_error_of([] {
     EntitySpec s;

@@ -4,8 +4,9 @@
 // for every registry net — plus WeightsVersion invalidation of cached
 // programs, the planning-disabled and non-Adam factory declines, the
 // capture/replay/fallback metrics, and the stream retrain path (a planned-
-// trained hot-swapped generation must be bit-identical to a tape-trained
-// one). The "Graph" prefix is matched by the TSAN CI job's -R filter.
+// trained generation served through the engine must be bit-identical to a
+// tape-trained one). The "Graph" prefix is matched by the TSAN CI job's -R
+// filter.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +28,7 @@
 #include "opt/optimizer.h"
 #include "opt/trainer.h"
 #include "serve/engine.h"
+#include "stream/channel.h"
 #include "stream/retrain.h"
 #include "stream/source.h"
 #include "tensor/tensor.h"
@@ -405,7 +407,7 @@ TEST(GraphTrainStep, CnnLstmFitBitMatchesEagerFit) {
   expect_fit_parity<models::CnnLstmForecaster>(opt);
 }
 
-// -- stream retrain / hot-swap ------------------------------------------------
+// -- stream retrain -----------------------------------------------------------
 
 trace::WorkloadParams steady_params() {
   trace::WorkloadParams p;
@@ -434,52 +436,43 @@ stream::RetrainOptions tiny_retrain() {
 }
 
 TEST(GraphTrainStep, PlannedRetrainHotSwapBitMatchesTapeTrained) {
-  const std::vector<std::string> features = {"cpu_util_percent",
-                                             "mem_util_percent"};
   const data::TimeSeriesFrame full =
       stream::make_mutating_trace(steady_params(), steady_params(), 260, 0, 29)
           .frame;
-  stream::StreamSource source(std::make_unique<stream::ReplayProvider>(full),
-                              stream::SourceOptions{features, 512, {}});
-  while (source.poll()) {
-  }
-  const data::TimeSeriesFrame history = source.history(200);
-  const stream::OnlineNormalizer& norm = source.normalizer();
+  stream::IngestChannel channel({"cpu_util_percent", "mem_util_percent"},
+                                {512, {}});
+  channel.replay(full);
+  const data::TimeSeriesFrame history = channel.history(200);
+  const stream::OnlineNormalizer& norm = channel.normalizer();
 
   // Reference: a tape-trained generation on the identical history.
   stream::RetrainOptions eager_opt = tiny_retrain();
   eager_opt.model.nn.planned_step = false;
   stream::FittedGeneration ref =
-      stream::fit_generation(history, norm, eager_opt, 1, "tape");
+      stream::fit_generation(history, norm, eager_opt, 2, "tape");
   ASSERT_NE(ref.session, nullptr) << ref.outcome.error;
 
-  // Live path: bootstrap + RollingRetrainer with the planned step on
-  // (the default), hot-swapping generation 2 into the engine.
+  // The retrain path: the same fit with the planned step on (the default).
   stream::RetrainOptions planned_opt = tiny_retrain();
   ASSERT_TRUE(planned_opt.model.nn.planned_step);
-  stream::FittedGeneration g0 =
-      stream::fit_generation(history, norm, planned_opt, 1, "bootstrap");
-  ASSERT_NE(g0.session, nullptr) << g0.outcome.error;
-  serve::BatchingEngine engine(g0.session, {});
-  stream::RollingRetrainer retrainer(engine, planned_opt);
-  ASSERT_TRUE(retrainer.request(history, norm, "test", 200));
-  retrainer.wait_idle();
-  const stream::RetrainOutcome outcome = retrainer.last();
-  ASSERT_TRUE(outcome.error.empty()) << outcome.error;
-  ASSERT_TRUE(outcome.swapped);
+  stream::FittedGeneration planned =
+      stream::fit_generation(history, norm, planned_opt, 2, "planned");
+  ASSERT_NE(planned.session, nullptr) << planned.outcome.error;
 
-  // The hot-swapped planned-trained weights must predict exactly what the
-  // tape-trained reference predicts: planned training is invisible to
-  // everything downstream of fit.
-  const Tensor lw = source.latest_window(planned_opt.window.window);
-  Tensor one({1, lw.dim(0), lw.dim(1)});
-  std::copy_n(lw.raw(), lw.size(), one.raw());
-  const Tensor live = engine.session()->run(one);
-  const Tensor tape = ref.session->run(one);
-  ASSERT_EQ(live.size(), tape.size());
+  // Served through one engine, each request pinned to its generation, the
+  // planned-trained weights must predict exactly what the tape-trained
+  // reference predicts: planned training is invisible to everything
+  // downstream of fit.
+  serve::BatchingEngine engine;
+  const Tensor lw = channel.latest_window(planned_opt.window.window);
+  std::future<Tensor> live = engine.submit(lw, planned.session);
+  std::future<Tensor> tape_future = engine.submit(lw, ref.session);
+  const Tensor served = live.get();
+  const Tensor tape = tape_future.get();
+  ASSERT_EQ(served.size(), tape.size());
   for (std::size_t h = 0; h < tape.size(); ++h)
-    ASSERT_EQ(live.raw()[h], tape.raw()[h])
-        << "planned-trained hot-swap diverged from tape training at " << h;
+    ASSERT_EQ(served.raw()[h], tape.raw()[h])
+        << "planned-trained generation diverged from tape training at " << h;
 }
 
 }  // namespace

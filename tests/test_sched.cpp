@@ -488,18 +488,7 @@ TEST(SchedFleetIntegration, FleetForecastMatchesMirroredServeBitExactly) {
   // span, fit_generation_gated under the same options — bit-identical by
   // the retrain layer's determinism guarantee.
   stream::IngestChannel scratch(kFeatures, o.channel);
-  std::vector<double> row(kFeatures.size());
-  const auto replay = [&row](stream::IngestChannel& ch,
-                             const data::TimeSeriesFrame& frame) {
-    const auto& cpu = frame.column("cpu_util_percent");
-    const auto& mem = frame.column("mem_util_percent");
-    for (std::size_t t = 0; t < frame.length(); ++t) {
-      row[0] = cpu[t];
-      row[1] = mem[t];
-      ch.ingest(row);
-    }
-  };
-  replay(scratch, bootstrap);
+  scratch.replay(bootstrap);
   const std::size_t retained =
       std::min(scratch.ticks(), o.channel.capacity);
   const std::size_t span = std::min(o.retrain.history, retained);
@@ -508,15 +497,16 @@ TEST(SchedFleetIntegration, FleetForecastMatchesMirroredServeBitExactly) {
   ro.model = spec.model.config;
   ro.tenant = o.tenant;
   const stream::FittedGeneration g = stream::fit_generation_gated(
-      scratch.history(span), scratch.normalizer(), ro, 1, "bootstrap:web");
+      scratch.history(span), scratch.normalizer(), ro, 1, "bootstrap:web",
+      "web");
   ASSERT_NE(g.session, nullptr) << g.outcome.error;
 
   // Mirror the entity's channel: bootstrap seed + live rows, then serve
   // the trailing window exactly as FleetManager::process_tick does.
   stream::IngestChannel mirror(kFeatures, o.channel);
-  replay(mirror, bootstrap);
+  mirror.replay(bootstrap);
   if (o.freeze_normalizer_at_bootstrap) mirror.freeze_normalizer();
-  replay(mirror, live);
+  mirror.replay(live);
   const Tensor window = mirror.latest_window(o.retrain.window.window);
   Tensor batched({1, window.dim(0), window.dim(1)});
   std::copy(window.raw(), window.raw() + window.size(), batched.raw());

@@ -2,7 +2,7 @@
 // eager serving bit-identical to the unbatched autograd forward for every
 // registry forecaster), InferenceSession contract checks, and
 // BatchingEngine behaviour (coalescing, future delivery, failure fan-out,
-// drain-on-shutdown, concurrent submitters).
+// drain-on-shutdown, concurrent submitters, interleaved sessions).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -469,15 +469,15 @@ void expect_row_matches(const InferenceSession& session, const Tensor& window,
 TEST(ServeEngine, DeliversBitIdenticalRows) {
   nn::RptcnNet net(engine_net_options());
   auto session = std::make_shared<InferenceSession>(net);
-  BatchingEngine engine(session, {/*max_batch=*/8, /*max_delay_us=*/2000,
-                                  /*workers=*/2});
+  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/2000,
+                         /*workers=*/2});
 
   Rng rng(5);
   std::vector<Tensor> windows;
   std::vector<std::future<Tensor>> futures;
   for (std::size_t i = 0; i < 16; ++i) {
     windows.push_back(random_window(rng));
-    futures.push_back(engine.submit(windows.back()));
+    futures.push_back(engine.submit(windows.back(), session));
   }
   for (std::size_t i = 0; i < futures.size(); ++i)
     expect_row_matches(*session, windows[i], futures[i].get());
@@ -502,12 +502,11 @@ TEST(ServeEngine, CoalescesIntoOneBatchAndCountsIt) {
     // assemble exactly one full batch (the size trigger fires long before
     // the deadline). Counters are read after the destructor joins the
     // worker, so they are quiescent.
-    BatchingEngine engine(session, {/*max_batch=*/4,
-                                    /*max_delay_us=*/2'000'000,
-                                    /*workers=*/1});
+    BatchingEngine engine({/*max_batch=*/4, /*max_delay_us=*/2'000'000,
+                           /*workers=*/1});
     for (std::size_t i = 0; i < 4; ++i) {
       windows.push_back(random_window(rng));
-      futures.push_back(engine.submit(windows.back()));
+      futures.push_back(engine.submit(windows.back(), session));
     }
     for (std::size_t i = 0; i < futures.size(); ++i)
       expect_row_matches(*session, windows[i], futures[i].get());
@@ -526,15 +525,15 @@ TEST(ServeEngine, CoalescesIntoOneBatchAndCountsIt) {
 TEST(ServeEngine, ServesMixedWindowLengths) {
   nn::RptcnNet net(engine_net_options());
   auto session = std::make_shared<InferenceSession>(net);
-  BatchingEngine engine(session, {/*max_batch=*/8, /*max_delay_us=*/500,
-                                  /*workers=*/1});
+  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/500,
+                         /*workers=*/1});
 
   Rng rng(8);
   std::vector<Tensor> windows;
   std::vector<std::future<Tensor>> futures;
   for (std::size_t i = 0; i < 10; ++i) {
     windows.push_back(random_window(rng, 3, (i % 2 == 0) ? 16 : 24));
-    futures.push_back(engine.submit(windows.back()));
+    futures.push_back(engine.submit(windows.back(), session));
   }
   for (std::size_t i = 0; i < futures.size(); ++i)
     expect_row_matches(*session, windows[i], futures[i].get());
@@ -543,15 +542,15 @@ TEST(ServeEngine, ServesMixedWindowLengths) {
 TEST(ServeEngine, BatchFailureReachesEveryFuture) {
   nn::RptcnNet net(engine_net_options());
   auto session = std::make_shared<InferenceSession>(net);
-  BatchingEngine engine(session, {/*max_batch=*/3, /*max_delay_us=*/2'000'000,
-                                  /*workers=*/1});
+  BatchingEngine engine({/*max_batch=*/3, /*max_delay_us=*/2'000'000,
+                         /*workers=*/1});
 
   // Wrong feature count passes the rank check at submit() and fails inside
   // the batched forward; the failure must fan out to every request of the
   // batch.
   std::vector<std::future<Tensor>> futures;
   for (std::size_t i = 0; i < 3; ++i)
-    futures.push_back(engine.submit(Tensor({5, 16})));
+    futures.push_back(engine.submit(Tensor({5, 16}), session));
   for (auto& fut : futures) EXPECT_THROW(fut.get(), CheckError);
 
   // The engine survives a failed batch and keeps serving. Three good
@@ -561,7 +560,7 @@ TEST(ServeEngine, BatchFailureReachesEveryFuture) {
   std::vector<std::future<Tensor>> ok;
   for (std::size_t i = 0; i < 3; ++i) {
     good.push_back(random_window(rng));
-    ok.push_back(engine.submit(good.back()));
+    ok.push_back(engine.submit(good.back(), session));
   }
   for (std::size_t i = 0; i < ok.size(); ++i)
     expect_row_matches(*session, good[i], ok[i].get());
@@ -570,9 +569,10 @@ TEST(ServeEngine, BatchFailureReachesEveryFuture) {
 TEST(ServeEngine, SubmitValidatesRank) {
   nn::RptcnNet net(engine_net_options());
   auto session = std::make_shared<InferenceSession>(net);
-  BatchingEngine engine(session, {});
-  EXPECT_THROW(engine.submit(Tensor({1, 3, 16})), CheckError);
-  EXPECT_THROW(engine.submit(Tensor({16})), CheckError);
+  BatchingEngine engine;
+  EXPECT_THROW(engine.submit(Tensor({1, 3, 16}), session), CheckError);
+  EXPECT_THROW(engine.submit(Tensor({16}), session), CheckError);
+  EXPECT_THROW(engine.submit(Tensor({3, 16}), nullptr), CheckError);
 }
 
 TEST(ServeEngine, DestructorDrainsQueuedRequests) {
@@ -585,12 +585,11 @@ TEST(ServeEngine, DestructorDrainsQueuedRequests) {
   {
     // Long delay: most of these are still queued when the engine is
     // destroyed, and shutdown must drain them, not drop them.
-    BatchingEngine engine(session, {/*max_batch=*/2,
-                                    /*max_delay_us=*/2'000'000,
-                                    /*workers=*/1});
+    BatchingEngine engine({/*max_batch=*/2, /*max_delay_us=*/2'000'000,
+                           /*workers=*/1});
     for (std::size_t i = 0; i < 6; ++i) {
       windows.push_back(random_window(rng));
-      futures.push_back(engine.submit(windows.back()));
+      futures.push_back(engine.submit(windows.back(), session));
     }
   }
   for (std::size_t i = 0; i < futures.size(); ++i) {
@@ -606,21 +605,22 @@ TEST(ServeEngine, StatsTrackSubmissionsBatchesAndGeneration) {
 
   nn::RptcnNet net(engine_net_options());
   auto session = std::make_shared<InferenceSession>(net);
-  BatchingEngine engine(session, {/*max_batch=*/4, /*max_delay_us=*/500,
-                                  /*workers=*/1});
+  BatchingEngine engine({/*max_batch=*/4, /*max_delay_us=*/500,
+                         /*workers=*/1});
   {
     const EngineStats fresh = engine.stats();
     EXPECT_EQ(fresh.submitted, 0u);
     EXPECT_EQ(fresh.completed, 0u);
-    EXPECT_EQ(fresh.generation, 1u);
-    EXPECT_EQ(fresh.swaps, 0u);
   }
 
   Rng rng(11);
   std::vector<std::future<Tensor>> futures;
   for (std::size_t i = 0; i < 8; ++i)
-    futures.push_back(engine.submit(random_window(rng)));
-  engine.flush();
+    futures.push_back(engine.submit(random_window(rng), session));
+  for (auto& fut : futures) fut.get();
+  // The worker bumps its counters just after it delivers a batch.
+  while (engine.stats().completed < 8)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.submitted, 8u);
@@ -630,44 +630,16 @@ TEST(ServeEngine, StatsTrackSubmissionsBatchesAndGeneration) {
   EXPECT_EQ(stats.in_flight, 0u);
   // Everything delivered: the backpressure gauge is back to zero.
   EXPECT_EQ(obs::metrics().gauge("serve/queue_depth").value(), 0.0);
-
-  auto replacement = std::make_shared<InferenceSession>(net);
-  EXPECT_EQ(engine.swap_session(replacement), 2u);
-  EXPECT_EQ(engine.generation(), 2u);
-  EXPECT_EQ(engine.stats().swaps, 1u);
-  EXPECT_EQ(engine.current().generation, 2u);
-  EXPECT_EQ(engine.session(), replacement);
   obs::set_enabled(was_enabled);
 }
 
-TEST(ServeEngine, FlushWaitsForEverythingSubmittedBefore) {
-  nn::RptcnNet net(engine_net_options());
-  auto session = std::make_shared<InferenceSession>(net);
-  BatchingEngine engine(session, {/*max_batch=*/2, /*max_delay_us=*/500,
-                                  /*workers=*/1});
-
-  Rng rng(12);
-  std::vector<std::future<Tensor>> futures;
-  for (std::size_t i = 0; i < 9; ++i)
-    futures.push_back(engine.submit(random_window(rng)));
-  engine.flush();
-  for (auto& fut : futures)
-    EXPECT_EQ(fut.wait_for(std::chrono::seconds(0)),
-              std::future_status::ready)
-        << "flush returned before a prior submission was delivered";
-}
-
-TEST(ServeEngine, HotSwapNeverReplaysStalePlans) {
-  // Plan-cache invalidation under swap is structural: each session owns its
-  // own PlanCache, so a swapped-in session can never replay a plan captured
-  // from the old weights. Stress it: two sessions with different weights, a
-  // fixed window set whose expected rows under both sessions are known (and
-  // whose shapes are already captured in both plan caches), concurrent
-  // submitters racing a swapper that alternates the live session. Every
-  // delivered row must be bit-identical to one session's expected row — a
-  // stale plan mixing old weights into a new generation would match
-  // neither. After the final swap + flush, only the final session's rows
-  // may appear.
+TEST(ServeEngine, InterleavedSessionsEachGetTheirOwnRows) {
+  // One engine, two sessions with different weights, concurrent submitters
+  // interleaving requests pinned to either. Workers coalesce only runs of
+  // one session and each session owns its plan cache, so every row must
+  // equal its own session's row for that window bit for bit: a batch that
+  // mixed sessions, or a plan replayed against the other session's
+  // weights, would deliver the other session's row (or neither).
   auto opt_b = engine_net_options();
   opt_b.seed = 14;  // different weights than engine_net_options()
   nn::RptcnNet net_a(engine_net_options());
@@ -677,7 +649,7 @@ TEST(ServeEngine, HotSwapNeverReplaysStalePlans) {
 
   constexpr std::size_t kWindows = 4;
   constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kPerThread = 48;
+  constexpr std::size_t kPerThread = 60;
   Rng rng(77);
   std::vector<Tensor> windows;
   std::vector<Tensor> exp_a;  // [1, horizon] per window, also seeds plans
@@ -688,64 +660,54 @@ TEST(ServeEngine, HotSwapNeverReplaysStalePlans) {
     std::copy_n(windows[i].raw(), windows[i].size(), one.raw());
     exp_a.push_back(sess_a->run(one));
     exp_b.push_back(sess_b->run(one));
+    // The two sessions must be distinguishable for the test to mean
+    // anything.
+    ASSERT_NE(std::memcmp(exp_a[i].raw(), exp_b[i].raw(),
+                          exp_a[i].size() * sizeof(float)),
+              0)
+        << "window " << i;
   }
-  const auto row_matches = [](const Tensor& row, const Tensor& expected) {
-    for (std::size_t h = 0; h < row.dim(0); ++h)
-      if (row.at(h) != expected.at(0, h)) return false;
-    return true;
+
+  // Request i of client c: each window goes to both sessions back to back.
+  const auto window_of = [&](std::size_t c, std::size_t i) {
+    return (c + i / 2) % kWindows;
   };
+  const auto uses_b = [](std::size_t i) { return i % 2 == 1; };
 
-  BatchingEngine engine(sess_a, {/*max_batch=*/8, /*max_delay_us=*/200,
-                                 /*workers=*/2});
-  std::atomic<bool> stop{false};
-  std::thread swapper([&] {
-    bool use_b = true;
-    while (!stop.load()) {
-      engine.swap_session(use_b ? sess_b : sess_a);
-      use_b = !use_b;
-      std::this_thread::sleep_for(std::chrono::microseconds(100));
-    }
-  });
-
-  std::vector<std::vector<std::size_t>> indices(kThreads);
+  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/200,
+                         /*workers=*/2});
   std::vector<std::vector<std::future<Tensor>>> futures(kThreads);
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < kThreads; ++c)
     clients.emplace_back([&, c] {
-      for (std::size_t i = 0; i < kPerThread; ++i) {
-        const std::size_t w = (c + i) % kWindows;
-        indices[c].push_back(w);
-        futures[c].push_back(engine.submit(windows[w]));
-      }
+      for (std::size_t i = 0; i < kPerThread; ++i)
+        futures[c].push_back(engine.submit(windows[window_of(c, i)],
+                                           uses_b(i) ? sess_b : sess_a));
     });
   for (auto& th : clients) th.join();
-  stop.store(true);
-  swapper.join();
-  engine.flush();
 
   for (std::size_t c = 0; c < kThreads; ++c)
     for (std::size_t i = 0; i < kPerThread; ++i) {
+      const std::size_t w = window_of(c, i);
+      const bool use_b = uses_b(i);
       const Tensor row = futures[c][i].get();
-      const std::size_t w = indices[c][i];
-      EXPECT_TRUE(row_matches(row, exp_a[w]) || row_matches(row, exp_b[w]))
-          << "row matches neither generation's weights — stale plan?";
+      const Tensor& expected = use_b ? exp_b[w] : exp_a[w];
+      ASSERT_EQ(row.size(), expected.size());
+      EXPECT_EQ(std::memcmp(row.raw(), expected.raw(),
+                            row.size() * sizeof(float)),
+                0)
+          << "client " << c << " request " << i << " (session "
+          << (use_b ? "b" : "a") << ", window " << w
+          << ") did not get its own session's row";
     }
-
-  // Fence: after swap + flush, later submissions see only the new session.
-  engine.swap_session(sess_b);
-  engine.flush();
-  for (std::size_t w = 0; w < kWindows; ++w) {
-    const Tensor row = engine.submit(windows[w]).get();
-    EXPECT_TRUE(row_matches(row, exp_b[w]))
-        << "post-swap row did not come from the swapped-in session";
-  }
+  EXPECT_EQ(engine.stats().submitted, kThreads * kPerThread);
 }
 
 TEST(ServeEngine, ConcurrentSubmittersAllGetTheirOwnRow) {
   nn::RptcnNet net(engine_net_options());
   auto session = std::make_shared<InferenceSession>(net);
-  BatchingEngine engine(session, {/*max_batch=*/16, /*max_delay_us=*/200,
-                                  /*workers=*/2});
+  BatchingEngine engine({/*max_batch=*/16, /*max_delay_us=*/200,
+                         /*workers=*/2});
 
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 8;
@@ -757,7 +719,7 @@ TEST(ServeEngine, ConcurrentSubmittersAllGetTheirOwnRow) {
       Rng rng(100 + c);
       for (std::size_t i = 0; i < kPerThread; ++i) {
         windows[c].push_back(random_window(rng));
-        futures[c].push_back(engine.submit(windows[c].back()));
+        futures[c].push_back(engine.submit(windows[c].back(), session));
       }
     });
   for (auto& th : clients) th.join();

@@ -1,27 +1,30 @@
 // Streaming subsystem tests: ring buffer semantics, online-vs-batch
 // normalizer bit parity on a replayed prefix, normalizer checkpointing,
-// drift detector behaviour, hot-swap under concurrent submit load, the
-// rolling retrainer's bit-consistent swap (post-swap predictions equal a
-// freshly restored model's), and the OnlinePipeline end-to-end loop
-// (detect -> retrain in background without stalling ingest -> hot-swap).
+// drift detector behaviour, the gated fit recipe, and the single stream's
+// adapt loop end to end. A single stream is served as a one-entity fleet
+// (bootstrap_cohort on the first rows, then ingest + drain per tick): drift
+// detection, background retrain without stalling ingest, the installed
+// generation bit-matching its restored checkpoint, the quality gate and
+// cooldown refusing installs, dropped-tick due-dating and teardown with a
+// fit in flight.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <limits>
-#include <thread>
 #include <vector>
 
 #include "common/check.h"
 #include "data/preprocess.h"
 #include "data/windowing.h"
+#include "fleet/builder.h"
 #include "models/registry.h"
-#include "nn/rptcn_net.h"
-#include "serve/engine.h"
+#include "serve/session.h"
+#include "stream/channel.h"
 #include "stream/drift.h"
 #include "stream/normalizer.h"
-#include "stream/pipeline.h"
 #include "stream/retrain.h"
 #include "stream/ring_buffer.h"
 #include "stream/source.h"
@@ -79,6 +82,13 @@ RetrainOptions tiny_retrain(std::size_t history = 200) {
   return r;
 }
 
+/// Replay `frame` through a fresh channel over kFeatures.
+IngestChannel replayed(const data::TimeSeriesFrame& frame) {
+  IngestChannel channel(kFeatures, {512, {}});
+  channel.replay(frame);
+  return channel;
+}
+
 // ---------------------------------------------------------------------------
 // RingBuffer
 // ---------------------------------------------------------------------------
@@ -124,12 +134,9 @@ TEST(StreamNormalizer, MinMaxStateBitMatchesBatchScalerFit) {
   full.column_mut(full.index_of("mem_util_percent"))[120] = kNan;
   full.column_mut(full.index_of("disk_io_percent"))[7] = kNan;
 
-  StreamSource source(std::make_unique<ReplayProvider>(full),
-                      SourceOptions{kFeatures, 512, {}});
-  while (source.poll()) {
-  }
-  EXPECT_EQ(source.dropped(), 2u);
-  EXPECT_EQ(source.ticks(), 298u);
+  const IngestChannel channel = replayed(full);
+  EXPECT_EQ(channel.dropped(), 2u);
+  EXPECT_EQ(channel.ticks(), 298u);
 
   // Batch path on the same prefix: select the kept features, then drop
   // incomplete rows, then fit eq. 1 bounds.
@@ -138,7 +145,7 @@ TEST(StreamNormalizer, MinMaxStateBitMatchesBatchScalerFit) {
   data::MinMaxScaler scaler;
   scaler.fit(cleaned);
 
-  const OnlineNormalizer& norm = source.normalizer();
+  const OnlineNormalizer& norm = channel.normalizer();
   ASSERT_EQ(norm.count(), cleaned.length());
   for (std::size_t f = 0; f < kFeatures.size(); ++f) {
     EXPECT_EQ(norm.min_of(f), scaler.min_of(kFeatures[f]));
@@ -159,11 +166,9 @@ TEST(StreamNormalizer, MinMaxStateBitMatchesBatchScalerFit) {
 TEST(StreamNormalizer, LatestWindowBitMatchesBatchMakeWindows) {
   const std::size_t kLen = 160;
   const data::TimeSeriesFrame full = single_regime_trace(kLen, 13);
-  StreamSource source(std::make_unique<ReplayProvider>(full),
-                      SourceOptions{kFeatures, 512, {}});
   // Ingest a strict prefix so make_windows' final sample (which must leave
   // one horizon step after it) aligns exactly with latest_window.
-  source.ingest(kLen - 1);
+  const IngestChannel channel = replayed(full.slice(0, kLen - 1));
 
   data::WindowOptions wopt;
   wopt.window = 24;
@@ -175,7 +180,7 @@ TEST(StreamNormalizer, LatestWindowBitMatchesBatchMakeWindows) {
                                           "cpu_util_percent", wopt);
   const std::size_t last = windows.samples() - 1;
 
-  const Tensor lw = source.latest_window(wopt.window);
+  const Tensor lw = channel.latest_window(wopt.window);
   ASSERT_EQ(lw.dim(0), kFeatures.size());
   ASSERT_EQ(lw.dim(1), wopt.window);
   for (std::size_t f = 0; f < kFeatures.size(); ++f)
@@ -375,156 +380,63 @@ TEST(StreamNormalizer, FreezeStopsFoldingObservations) {
 }
 
 // ---------------------------------------------------------------------------
-// Hot-swap under concurrent submit load
+// The single stream as a one-entity fleet
 // ---------------------------------------------------------------------------
 
-nn::RptcnOptions swap_net_options(std::uint64_t seed) {
-  nn::RptcnOptions opt;
-  opt.input_features = 3;
-  opt.horizon = 2;
-  opt.tcn.channels = {6, 6};
-  opt.fc_dim = 6;
-  opt.seed = seed;
-  return opt;
+constexpr std::size_t kWarmup = 288;
+
+/// One stream: one shard, one ingest worker, one fit slot, the tiny RPTCN
+/// recipe; `tenant` keeps each test's metric series apart.
+fleet::FleetOptions stream_options(const std::string& tenant) {
+  fleet::FleetOptions o;
+  o.features = kFeatures;
+  o.shards = 1;
+  o.workers = 1;
+  o.retrain_workers = 1;
+  o.channel.capacity = 1024;
+  o.retrain = tiny_retrain(256);
+  o.retrain.min_ticks_between = 32;
+  o.tenant = tenant;
+  return o;
 }
 
-TEST(StreamSwap, ConcurrentSubmittersSeeExactlyGenerationAOrB) {
-  nn::RptcnNet net_a(swap_net_options(13));
-  nn::RptcnNet net_b(swap_net_options(99));
-  auto session_a = std::make_shared<serve::InferenceSession>(net_a);
-  auto session_b = std::make_shared<serve::InferenceSession>(net_b);
-
-  Tensor window({3, 16});
-  for (std::size_t i = 0; i < window.size(); ++i)
-    window.raw()[i] = 0.01f * static_cast<float>(i % 37);
-  Tensor one({1, 3, 16});
-  std::copy_n(window.raw(), window.size(), one.raw());
-  const Tensor row_a = session_a->run(one);
-  const Tensor row_b = session_b->run(one);
-  // The two generations must be distinguishable for the test to mean
-  // anything.
-  bool differ = false;
-  for (std::size_t h = 0; h < row_a.size(); ++h)
-    differ = differ || row_a.raw()[h] != row_b.raw()[h];
-  ASSERT_TRUE(differ);
-
-  serve::BatchingEngine engine(session_a, {/*max_batch=*/4,
-                                           /*max_delay_us=*/100,
-                                           /*workers=*/2});
-
-  constexpr std::size_t kThreads = 4;
-  constexpr std::size_t kPerThread = 60;
-  std::vector<std::thread> clients;
-  std::vector<std::vector<std::future<Tensor>>> futures(kThreads);
-  for (std::size_t c = 0; c < kThreads; ++c)
-    clients.emplace_back([&, c] {
-      for (std::size_t i = 0; i < kPerThread; ++i)
-        futures[c].push_back(engine.submit(window));
-    });
-
-  // Swap mid-flight, then prove the fence: a submission after the swap
-  // returned must be answered by generation B.
-  const std::uint64_t gen = engine.swap_session(session_b);
-  EXPECT_EQ(gen, 2u);
-  std::future<Tensor> after_swap = engine.submit(window);
-  for (auto& th : clients) th.join();
-  engine.flush();
-
-  const auto matches = [](const Tensor& row, const Tensor& ref) {
-    if (row.size() != ref.size()) return false;
-    for (std::size_t h = 0; h < ref.size(); ++h)
-      if (row.raw()[h] != ref.at(0, h)) return false;
-    return true;
-  };
-
-  // Every request was answered bit-exactly by generation A or generation B
-  // — never a torn mixture.
-  std::size_t from_a = 0;
-  std::size_t from_b = 0;
-  for (auto& per_thread : futures)
-    for (auto& fut : per_thread) {
-      const Tensor row = fut.get();
-      const bool is_a = matches(row, row_a);
-      const bool is_b = matches(row, row_b);
-      ASSERT_TRUE(is_a || is_b) << "row matches neither generation";
-      if (is_a) ++from_a;
-      if (is_b) ++from_b;
-    }
-  EXPECT_EQ(from_a + from_b, kThreads * kPerThread);
-  EXPECT_TRUE(matches(after_swap.get(), row_b));
-
-  const serve::EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.swaps, 1u);
-  EXPECT_EQ(stats.generation, 2u);
-  EXPECT_EQ(stats.submitted, kThreads * kPerThread + 1);
-  EXPECT_EQ(stats.completed, stats.submitted);
-  EXPECT_EQ(stats.queued, 0u);
-  EXPECT_EQ(stats.in_flight, 0u);
+/// A one-entity fleet serving `id`, bootstrapped on the first kWarmup rows
+/// of `trace` (an id-only entity is a private cohort named after itself).
+std::unique_ptr<fleet::FleetManager> bootstrapped_stream(
+    const fleet::FleetOptions& options, const std::string& id,
+    const data::TimeSeriesFrame& trace, const std::string& model = "RPTCN") {
+  fleet::EntitySpec spec;
+  spec.id = id;
+  spec.model.name = model;
+  spec.model.config = tiny_config();
+  auto fleet = fleet::FleetBuilder().options(options).add_entity(spec).build();
+  const RetrainOutcome boot =
+      fleet->bootstrap_cohort(id, trace.slice(0, kWarmup));
+  EXPECT_TRUE(boot.error.empty()) << boot.error;
+  return fleet;
 }
 
-// ---------------------------------------------------------------------------
-// RollingRetrainer
-// ---------------------------------------------------------------------------
+/// Admit row `t` of `trace` for `id` (one live tick).
+void send(fleet::FleetManager& fleet, const std::string& id,
+          const data::TimeSeriesFrame& trace, std::size_t t) {
+  const fleet::Admission verdict =
+      fleet.ingest(id, {trace.column("cpu_util_percent")[t],
+                        trace.column("mem_util_percent")[t]});
+  ASSERT_EQ(verdict, fleet::Admission::kAccepted)
+      << fleet::admission_name(verdict);
+}
 
-TEST(StreamRetrain, BackgroundRetrainSwapsBitConsistently) {
-  const data::TimeSeriesFrame full = single_regime_trace(260, 29);
-  StreamSource source(std::make_unique<ReplayProvider>(full),
-                      SourceOptions{kFeatures, 512, {}});
-  while (source.poll()) {
+/// Every live row of `trace`, one tick at a time (ingest + drain).
+void stream_rest(fleet::FleetManager& fleet, const std::string& id,
+                 const data::TimeSeriesFrame& trace) {
+  for (std::size_t t = kWarmup; t < trace.length(); ++t) {
+    send(fleet, id, trace, t);
+    fleet.drain();
   }
-
-  RetrainOptions ropt = tiny_retrain(200);
-  ropt.checkpoint_dir = ::testing::TempDir();
-
-  // Bootstrap generation 1 synchronously through the same recipe the
-  // retrainer uses.
-  FittedGeneration g0 = fit_generation(source.history(200),
-                                       source.normalizer(), ropt, 1,
-                                       "bootstrap");
-  ASSERT_NE(g0.session, nullptr) << g0.outcome.error;
-  serve::BatchingEngine engine(g0.session, {});
-
-  RollingRetrainer retrainer(engine, ropt);
-  ASSERT_TRUE(retrainer.request(source.history(200), source.normalizer(),
-                                "test", 200));
-  retrainer.wait_idle();
-
-  const RetrainOutcome outcome = retrainer.last();
-  EXPECT_TRUE(outcome.error.empty()) << outcome.error;
-  EXPECT_TRUE(outcome.swapped);
-  EXPECT_EQ(outcome.generation, 2u);
-  EXPECT_EQ(outcome.checkpoint, models::CheckpointStatus::kOk);
-  ASSERT_FALSE(outcome.checkpoint_path.empty());
-  EXPECT_EQ(retrainer.completed(), 1u);
-  EXPECT_EQ(retrainer.failures(), 0u);
-  EXPECT_EQ(engine.generation(), 2u);
-
-  // Bit consistency: the live post-swap session must predict exactly what a
-  // fresh forecaster restored from the generation's checkpoint predicts.
-  auto restored = models::make_forecaster(ropt.model_name, ropt.model);
-  const models::ForecastDataset donor =
-      build_dataset(source.history(200), source.normalizer(), ropt);
-  ASSERT_EQ(restored->restore(donor, outcome.checkpoint_path),
-            models::CheckpointStatus::kOk);
-  serve::InferenceSession restored_session(*restored);
-
-  const Tensor lw = source.latest_window(ropt.window.window);
-  Tensor one({1, lw.dim(0), lw.dim(1)});
-  std::copy_n(lw.raw(), lw.size(), one.raw());
-  const Tensor live = engine.session()->run(one);
-  const Tensor ref = restored_session.run(one);
-  ASSERT_EQ(live.size(), ref.size());
-  for (std::size_t h = 0; h < ref.size(); ++h)
-    ASSERT_EQ(live.raw()[h], ref.raw()[h])
-        << "hot-swapped weights diverged from their checkpoint";
 }
 
 TEST(StreamRetrain, QualityGateRetriesAndRefusesBadFits) {
-  const data::TimeSeriesFrame full = single_regime_trace(260, 37);
-  StreamSource source(std::make_unique<ReplayProvider>(full),
-                      SourceOptions{kFeatures, 512, {}});
-  while (source.poll()) {
-  }
+  const IngestChannel channel = replayed(single_regime_trace(260, 37));
 
   // An impossible gate: every attempt fails it, the best attempt is still
   // returned (bootstrap needs *a* model) but flagged rejected.
@@ -532,51 +444,53 @@ TEST(StreamRetrain, QualityGateRetriesAndRefusesBadFits) {
   gated.max_valid_loss = 1e-12;
   gated.fit_attempts = 2;
   const FittedGeneration g = fit_generation_gated(
-      source.history(200), source.normalizer(), gated, 1, "test");
+      channel.history(200), channel.normalizer(), gated, 1, "test", "gate");
   ASSERT_NE(g.session, nullptr) << g.outcome.error;
   EXPECT_TRUE(g.outcome.quality_rejected);
   EXPECT_EQ(g.outcome.attempts, 2u);
 
-  // A gate-rejected generation writes no gen_<N>.ckpt — only installed
+  // A gate-rejected generation writes no checkpoint — only installed
   // generations leave restorable state behind.
   RetrainOptions reject_ck = tiny_retrain(200);
   reject_ck.max_valid_loss = 1e-12;
   reject_ck.fit_attempts = 2;
   reject_ck.checkpoint_dir = ::testing::TempDir() + "never_created";
   const FittedGeneration rj = fit_generation_gated(
-      source.history(200), source.normalizer(), reject_ck, 7, "test");
+      channel.history(200), channel.normalizer(), reject_ck, 7, "test",
+      "gate");
   ASSERT_NE(rj.session, nullptr);
   EXPECT_TRUE(rj.outcome.quality_rejected);
   EXPECT_TRUE(rj.outcome.checkpoint_path.empty());
   EXPECT_FALSE(
-      std::ifstream(reject_ck.checkpoint_dir + "/gen_7.ckpt").good());
+      std::ifstream(reject_ck.checkpoint_dir + "/gate.gen_7.ckpt").good());
 
   // A permissive gate fits exactly once and passes.
   gated.max_valid_loss = 1e9;
   const FittedGeneration ok = fit_generation_gated(
-      source.history(200), source.normalizer(), gated, 1, "test");
+      channel.history(200), channel.normalizer(), gated, 1, "test", "gate");
   ASSERT_NE(ok.session, nullptr);
   EXPECT_FALSE(ok.outcome.quality_rejected);
   EXPECT_EQ(ok.outcome.attempts, 1u);
 
   // Under the gate the checkpoint is written once, after the retry loop,
-  // so gen_<N>.ckpt always holds the winning attempt's weights: the saved
-  // file restores to exactly what the returned session serves.
+  // so the file always holds the winning attempt's weights: it restores to
+  // exactly what the returned session serves.
   RetrainOptions pass_ck = tiny_retrain(200);
   pass_ck.max_valid_loss = 1e9;
   pass_ck.checkpoint_dir = ::testing::TempDir();
   const FittedGeneration win = fit_generation_gated(
-      source.history(200), source.normalizer(), pass_ck, 9, "test");
+      channel.history(200), channel.normalizer(), pass_ck, 9, "test",
+      "stream-gate-pass");
   ASSERT_NE(win.session, nullptr);
   EXPECT_EQ(win.outcome.checkpoint, models::CheckpointStatus::kOk);
   ASSERT_FALSE(win.outcome.checkpoint_path.empty());
   auto restored = models::make_forecaster(pass_ck.model_name, pass_ck.model);
   const models::ForecastDataset donor =
-      build_dataset(source.history(200), source.normalizer(), pass_ck);
+      build_dataset(channel.history(200), channel.normalizer(), pass_ck);
   ASSERT_EQ(restored->restore(donor, win.outcome.checkpoint_path),
             models::CheckpointStatus::kOk);
   serve::InferenceSession restored_session(*restored);
-  const Tensor lw = source.latest_window(pass_ck.window.window);
+  const Tensor lw = channel.latest_window(pass_ck.window.window);
   Tensor one({1, lw.dim(0), lw.dim(1)});
   std::copy_n(lw.raw(), lw.size(), one.raw());
   const Tensor live = win.session->run(one);
@@ -586,104 +500,138 @@ TEST(StreamRetrain, QualityGateRetriesAndRefusesBadFits) {
     ASSERT_EQ(live.raw()[h], ref.raw()[h])
         << "gated checkpoint diverged from the winning attempt";
 
-  // Through the retrainer, a rejected fit must leave the engine generation
-  // untouched (the incumbent keeps serving).
-  RetrainOptions refuse = tiny_retrain(200);
-  refuse.max_valid_loss = 1e-12;
-  refuse.fit_attempts = 2;
-  FittedGeneration g0 = fit_generation(source.history(200),
-                                       source.normalizer(), refuse, 1,
-                                       "bootstrap");
-  ASSERT_NE(g0.session, nullptr);
-  serve::BatchingEngine engine(g0.session, {});
-  RollingRetrainer retrainer(engine, refuse);
-  ASSERT_TRUE(retrainer.request(source.history(200), source.normalizer(),
-                                "test", 200));
-  retrainer.wait_idle();
-  EXPECT_EQ(retrainer.completed(), 1u);
-  EXPECT_EQ(retrainer.failures(), 0u);
-  EXPECT_FALSE(retrainer.last().swapped);
-  EXPECT_TRUE(retrainer.last().quality_rejected);
-  EXPECT_EQ(engine.generation(), 1u);
-}
+  // Served as a one-entity fleet, a drifting entity whose gate no fit can
+  // pass keeps its bootstrap generation: every retrain is refused.
+  const data::TimeSeriesFrame drifting =
+      make_mutating_trace(regime_a(), regime_b(), 360, 200, 37).frame;
+  const std::string id = "stream-gate-refuse";
+  fleet::FleetOptions o = stream_options(id);
+  o.retrain.max_valid_loss = 1e-12;
+  o.retrain.fit_attempts = 2;
+  o.retrain.checkpoint_dir = ::testing::TempDir();
+  const std::string gen1 = o.retrain.checkpoint_dir + "/" + id + ".gen_1.ckpt";
+  const std::string gen2 = o.retrain.checkpoint_dir + "/" + id + ".gen_2.ckpt";
+  std::remove(gen1.c_str());
+  std::remove(gen2.c_str());
+  // The bootstrap fails the gate too, and is installed anyway — after it
+  // is checkpointed, so every serving generation is restorable.
+  auto fleet = bootstrapped_stream(o, id, drifting);
+  ASSERT_EQ(fleet->entity_stats(id).generation, 1u);
+  EXPECT_TRUE(std::ifstream(gen1).good()) << gen1;
 
-TEST(StreamRetrain, CooldownRejectsRapidRetriggers) {
-  const data::TimeSeriesFrame full = single_regime_trace(260, 31);
-  StreamSource source(std::make_unique<ReplayProvider>(full),
-                      SourceOptions{kFeatures, 512, {}});
-  while (source.poll()) {
-  }
+  stream_rest(*fleet, id, drifting);
+  fleet->scheduler().wait_idle();
 
-  RetrainOptions ropt = tiny_retrain(200);
-  ropt.min_ticks_between = 64;
-  FittedGeneration g0 = fit_generation(source.history(200),
-                                       source.normalizer(), ropt, 1,
-                                       "bootstrap");
-  ASSERT_NE(g0.session, nullptr) << g0.outcome.error;
-  serve::BatchingEngine engine(g0.session, {});
-  RollingRetrainer retrainer(engine, ropt);
-
-  ASSERT_TRUE(retrainer.request(source.history(200), source.normalizer(),
-                                "first", 200));
-  retrainer.wait_idle();
-  // Inside the cooldown window the trigger is rejected even when idle...
-  EXPECT_FALSE(retrainer.request(source.history(200), source.normalizer(),
-                                 "too-soon", 230));
-  // ...and accepted again once it elapses.
-  EXPECT_TRUE(retrainer.request(source.history(200), source.normalizer(),
-                                "later", 264));
-  retrainer.wait_idle();
-  EXPECT_EQ(retrainer.completed(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// OnlinePipeline end-to-end
-// ---------------------------------------------------------------------------
-
-OnlinePipelineOptions pipeline_options() {
-  OnlinePipelineOptions opt;
-  opt.source.features = kFeatures;
-  opt.source.capacity = 1024;
-  opt.retrain = tiny_retrain(256);
-  opt.retrain.min_ticks_between = 32;
-  opt.warmup = 288;
-  return opt;
+  const fleet::EntityStats s = fleet->entity_stats(id);
+  EXPECT_GT(s.drift_events, 0u);
+  EXPECT_EQ(s.generation, 1u) << "a gate-rejected fit was installed";
+  EXPECT_EQ(s.retrains, 0u);
+  EXPECT_GE(fleet->stats().retrains_failed, 1u);
+  EXPECT_EQ(fleet->stats().retrains_completed, 0u);
+  EXPECT_FALSE(std::ifstream(gen2).good()) << "a refused fit left " << gen2;
 }
 
 TEST(StreamPipeline, DetectsDriftRetrainsInBackgroundAndHotSwaps) {
   const data::TimeSeriesFrame trace =
       make_mutating_trace(regime_a(), regime_b(), 420, 320, 7).frame;
-  OnlinePipeline loop(std::make_unique<ReplayProvider>(trace),
-                      pipeline_options());
+  const std::string id = "stream-drift";
+  auto fleet = bootstrapped_stream(stream_options(id), id, trace);
 
-  std::vector<double> ingest_times;
-  std::size_t residuals = 0;
-  std::size_t drift_ticks = 0;
-  std::size_t ticks_while_retraining = 0;
-  while (auto tick = loop.step()) {
-    ingest_times.push_back(tick->ingest_seconds);
-    if (tick->residual_ready) ++residuals;
-    if (tick->drift) ++drift_ticks;
-    if (loop.retrainer() && loop.retrainer()->busy()) ++ticks_while_retraining;
+  std::uint64_t forecasts = 0;
+  std::size_t advanced_while_fitting = 0;
+  for (std::size_t t = kWarmup; t < trace.length(); ++t) {
+    send(*fleet, id, trace, t);
+    fleet->drain();
+    // The tick's forecast was delivered while a fit is running: ingest and
+    // serving never wait for training.
+    const std::uint64_t now = fleet->entity_stats(id).forecasts;
+    if (fleet->scheduler().stats().inflight > 0 && now > forecasts)
+      ++advanced_while_fitting;
+    forecasts = now;
   }
-  if (loop.retrainer()) loop.retrainer()->wait_idle();
+  fleet->scheduler().wait_idle();
 
-  EXPECT_TRUE(loop.bootstrapped());
-  EXPECT_GT(residuals, 300u);
-  EXPECT_GE(drift_ticks, 1u) << "regime mutation went undetected";
-  ASSERT_NE(loop.retrainer(), nullptr);
-  EXPECT_GE(loop.retrainer()->completed(), 1u);
-  EXPECT_GE(loop.engine()->generation(), 2u) << "no hot-swap happened";
+  const fleet::EntityStats s = fleet->entity_stats(id);
+  EXPECT_GT(s.residuals, 300u);
+  EXPECT_GE(s.drift_events, 1u) << "regime mutation went undetected";
+  EXPECT_GE(s.retrains, 1u);
+  EXPECT_GE(s.generation, 2u) << "no new generation was installed";
+  // A fit takes many tick-times, so if forecasting blocked on training
+  // this count would be 0.
+  EXPECT_GT(advanced_while_fitting, 0u)
+      << "forecasts stalled while a retrain was in flight";
 
-  // Ingestion must keep moving while a retrain is in flight: the fit takes
-  // many tick-times, so if ingest blocked on training this count would be 0.
-  EXPECT_GT(ticks_while_retraining, 0u)
-      << "ingest stalled while the retrainer was busy";
+  // Tick-to-forecast p99 stays bounded (the fit never sits on this path).
+  std::vector<double> latencies = fleet->latencies_seconds();
+  ASSERT_FALSE(latencies.empty());
+  std::sort(latencies.begin(), latencies.end());
+  const double p99 = latencies[latencies.size() * 99 / 100];
+  EXPECT_LT(p99, 0.25) << "tick-to-forecast p99 " << p99 << "s";
+}
 
-  // Ingest latency p99 stays bounded (poll is O(features) and lock-free).
-  std::sort(ingest_times.begin(), ingest_times.end());
-  const double p99 = ingest_times[ingest_times.size() * 99 / 100];
-  EXPECT_LT(p99, 0.25) << "ingest p99 " << p99 << "s";
+TEST(StreamRetrain, BackgroundRetrainSwapsBitConsistently) {
+  const data::TimeSeriesFrame trace =
+      make_mutating_trace(regime_a(), regime_b(), 420, 240, 29).frame;
+  const std::string id = "stream-ckpt-swap";
+  fleet::FleetOptions o = stream_options(id);
+  o.retrain.checkpoint_dir = ::testing::TempDir();
+  auto fleet = bootstrapped_stream(o, id, trace);
+
+  // Everything but the last row, then let every triggered fit install, so
+  // the last tick's forecast comes from a settled generation.
+  for (std::size_t t = kWarmup; t + 1 < trace.length(); ++t) {
+    send(*fleet, id, trace, t);
+    fleet->drain();
+  }
+  fleet->scheduler().wait_idle();
+  send(*fleet, id, trace, trace.length() - 1);
+  fleet->drain();
+
+  const std::vector<fleet::EntityForecast> served = fleet->latest_forecasts();
+  ASSERT_EQ(served.size(), 1u);
+  const std::uint64_t generation = served.front().generation;
+  ASSERT_GE(generation, 2u) << "no drift retrain was installed";
+  EXPECT_EQ(fleet->stats().retrains_failed, 0u);
+
+  // Bit consistency: the installed generation predicts exactly what a
+  // fresh forecaster restored from that generation's checkpoint predicts,
+  // on the window the entity served (its channel saw every row in order).
+  IngestChannel mirror(kFeatures, {o.channel.capacity, {}});
+  mirror.replay(trace);
+  const RetrainOptions ropt = tiny_retrain(256);
+  auto restored = models::make_forecaster(ropt.model_name, ropt.model);
+  const models::ForecastDataset donor =
+      build_dataset(mirror.history(256), mirror.normalizer(), ropt);
+  const std::string path = o.retrain.checkpoint_dir + "/" + id + ".gen_" +
+                           std::to_string(generation) + ".ckpt";
+  ASSERT_EQ(restored->restore(donor, path), models::CheckpointStatus::kOk)
+      << path;
+  serve::InferenceSession restored_session(*restored);
+  const Tensor lw = mirror.latest_window(ropt.window.window);
+  Tensor one({1, lw.dim(0), lw.dim(1)});
+  std::copy_n(lw.raw(), lw.size(), one.raw());
+  const Tensor ref = restored_session.run(one);
+  EXPECT_EQ(static_cast<float>(served.front().predicted_norm), ref.raw()[0])
+      << "the installed generation diverged from its checkpoint";
+}
+
+TEST(StreamRetrain, CooldownRejectsRapidRetriggers) {
+  const data::TimeSeriesFrame trace =
+      make_mutating_trace(regime_a(), regime_b(), 360, 200, 31).frame;
+  const std::string id = "stream-cooldown";
+  fleet::FleetOptions o = stream_options(id);
+  // The cooldown outlasts every live tick: fires are latched, never filed.
+  o.retrain.min_ticks_between = trace.length() - kWarmup + 1;
+  auto fleet = bootstrapped_stream(o, id, trace);
+
+  stream_rest(*fleet, id, trace);
+  fleet->scheduler().wait_idle();
+
+  const fleet::EntityStats s = fleet->entity_stats(id);
+  EXPECT_GT(s.drift_events, 0u);
+  EXPECT_EQ(s.retrains, 0u);
+  EXPECT_EQ(s.generation, 1u);
+  EXPECT_EQ(fleet->scheduler().stats().accepted, 0u);
 }
 
 TEST(StreamPipeline, ForecastDueOnDroppedTickIsDiscarded) {
@@ -694,91 +642,68 @@ TEST(StreamPipeline, ForecastDueOnDroppedTickIsDiscarded) {
   // next complete tick.
   trace.column_mut(trace.index_of("cpu_util_percent"))[350] =
       std::numeric_limits<double>::quiet_NaN();
+  const std::string id = "stream-dropped";
+  fleet::FleetOptions o = stream_options(id);
+  o.retrain_on_drift = false;  // single generation, no install interplay
+  auto fleet = bootstrapped_stream(o, id, trace);
 
-  OnlinePipelineOptions opt = pipeline_options();
-  opt.retrain_on_drift = false;  // single generation, no swap interplay
-  OnlinePipeline loop(std::make_unique<ReplayProvider>(trace), opt);
+  stream_rest(*fleet, id, trace);
 
-  std::size_t dropped = 0;
-  std::size_t residuals = 0;
-  std::size_t missing = 0;
-  bool expect_residual = false;
-  while (auto tick = loop.step()) {
-    if (tick->dropped) {
-      ++dropped;
-      continue;
-    }
-    if (expect_residual) {
-      if (tick->residual_ready)
-        ++residuals;
-      else
-        ++missing;
-    }
-    if (tick->predicted) expect_residual = true;
-  }
-
-  EXPECT_EQ(dropped, 1u);
-  // Exactly one residual is missing: the one whose target tick was dropped.
-  EXPECT_EQ(missing, 1u);
-  EXPECT_GT(residuals, 50u);
+  const fleet::EntityStats s = fleet->entity_stats(id);
+  EXPECT_EQ(s.dropped, 1u);
+  // Every complete live tick issues a forecast (the history is seeded).
+  EXPECT_EQ(s.forecasts, trace.length() - kWarmup - 1);
+  // Exactly one forecast goes unscored besides the newest, still pending
+  // one: the one whose target tick was dropped.
+  EXPECT_EQ(s.residuals, s.forecasts - 2);
+  EXPECT_GT(s.residuals, 50u);
 }
 
 TEST(StreamPipeline, DelegatedModelSurvivesTeardownWithPendingForecast) {
-  const data::TimeSeriesFrame trace = single_regime_trace(480, 43);
-  OnlinePipelineOptions opt = pipeline_options();
-  opt.retrain.model_name = "ARIMA";
-  // Detectors off; the cadence alone drives background ARIMA retrains.
-  opt.drift.monitor_inputs = false;
-  opt.drift.residual_ph.lambda = 1e9;
-  opt.drift.windowed.ratio_threshold = 1e9;
-  opt.retrain_on_drift = false;
-  opt.retrain_cadence = 64;
+  const data::TimeSeriesFrame trace =
+      make_mutating_trace(regime_a(), regime_b(), 320, 400, 43).frame;
+  const std::string id = "stream-teardown";
+  fleet::FleetOptions o = stream_options(id);
+  o.retrain.model_name = "ARIMA";
+  o.retrain.min_ticks_between = 0;
+  bool caught_inflight = false;
   {
-    OnlinePipeline loop(std::make_unique<ReplayProvider>(trace), opt);
-    // Run until a delegated-model generation has been swapped in, then
-    // destroy the pipeline with the newest forecast still pending: teardown
-    // drains it through sessions that co-own their forecasters, so no
-    // member-ordering accident can run a request against a freed delegate
-    // (ASan would flag the use-after-free this guards against).
-    while (auto tick = loop.step()) {
-      if (loop.retrainer() && loop.retrainer()->completed() >= 1 &&
-          tick->predicted)
-        break;
+    auto fleet = bootstrapped_stream(o, id, trace, "ARIMA");
+    // Run until a delegated-model refit is in flight, queue more ticks
+    // behind it, then destroy the fleet: teardown drains the queued ticks
+    // (each a forecast through a session that co-owns its ARIMA) and waits
+    // out the fit, which installs into the entity while it still exists —
+    // ASan would flag a use-after-free on any member-ordering accident.
+    for (std::size_t t = kWarmup; t < trace.length() && !caught_inflight;
+         ++t) {
+      send(*fleet, id, trace, t);
+      fleet->drain();
+      if (fleet->scheduler().stats().inflight > 0) {
+        caught_inflight = true;
+        for (std::size_t k = t + 1; k < std::min(t + 5, trace.length()); ++k)
+          send(*fleet, id, trace, k);
+      }
     }
-    EXPECT_TRUE(loop.bootstrapped());
+    EXPECT_GT(fleet->entity_stats(id).drift_events, 0u);
   }
+  EXPECT_TRUE(caught_inflight) << "no ARIMA refit was ever in flight";
 }
 
 TEST(StreamPipeline, StaticBaselineNeverSwaps) {
   const data::TimeSeriesFrame trace =
       make_mutating_trace(regime_a(), regime_b(), 360, 120, 7).frame;
-  OnlinePipelineOptions opt = pipeline_options();
-  opt.retrain_on_drift = false;
-  OnlinePipeline loop(std::make_unique<ReplayProvider>(trace), opt);
-  loop.run();
+  const std::string id = "stream-static";
+  fleet::FleetOptions o = stream_options(id);
+  o.retrain_on_drift = false;
+  auto fleet = bootstrapped_stream(o, id, trace);
+  stream_rest(*fleet, id, trace);
+  fleet->scheduler().wait_idle();
 
-  EXPECT_TRUE(loop.bootstrapped());
-  EXPECT_EQ(loop.retrainer(), nullptr);
-  EXPECT_EQ(loop.engine()->generation(), 1u);
-  EXPECT_EQ(loop.engine()->stats().swaps, 0u);
-}
-
-TEST(StreamPipeline, CadenceRetrainsWithoutAnyDrift) {
-  const data::TimeSeriesFrame trace = single_regime_trace(640, 23);
-  OnlinePipelineOptions opt = pipeline_options();
-  // Detectors effectively off: only the cadence may trigger.
-  opt.drift.monitor_inputs = false;
-  opt.drift.residual_ph.lambda = 1e9;
-  opt.drift.windowed.ratio_threshold = 1e9;
-  opt.retrain_on_drift = false;
-  opt.retrain_cadence = 96;
-  OnlinePipeline loop(std::make_unique<ReplayProvider>(trace), opt);
-  loop.run();
-  if (loop.retrainer()) loop.retrainer()->wait_idle();
-
-  ASSERT_NE(loop.retrainer(), nullptr);
-  EXPECT_GE(loop.retrainer()->completed(), 1u);
-  EXPECT_GE(loop.engine()->generation(), 2u);
+  const fleet::EntityStats s = fleet->entity_stats(id);
+  EXPECT_GT(s.drift_events, 0u) << "the drift was not even measured";
+  EXPECT_EQ(s.generation, 1u);
+  EXPECT_EQ(s.retrains, 0u);
+  EXPECT_EQ(fleet->scheduler().stats().accepted, 0u);
 }
 
 // ---------------------------------------------------------------------------

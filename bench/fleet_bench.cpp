@@ -36,6 +36,7 @@
 #include "common/stopwatch.h"
 #include "fleet/builder.h"
 #include "fleet/manager.h"
+#include "graph/plan.h"
 #include "obs/metrics.h"
 #include "stream/channel.h"
 #include "stream/retrain.h"
@@ -114,7 +115,7 @@ RetrainFitResult run_retrain_fit_bench() {
   const data::TimeSeriesFrame full =
       stream::make_mutating_trace(regime_a(), regime_a(), 300, 0, 23).frame;
   stream::IngestChannel source({"cpu_util_percent", "mem_util_percent"},
-                              {512, {}});
+                              {512});
   source.replay(full);
   stream::RetrainOptions ropt;
   ropt.model_name = "RPTCN";
@@ -128,7 +129,10 @@ RetrainFitResult run_retrain_fit_bench() {
   RetrainFitResult r;
   r.ok = true;
 
-  ropt.model.nn.planned_step = false;
+  // The tape leg trains with planning off. This runs before any fleet
+  // exists, so nothing else sees the process-wide switch flip.
+  const bool planning = graph::planning_enabled();
+  graph::set_planning_enabled(false);
   Stopwatch tape_watch;
   for (std::size_t i = 0; i < kFitRepeats; ++i) {
     const stream::FittedGeneration g = stream::fit_generation(
@@ -136,8 +140,8 @@ RetrainFitResult run_retrain_fit_bench() {
     if (g.session == nullptr) r.ok = false;
   }
   r.tape_seconds = tape_watch.elapsed_seconds() / kFitRepeats;
+  graph::set_planning_enabled(planning);
 
-  ropt.model.nn.planned_step = true;
   Stopwatch planned_watch;
   for (std::size_t i = 0; i < kFitRepeats; ++i) {
     const stream::FittedGeneration g = stream::fit_generation(

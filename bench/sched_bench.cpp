@@ -106,7 +106,6 @@ sched::SessionSourceOptions session_options(const BenchConfig& cfg,
   // in a bad basin; one retry is cheap, shipping the basin is not.
   o.retrain.max_valid_loss = 0.05;
   o.retrain.fit_attempts = 2;
-  o.retrain.tenant = "sched-bench";
   (void)cfg;
   return o;
 }

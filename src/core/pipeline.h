@@ -58,8 +58,8 @@ class RptcnPipeline {
   const models::TrainCurves& curves() const;
   const models::ForecastDataset& dataset() const;
   /// The fitted forecaster (null before fit()/restore()). Non-const because
-  /// serving snapshots (serve::InferenceSession) read weights through the
-  /// forecaster's mutable accessors.
+  /// a serve::InferenceSession over a model without a net (ARIMA, XGBoost)
+  /// serves through its non-const predict().
   models::Forecaster* forecaster() { return forecaster_.get(); }
   const data::MinMaxScaler& scaler() const;
   const PipelineConfig& config() const { return config_; }

@@ -466,7 +466,6 @@ stream::RetrainOptions FleetManager::retrain_options_for(
   stream::RetrainOptions opt = options_.retrain;
   opt.model_name = spec.model.name;
   opt.model = spec.model.config;
-  opt.tenant = options_.tenant;
   return opt;
 }
 

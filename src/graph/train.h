@@ -36,9 +36,8 @@
 // net), so ops whose operands are all leaves — weight_norm — fold to their
 // probe values, and weight prepacks happen once at compile time.
 //
-// Escape hatches: RPTCN_DISABLE_PLAN=1 (or set_planning_enabled(false))
-// makes every caller run the eager forward / step; NnTrainConfig.
-// planned_step=false keeps the training factory from being wired at all.
+// Escape hatch: RPTCN_DISABLE_PLAN=1 (or set_planning_enabled(false))
+// makes every caller run the eager forward / step.
 #pragma once
 
 #include <memory>
@@ -53,7 +52,7 @@ namespace rptcn::graph {
 /// eagerly. Requirements: `optimizer` is an opt::Adam whose parameter list
 /// matches model.parameters() element-for-element (the slab layout and the
 /// clip reduction order both follow it), and planning is enabled. Wired into
-/// opt::TrainOptions::planned_step_factory by models::fit_net.
+/// opt::TrainOptions::planned_step_factory by models::NetForecaster::fit.
 std::shared_ptr<opt::PlannedStep> make_planned_step(
     nn::Module& model, const opt::ForwardFn& forward, opt::Optimizer& optimizer,
     const opt::TrainOptions& options);

@@ -9,13 +9,56 @@
 
 namespace rptcn::models {
 
-const std::vector<std::string>& forecaster_names() {
-  static const std::vector<std::string> kNames = {
-      "ARIMA", "LSTM", "CNN-LSTM", "XGBoost", "RPTCN", "TCN", "BiLSTM"};
-  return kNames;
+namespace {
+
+/// Builds the model a row names; `name` is the row's canonical spelling.
+using Make = std::unique_ptr<Forecaster> (*)(const std::string& name,
+                                            const ModelConfig& config);
+
+struct Row {
+  const char* name;
+  Make make;
+};
+
+/// A NetForecaster over `Net`, architecture taken from `config.*kOptions`.
+template <typename Net, auto kOptions>
+std::unique_ptr<Forecaster> neural(const std::string& name,
+                                   const ModelConfig& config) {
+  return std::make_unique<NetForecaster>(name, config.nn,
+                                         net_factory<Net>(config.*kOptions));
 }
 
-namespace {
+/// The ablation reference: RPTCN's backbone and head, no FC, no attention.
+std::unique_ptr<Forecaster> tcn(const std::string& name,
+                                const ModelConfig& config) {
+  nn::RptcnOptions options = config.rptcn;
+  options.use_attention = false;
+  options.use_fc = false;
+  return std::make_unique<NetForecaster>(name, config.nn,
+                                         net_factory<nn::RptcnNet>(options));
+}
+
+std::unique_ptr<Forecaster> arima(const std::string&,
+                                  const ModelConfig& config) {
+  return std::make_unique<ArimaForecaster>(config.arima,
+                                           config.arima_auto_order);
+}
+
+std::unique_ptr<Forecaster> xgboost(const std::string&,
+                                    const ModelConfig& config) {
+  return std::make_unique<GbtForecaster>(config.gbt);
+}
+
+/// Every registry model, in Table II order.
+const Row kRows[] = {
+    {"ARIMA", arima},
+    {"LSTM", neural<nn::LstmNet, &ModelConfig::lstm>},
+    {"CNN-LSTM", neural<nn::CnnLstm, &ModelConfig::cnn_lstm>},
+    {"XGBoost", xgboost},
+    {"RPTCN", neural<nn::RptcnNet, &ModelConfig::rptcn>},
+    {"TCN", tcn},
+    {"BiLSTM", neural<nn::BiLstmNet, &ModelConfig::bilstm>},
+};
 
 std::string lower(const std::string& s) {
   std::string out = s;
@@ -34,20 +77,33 @@ std::string joined_names() {
   return out.str();
 }
 
+/// Case-insensitive lookup: "rptcn" and "RPTCN" are the same model.
+const Row* find_row(const std::string& name) {
+  const std::string key = lower(name);
+  for (const Row& row : kRows)
+    if (lower(row.name) == key) return &row;
+  return nullptr;
+}
+
 }  // namespace
 
+const std::vector<std::string>& forecaster_names() {
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const Row& row : kRows) names.emplace_back(row.name);
+    return names;
+  }();
+  return kNames;
+}
+
 void ForecasterSpec::validate() const {
-  const std::string key = lower(name);
-  for (const std::string& known : forecaster_names())
-    if (lower(known) == key) return;
-  RPTCN_CHECK(false, "ForecasterSpec.name is unknown: " << name << " (known: "
-                                                        << joined_names()
-                                                        << ")");
+  RPTCN_CHECK(find_row(name) != nullptr,
+              "ForecasterSpec.name is unknown: " << name << " (known: "
+                                                 << joined_names() << ")");
 }
 
 std::vector<ForecasterSpec> list_forecasters() {
   std::vector<ForecasterSpec> specs;
-  specs.reserve(forecaster_names().size());
   for (const std::string& name : forecaster_names()) {
     ForecasterSpec spec;
     spec.name = name;
@@ -62,28 +118,10 @@ std::unique_ptr<Forecaster> make_forecaster(const ForecasterSpec& spec) {
 
 std::unique_ptr<Forecaster> make_forecaster(const std::string& name,
                                             const ModelConfig& config) {
-  // Case-insensitive lookup: "rptcn" and "RPTCN" are the same model. The
-  // canonical spellings stay in forecaster_names() (Table II order).
-  const std::string key = lower(name);
-  if (key == "rptcn")
-    return std::make_unique<RptcnForecaster>(config.nn, config.rptcn);
-  if (key == "tcn")
-    return std::make_unique<TcnForecaster>(config.nn, config.rptcn);
-  if (key == "lstm")
-    return std::make_unique<LstmForecaster>(config.nn, config.lstm);
-  if (key == "bilstm")
-    return std::make_unique<BiLstmForecaster>(config.nn, config.bilstm);
-  if (key == "cnn-lstm")
-    return std::make_unique<CnnLstmForecaster>(config.nn, config.cnn_lstm);
-  if (key == "xgboost")
-    return std::make_unique<GbtForecaster>(config.gbt);
-  if (key == "arima")
-    return std::make_unique<ArimaForecaster>(config.arima,
-                                             config.arima_auto_order);
-  RPTCN_CHECK(false, "unknown forecaster: " << name
-                                            << " (known: " << joined_names()
-                                            << ")");
-  return nullptr;  // unreachable
+  const Row* row = find_row(name);
+  RPTCN_CHECK(row != nullptr, "unknown forecaster: " << name << " (known: "
+                                                     << joined_names() << ")");
+  return row->make(row->name, config);
 }
 
 }  // namespace rptcn::models

@@ -1,5 +1,7 @@
 // Forecaster factory, so benches and examples can instantiate models by
-// name ("RPTCN", "TCN", "LSTM", "CNN-LSTM", "XGBoost", "ARIMA").
+// name. One table in registry.cpp lists every model once, as a
+// {name, factory} row; forecaster_names(), ForecasterSpec::validate,
+// list_forecasters() and make_forecaster all read it.
 #pragma once
 
 #include <memory>
@@ -9,13 +11,16 @@
 #include "baselines/arima.h"
 #include "baselines/gbt.h"
 #include "models/forecaster.h"
-#include "models/nn_forecasters.h"
+#include "models/net_forecaster.h"
+#include "nn/cnn_lstm.h"
+#include "nn/lstm.h"
+#include "nn/rptcn_net.h"
 
 namespace rptcn::models {
 
 struct ModelConfig {
   NnTrainConfig nn;                ///< shared NN training recipe
-  nn::RptcnOptions rptcn;          ///< RPTCN / TCN architecture
+  nn::RptcnOptions rptcn;          ///< RPTCN / TCN (no FC, no attention)
   nn::LstmNetOptions lstm;         ///< LSTM architecture
   nn::BiLstmNetOptions bilstm;     ///< BiLSTM architecture
   nn::CnnLstmOptions cnn_lstm;     ///< CNN-LSTM architecture

@@ -22,12 +22,19 @@ struct CnnLstmOptions {
   std::uint64_t seed = 42;
 };
 
-class CnnLstm : public Module {
+class CnnLstm final : public ForecastNet {
  public:
   explicit CnnLstm(const CnnLstmOptions& options);
 
   /// x: [N, F, T] -> [N, horizon].
-  Variable forward(const Variable& x);
+  Variable forward(const Variable& x) override;
+  std::unique_ptr<ForecastNet> rebuild() const override {
+    return std::make_unique<CnnLstm>(options_);
+  }
+  std::size_t input_features() const override {
+    return options_.input_features;
+  }
+  std::size_t horizon() const override { return options_.horizon; }
 
   const CnnLstmOptions& options() const { return options_; }
   const Conv1d& conv() const { return conv_; }

@@ -46,12 +46,19 @@ struct LstmNetOptions {
 };
 
 /// LSTM regressor: LSTM -> dropout -> linear head [N, horizon].
-class LstmNet : public Module {
+class LstmNet final : public ForecastNet {
  public:
   explicit LstmNet(const LstmNetOptions& options);
 
   /// x: [N, F, T] -> [N, horizon].
-  Variable forward(const Variable& x);
+  Variable forward(const Variable& x) override;
+  std::unique_ptr<ForecastNet> rebuild() const override {
+    return std::make_unique<LstmNet>(options_);
+  }
+  std::size_t input_features() const override {
+    return options_.input_features;
+  }
+  std::size_t horizon() const override { return options_.horizon; }
 
   const LstmNetOptions& options() const { return options_; }
   const Lstm& lstm() const { return lstm_; }
@@ -76,12 +83,19 @@ struct BiLstmNetOptions {
 /// Dinesh 2017): forward and backward passes over the fully observed input
 /// window, concatenated final hidden states, linear head. Valid for
 /// forecasting because the window lies entirely in the past.
-class BiLstmNet : public Module {
+class BiLstmNet final : public ForecastNet {
  public:
   explicit BiLstmNet(const BiLstmNetOptions& options);
 
   /// x: [N, F, T] -> [N, horizon].
-  Variable forward(const Variable& x);
+  Variable forward(const Variable& x) override;
+  std::unique_ptr<ForecastNet> rebuild() const override {
+    return std::make_unique<BiLstmNet>(options_);
+  }
+  std::size_t input_features() const override {
+    return options_.input_features;
+  }
+  std::size_t horizon() const override { return options_.horizon; }
 
   const BiLstmNetOptions& options() const { return options_; }
   const Lstm& forward_lstm() const { return forward_lstm_; }

@@ -2,11 +2,12 @@
 //
 // Modules own their submodules as ordinary members and register them (and
 // their parameters) by name in the constructor. parameters() walks the tree.
-// Unlike framework-scale libraries there is no virtual forward — each layer
-// exposes a typed forward for its activation shape.
+// Layers have no virtual forward — each exposes a typed forward for its
+// activation shape. Whole forecasting nets share one: ForecastNet below.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -62,6 +63,22 @@ class Module {
   std::vector<std::pair<std::string, Module*>> children_;
   bool training_ = true;
   std::uint64_t weights_version_ = 0;
+};
+
+/// The contract every forecasting net meets (RptcnNet, LstmNet, BiLstmNet,
+/// CnnLstm), so training, checkpoints and serving handle any of them
+/// through one type.
+class ForecastNet : public Module {
+ public:
+  /// x: [N, F, T] -> forecast [N, horizon].
+  virtual Variable forward(const Variable& x) = 0;
+  /// A freshly initialised net built from this net's own options: the same
+  /// architecture and parameter order, with initial (not current) weights.
+  virtual std::unique_ptr<ForecastNet> rebuild() const = 0;
+  /// F, the indicator channels each window carries.
+  virtual std::size_t input_features() const = 0;
+  /// Forecast steps per window.
+  virtual std::size_t horizon() const = 0;
 };
 
 }  // namespace rptcn::nn

@@ -26,12 +26,19 @@ struct RptcnOptions {
   std::uint64_t seed = 42;         ///< init + dropout stream
 };
 
-class RptcnNet : public Module {
+class RptcnNet final : public ForecastNet {
  public:
   explicit RptcnNet(const RptcnOptions& options);
 
   /// x: [N, F, T] -> forecast [N, horizon].
-  Variable forward(const Variable& x);
+  Variable forward(const Variable& x) override;
+  std::unique_ptr<ForecastNet> rebuild() const override {
+    return std::make_unique<RptcnNet>(options_);
+  }
+  std::size_t input_features() const override {
+    return options_.input_features;
+  }
+  std::size_t horizon() const override { return options_.horizon; }
 
   /// Attention weights [N, 1, T] of the most recent forward pass
   /// (empty optional when attention is disabled).

@@ -74,9 +74,8 @@ struct TrainOptions {
   /// fit(); when it returns non-null, each batch goes through
   /// PlannedStep::step instead of the eager forward/backward/clip/step
   /// sequence (falling back per batch when step() declines). Wired by
-  /// models::fit_net when NnTrainConfig.planned_step is set; bit-identical
-  /// loss curves are part of the contract, enforced by the implementation's
-  /// replay self-check.
+  /// models::NetForecaster::fit; bit-identical loss curves are part of the
+  /// contract, enforced by the implementation's replay self-check.
   PlannedStepFactory planned_step_factory;
 };
 

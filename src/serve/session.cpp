@@ -4,20 +4,11 @@
 
 #include "autograd/ops.h"
 #include "graph/train.h"
-#include "models/nn_forecasters.h"
+#include "models/net_forecaster.h"
 
 namespace rptcn::serve {
 
 namespace {
-
-/// Fitted-net guard shared by the forecaster constructor branches.
-template <typename Net>
-const Net& require_net(const Net* net, const std::string& name) {
-  RPTCN_CHECK(net != nullptr,
-              "InferenceSession: forecaster \"" << name
-                                                << "\" must be fitted first");
-  return *net;
-}
 
 /// Null-checked deref so the delegating constructor below never dereferences
 /// an empty shared_ptr.
@@ -38,16 +29,12 @@ InferenceSession::InferenceSession(std::shared_ptr<models::Forecaster> forecaste
 
 InferenceSession::InferenceSession(models::Forecaster& forecaster)
     : name_(forecaster.name()) {
-  if (const auto* rptcn = dynamic_cast<const models::RptcnForecaster*>(&forecaster)) {
-    adopt(require_net(rptcn->net(), name_));
-  } else if (const auto* tcn = dynamic_cast<const models::TcnForecaster*>(&forecaster)) {
-    adopt(require_net(tcn->net(), name_));
-  } else if (const auto* lstm = dynamic_cast<const models::LstmForecaster*>(&forecaster)) {
-    adopt(require_net(lstm->net(), name_));
-  } else if (const auto* bilstm = dynamic_cast<const models::BiLstmForecaster*>(&forecaster)) {
-    adopt(require_net(bilstm->net(), name_));
-  } else if (const auto* cnnlstm = dynamic_cast<const models::CnnLstmForecaster*>(&forecaster)) {
-    adopt(require_net(cnnlstm->net(), name_));
+  if (const auto* neural =
+          dynamic_cast<const models::NetForecaster*>(&forecaster)) {
+    RPTCN_CHECK(neural->net() != nullptr,
+                "InferenceSession: forecaster \"" << name_
+                                                   << "\" must be fitted first");
+    adopt(*neural->net());
   } else {
     // No tensor weights (ARIMA, XGBoost): serve through the forecaster's own
     // batch-invariant predict(), serialised by eager_mutex_.
@@ -55,42 +42,24 @@ InferenceSession::InferenceSession(models::Forecaster& forecaster)
   }
 }
 
-InferenceSession::InferenceSession(const nn::RptcnNet& net) : name_("RPTCN") {
-  adopt(net);
-}
-
-InferenceSession::InferenceSession(const nn::LstmNet& net) : name_("LSTM") {
-  adopt(net);
-}
-
-InferenceSession::InferenceSession(const nn::BiLstmNet& net)
-    : name_("BiLSTM") {
-  adopt(net);
-}
-
-InferenceSession::InferenceSession(const nn::CnnLstm& net)
-    : name_("CNN-LSTM") {
-  adopt(net);
-}
+InferenceSession::InferenceSession(const nn::ForecastNet& net) { adopt(net); }
 
 InferenceSession::~InferenceSession() = default;
 
-template <typename Net>
-void InferenceSession::adopt(const Net& net) {
-  horizon_ = net.options().horizon;
-  input_features_ = net.options().input_features;
-  auto copy = std::make_unique<Net>(net.options());
+void InferenceSession::adopt(const nn::ForecastNet& net) {
+  horizon_ = net.horizon();
+  input_features_ = net.input_features();
+  net_ = net.rebuild();
   const std::vector<Variable> src = net.parameters();
-  std::vector<Variable> dst = copy->parameters();
+  std::vector<Variable> dst = net_->parameters();
   for (std::size_t i = 0; i < dst.size(); ++i)
     dst[i].mutable_value() = src[i].value();
-  copy->set_training(false);
-  forward_ = [m = copy.get()](const Variable& x) { return m->forward(x); };
-  net_ = std::move(copy);
+  net_->set_training(false);
   plans_ = std::make_unique<graph::PlanCache>([this](const Tensor& probe) {
     std::lock_guard<std::mutex> lock(eager_mutex_);
     ag::SingleWindowConvDispatch single_window;
-    return graph::compile_forward(forward_, probe);
+    return graph::compile_forward(
+        [this](const Variable& x) { return net_->forward(x); }, probe);
   });
 }
 
@@ -132,7 +101,7 @@ Tensor InferenceSession::run(const Tensor& inputs) const {
   std::lock_guard<std::mutex> lock(eager_mutex_);
   ag::SingleWindowConvDispatch single_window;
   NoGradScope no_grad;
-  return forward_(Variable(inputs)).value();
+  return net_->forward(Variable(inputs)).value();
 }
 
 }  // namespace rptcn::serve

@@ -1,8 +1,9 @@
 // InferenceSession: immutable, thread-safe inference over a fitted
 // Forecaster.
 //
-// Construction copies the fitted net into a private, eval-mode nn::Module
-// the session alone owns, so refitting the forecaster or overwriting its
+// Construction copies the fitted net into a private, eval-mode
+// nn::ForecastNet the session alone owns (ForecastNet::rebuild, then a
+// parameter copy), so refitting the forecaster or overwriting its
 // parameters later never changes what the session serves, and the session
 // carries no reference back to it. run() replays a planned program for the
 // input's [N, F, T] from a graph::PlanCache seeded by the tape compiler's
@@ -11,7 +12,7 @@
 // bit-for-bit against that eager forward, and cached. A shape whose program
 // fails to compile or verify, and every run while planning is disabled
 // (RPTCN_DISABLE_PLAN=1), runs the copy's eager forward instead, serialised
-// by a mutex because module forwards write state (RptcnNet records its
+// by a mutex because a net's forward may write state (RPTCN records its
 // attention weights).
 //
 // Batch invariance: recording, compiling and eager fallbacks all run under
@@ -37,18 +38,10 @@
 
 #include "graph/plan.h"
 #include "nn/module.h"
-#include "opt/trainer.h"
 
 namespace rptcn::models {
 class Forecaster;
 }
-
-namespace rptcn::nn {
-class RptcnNet;
-class LstmNet;
-class BiLstmNet;
-class CnnLstm;
-}  // namespace rptcn::nn
 
 namespace rptcn::serve {
 
@@ -65,11 +58,8 @@ class InferenceSession {
   /// self-contained.
   explicit InferenceSession(std::shared_ptr<models::Forecaster> forecaster);
 
-  // Direct copies of a network, for callers that own the net itself.
-  explicit InferenceSession(const nn::RptcnNet& net);
-  explicit InferenceSession(const nn::LstmNet& net);
-  explicit InferenceSession(const nn::BiLstmNet& net);
-  explicit InferenceSession(const nn::CnnLstm& net);
+  /// Direct copy of a network, for callers that own the net itself.
+  explicit InferenceSession(const nn::ForecastNet& net);
 
   ~InferenceSession();
   InferenceSession(const InferenceSession&) = delete;
@@ -80,6 +70,7 @@ class InferenceSession {
   /// autograd forward of the same window.
   Tensor run(const Tensor& inputs) const;
 
+  /// The forecaster's name(); "net" for a session built from a bare net.
   const std::string& model_name() const { return name_; }
   /// Forecast steps per request; 0 when unknown (delegated models).
   std::size_t horizon() const { return horizon_; }
@@ -88,19 +79,16 @@ class InferenceSession {
 
  private:
   /// Take a private eval-mode copy of `net` and seed plans_ from it.
-  template <typename Net>
-  void adopt(const Net& net);
+  void adopt(const nn::ForecastNet& net);
   /// Expected input shape for error messages: "[N, F, T]" plus the shapes
   /// already captured by the plan cache.
   std::string expected_shape() const;
 
-  std::string name_;
+  std::string name_ = "net";
   std::size_t horizon_ = 0;
   std::size_t input_features_ = 0;
   /// The session's frozen copy of the fitted net; null for delegated models.
-  std::unique_ptr<nn::Module> net_;
-  /// net_'s typed forward.
-  opt::ForwardFn forward_;
+  std::unique_ptr<nn::ForecastNet> net_;
   /// Shape-keyed planned executables; null for delegated models.
   std::unique_ptr<graph::PlanCache> plans_;
   models::Forecaster* delegate_ = nullptr;  ///< set iff net_ is null

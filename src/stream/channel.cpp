@@ -15,7 +15,7 @@ IngestChannel::IngestChannel(std::vector<std::string> names,
     : names_(std::move(names)) {
   options.validate();
   RPTCN_CHECK(!names_.empty(), "IngestChannel needs at least one feature");
-  normalizer_ = OnlineNormalizer(names_, options.normalizer);
+  normalizer_ = OnlineNormalizer(names_);
   rings_.reserve(names_.size());
   for (std::size_t f = 0; f < names_.size(); ++f)
     rings_.emplace_back(options.capacity);

@@ -21,7 +21,6 @@ namespace rptcn::stream {
 
 struct ChannelOptions {
   std::size_t capacity = 4096;  ///< ring depth (bounds history())
-  NormalizerOptions normalizer;
 
   /// Throws common::CheckError naming the offending field.
   void validate() const;

@@ -1,16 +1,12 @@
 // Online, checkpointable per-indicator normalisation for the streaming
 // ingest path.
 //
-// Two modes:
-//  * kMinMax — running per-indicator min/max. After observing a replayed
-//    prefix this is *exactly* the batch path: the retained bounds are
-//    bit-identical to data::MinMaxScaler::fit on the same prefix and
-//    normalize() applies eq. 1 with the same double arithmetic
-//    ((v - min) / (max - min), constant columns -> 0), so the online and
-//    batch features agree bit-for-bit (tests/test_stream.cpp proves it).
-//  * kEwma — exponentially weighted mean/variance, (v - mean)/sqrt(var+eps).
-//    Forgets old regimes, at the price of losing batch parity; meant for
-//    streams whose level drifts without bound.
+// A running per-indicator min/max. After observing a replayed prefix this
+// is *exactly* the batch path: the retained bounds are bit-identical to
+// data::MinMaxScaler::fit on the same prefix and normalize() applies eq. 1
+// with the same double arithmetic ((v - min) / (max - min), constant
+// columns -> 0), so the online and batch features agree bit-for-bit
+// (tests/test_stream.cpp proves it).
 //
 // The full state round-trips through a text checkpoint (save/restore with
 // models::CheckpointStatus results), so a restarted streamer resumes with
@@ -25,21 +21,10 @@
 
 namespace rptcn::stream {
 
-enum class NormalizerKind { kMinMax, kEwma };
-
-const char* normalizer_kind_name(NormalizerKind kind);
-
-struct NormalizerOptions {
-  NormalizerKind kind = NormalizerKind::kMinMax;
-  double ewma_alpha = 0.02;  ///< kEwma update weight of the newest tick
-  double epsilon = 1e-6;     ///< kEwma variance floor
-};
-
 class OnlineNormalizer {
  public:
   OnlineNormalizer() = default;
-  explicit OnlineNormalizer(std::vector<std::string> names,
-                            NormalizerOptions options = {});
+  explicit OnlineNormalizer(std::vector<std::string> names);
 
   /// Fold one complete tick (one finite value per bound indicator) into the
   /// state. A no-op while frozen.
@@ -60,22 +45,18 @@ class OnlineNormalizer {
   /// under the current state — the streaming twin of MinMaxScaler::transform.
   data::TimeSeriesFrame transform(const data::TimeSeriesFrame& frame) const;
 
-  /// Map a normalised target value back to raw units (inverse of eq. 1 for
-  /// kMinMax, mean + v*sqrt(var+eps) for kEwma).
+  /// Map a normalised target value back to raw units (inverse of eq. 1).
   double denormalize(std::size_t i, double v) const;
 
   const std::vector<std::string>& names() const { return names_; }
   std::size_t indicators() const { return names_.size(); }
   /// Complete ticks observed.
   std::size_t count() const { return count_; }
-  NormalizerKind kind() const { return options_.kind; }
 
   // Per-indicator state accessors (parity tests compare these bit-for-bit
   // against a batch-fitted MinMaxScaler).
   double min_of(std::size_t i) const;
   double max_of(std::size_t i) const;
-  double mean_of(std::size_t i) const;
-  double var_of(std::size_t i) const;
 
   /// Write the full state as a text checkpoint.
   models::CheckpointStatus save(const std::string& path) const;
@@ -89,12 +70,9 @@ class OnlineNormalizer {
   struct ColumnState {
     double min = 0.0;
     double max = 0.0;
-    double mean = 0.0;
-    double var = 0.0;
   };
 
   std::vector<std::string> names_;
-  NormalizerOptions options_;
   std::vector<ColumnState> cols_;
   std::size_t count_ = 0;
   bool frozen_ = false;  ///< deployment-mode flag; not part of checkpoints

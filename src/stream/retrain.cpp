@@ -17,9 +17,6 @@ void RetrainOptions::validate() const {
               "RetrainOptions.train_frac/valid_frac must satisfy "
               "0 < train_frac, 0 <= valid_frac, train_frac + valid_frac <= 1");
   RPTCN_CHECK(fit_attempts >= 1, "RetrainOptions.fit_attempts must be >= 1");
-  RPTCN_CHECK(tenant.find_first_of("{}=") == std::string::npos,
-              "RetrainOptions.tenant must not contain '{', '}' or '=': \""
-                  << tenant << "\"");
 }
 
 models::ForecastDataset build_dataset(const data::TimeSeriesFrame& frame,

@@ -46,8 +46,6 @@ struct RetrainOptions {
   /// shipping such a generation costs far more than one extra fit. 0 = off.
   double max_valid_loss = 0.0;
   std::size_t fit_attempts = 2;      ///< total tries while the gate fails
-  /// Metrics tenant label; FleetManager stamps its own tenant here.
-  std::string tenant;
 
   /// Throws common::CheckError naming the offending field.
   void validate() const;

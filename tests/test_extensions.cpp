@@ -11,8 +11,9 @@
 #include "common/rng.h"
 #include "data/expansion.h"
 #include "data/windowing.h"
-#include "models/nn_forecasters.h"
+#include "models/net_forecaster.h"
 #include "nn/lstm.h"
+#include "nn/rptcn_net.h"
 #include "opt/optimizer.h"
 #include "opt/trainer.h"
 #include "tensor/tensor_ops.h"
@@ -282,7 +283,8 @@ TEST(QuantileTraining, ForecasterConfigPlumbsThrough) {
   nn::RptcnOptions arch;
   arch.tcn.channels = {8};
   arch.tcn.dropout = 0.0f;
-  models::RptcnForecaster model(cfg, arch);
+  models::NetForecaster model("RPTCN", cfg,
+                              models::net_factory<nn::RptcnNet>(arch));
   model.fit(ds);
   const Tensor preds = model.predict(ds.test.inputs);
   std::size_t covered = 0;

@@ -20,7 +20,7 @@
 #include "data/windowing.h"
 #include "graph/plan.h"
 #include "graph/train.h"
-#include "models/nn_forecasters.h"
+#include "models/net_forecaster.h"
 #include "nn/cnn_lstm.h"
 #include "nn/lstm.h"
 #include "nn/rptcn_net.h"
@@ -335,10 +335,10 @@ models::ForecastDataset trainer_dataset() {
   return ds;
 }
 
-/// Fits `Forecaster` twice — planned training step on and off — and demands
-/// identical loss curves (double for double) and bit-identical predictions.
-template <typename Forecaster, typename Options>
-void expect_fit_parity(const Options& arch) {
+/// Fits a NetForecaster over `make_net` twice — planning off, then on — and
+/// demands identical loss curves (double for double) and bit-identical
+/// predictions.
+void expect_fit_parity(const models::NetFactory& make_net) {
   ObsGuard obs_on;
   const auto ds = trainer_dataset();
   models::NnTrainConfig cfg;
@@ -346,16 +346,20 @@ void expect_fit_parity(const Options& arch) {
   cfg.patience = 2;
   cfg.seed = 5;
 
-  cfg.planned_step = false;
-  Forecaster tape(cfg, arch);
-  tape.fit(ds);
+  models::NetForecaster tape("tape", cfg, make_net);
+  {
+    PlanningGuard guard;
+    set_planning_enabled(false);
+    tape.fit(ds);
+  }
 
   const std::uint64_t captures0 =
       obs::metrics().counter("graph/train_captures").value();
   const std::uint64_t fallbacks0 =
       obs::metrics().counter("graph/train_fallbacks").value();
-  cfg.planned_step = true;
-  Forecaster planned(cfg, arch);
+  PlanningGuard guard;
+  set_planning_enabled(true);
+  models::NetForecaster planned("planned", cfg, make_net);
   planned.fit(ds);
   EXPECT_GT(obs::metrics().counter("graph/train_captures").value(), captures0)
       << "planned fit never captured a program for this net";
@@ -385,26 +389,26 @@ TEST(GraphTrainStep, RptcnFitBitMatchesEagerFit) {
   nn::RptcnOptions opt;
   opt.tcn.channels = {4, 4};
   opt.fc_dim = 4;
-  expect_fit_parity<models::RptcnForecaster>(opt);
+  expect_fit_parity(models::net_factory<nn::RptcnNet>(opt));
 }
 
 TEST(GraphTrainStep, LstmFitBitMatchesEagerFit) {
   nn::LstmNetOptions opt;
   opt.hidden = 6;
-  expect_fit_parity<models::LstmForecaster>(opt);
+  expect_fit_parity(models::net_factory<nn::LstmNet>(opt));
 }
 
 TEST(GraphTrainStep, BiLstmFitBitMatchesEagerFit) {
   nn::BiLstmNetOptions opt;
   opt.hidden = 5;
-  expect_fit_parity<models::BiLstmForecaster>(opt);
+  expect_fit_parity(models::net_factory<nn::BiLstmNet>(opt));
 }
 
 TEST(GraphTrainStep, CnnLstmFitBitMatchesEagerFit) {
   nn::CnnLstmOptions opt;
   opt.conv_channels = 4;
   opt.hidden = 6;
-  expect_fit_parity<models::CnnLstmForecaster>(opt);
+  expect_fit_parity(models::net_factory<nn::CnnLstm>(opt));
 }
 
 // -- stream retrain -----------------------------------------------------------
@@ -440,23 +444,23 @@ TEST(GraphTrainStep, PlannedRetrainHotSwapBitMatchesTapeTrained) {
       stream::make_mutating_trace(steady_params(), steady_params(), 260, 0, 29)
           .frame;
   stream::IngestChannel channel({"cpu_util_percent", "mem_util_percent"},
-                                {512, {}});
+                                {512});
   channel.replay(full);
   const data::TimeSeriesFrame history = channel.history(200);
   const stream::OnlineNormalizer& norm = channel.normalizer();
 
   // Reference: a tape-trained generation on the identical history.
-  stream::RetrainOptions eager_opt = tiny_retrain();
-  eager_opt.model.nn.planned_step = false;
+  const stream::RetrainOptions opt = tiny_retrain();
+  PlanningGuard guard;
+  set_planning_enabled(false);
   stream::FittedGeneration ref =
-      stream::fit_generation(history, norm, eager_opt, 2, "tape");
+      stream::fit_generation(history, norm, opt, 2, "tape");
   ASSERT_NE(ref.session, nullptr) << ref.outcome.error;
 
   // The retrain path: the same fit with the planned step on (the default).
-  stream::RetrainOptions planned_opt = tiny_retrain();
-  ASSERT_TRUE(planned_opt.model.nn.planned_step);
+  set_planning_enabled(true);
   stream::FittedGeneration planned =
-      stream::fit_generation(history, norm, planned_opt, 2, "planned");
+      stream::fit_generation(history, norm, opt, 2, "planned");
   ASSERT_NE(planned.session, nullptr) << planned.outcome.error;
 
   // Served through one engine, each request pinned to its generation, the
@@ -464,7 +468,7 @@ TEST(GraphTrainStep, PlannedRetrainHotSwapBitMatchesTapeTrained) {
   // reference predicts: planned training is invisible to everything
   // downstream of fit.
   serve::BatchingEngine engine;
-  const Tensor lw = channel.latest_window(planned_opt.window.window);
+  const Tensor lw = channel.latest_window(opt.window.window);
   std::future<Tensor> live = engine.submit(lw, planned.session);
   std::future<Tensor> tape_future = engine.submit(lw, ref.session);
   const Tensor served = live.get();

@@ -1,21 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 
 #include "common/check.h"
 #include "common/rng.h"
 #include "models/arima_forecaster.h"
 #include "models/gbt_forecaster.h"
 #include "models/registry.h"
+#include "serve/session.h"
 
 namespace rptcn::models {
 namespace {
 
 /// A learnable multivariate dataset: target is a smooth AR process, one
 /// auxiliary channel is a noisy copy (predictive), built straight into the
-/// ForecastDataset layout (window 12, horizon 1).
+/// ForecastDataset layout (window 12, horizon 1 by default).
 ForecastDataset make_dataset(std::size_t length = 500,
-                             std::uint64_t seed = 31) {
+                             std::uint64_t seed = 31,
+                             std::size_t horizon = 1) {
   Rng rng(seed);
   std::vector<double> target{0.5};
   for (std::size_t i = 1; i < length; ++i) {
@@ -33,7 +36,7 @@ ForecastDataset make_dataset(std::size_t length = 500,
 
   data::WindowOptions wopt;
   wopt.window = 12;
-  wopt.horizon = 1;
+  wopt.horizon = horizon;
   const auto all = data::make_windows(frame, "cpu", wopt);
   auto split = data::chrono_split(all);
 
@@ -142,6 +145,71 @@ TEST_P(ForecasterContract, PredictBeforeFitThrows) {
   auto model = make_forecaster(GetParam(), fast_config());
   Tensor inputs({2, 2, 12});
   EXPECT_THROW(model->predict(inputs), CheckError);
+}
+
+/// True for the registry models with weight checkpoints (the NetForecaster
+/// rows); ARIMA and XGBoost report kUnsupported instead.
+bool has_checkpoints(const std::string& name) {
+  return name != "ARIMA" && name != "XGBoost";
+}
+
+/// fast_config() cut to one epoch: checkpoint tests need fitted weights,
+/// not accuracy.
+ModelConfig one_epoch_config() {
+  ModelConfig cfg = fast_config();
+  cfg.nn.max_epochs = 1;
+  cfg.nn.patience = 1;
+  return cfg;
+}
+
+std::string checkpoint_path(const std::string& tag) {
+  return ::testing::TempDir() + "contract_" + tag + ".ckpt";
+}
+
+TEST_P(ForecasterContract, FailedRestoreLeavesTheModelUnfitted) {
+  const auto ds = make_dataset();
+  auto model = make_forecaster(GetParam(), one_epoch_config());
+  EXPECT_EQ(model->restore(ds, ::testing::TempDir() + "no_such_dir/x.ckpt"),
+            has_checkpoints(GetParam()) ? CheckpointStatus::kIoError
+                                        : CheckpointStatus::kUnsupported);
+  EXPECT_THROW(model->predict(ds.test.inputs), CheckError);
+  if (!has_checkpoints(GetParam())) return;
+
+  // A horizon-1 checkpoint against a horizon-3 dataset: every layer before
+  // the head loads, then the head mismatches. The half-loaded net must not
+  // be served, nor the fit the restore replaced.
+  model->fit(ds);
+  const std::string path = checkpoint_path("h1_" + GetParam());
+  ASSERT_EQ(model->save(path), CheckpointStatus::kOk);
+  const auto ds3 = make_dataset(500, 31, 3);
+  EXPECT_EQ(model->restore(ds3, path), CheckpointStatus::kShapeMismatch);
+  EXPECT_THROW(model->predict(ds3.test.inputs), CheckError);
+  EXPECT_THROW(serve::InferenceSession{*model}, CheckError);
+  EXPECT_TRUE(model->curves().train_loss.empty());
+}
+
+TEST_P(ForecasterContract, CheckpointRestoreServesTheSameBits) {
+  const auto ds = make_dataset();
+  auto fitted = make_forecaster(GetParam(), one_epoch_config());
+  fitted->fit(ds);
+  const std::string path = checkpoint_path("round_trip_" + GetParam());
+  auto restored = make_forecaster(GetParam(), one_epoch_config());
+  if (!has_checkpoints(GetParam())) {
+    EXPECT_EQ(fitted->save(path), CheckpointStatus::kUnsupported);
+    EXPECT_EQ(restored->restore(ds, path), CheckpointStatus::kUnsupported);
+    return;
+  }
+  ASSERT_EQ(fitted->save(path), CheckpointStatus::kOk);
+  ASSERT_EQ(restored->restore(ds, path), CheckpointStatus::kOk);
+
+  const serve::InferenceSession a(*fitted);
+  const serve::InferenceSession b(*restored);
+  const Tensor want = a.run(ds.test.inputs);
+  const Tensor got = b.run(ds.test.inputs);
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.raw(), want.raw(), want.size() * sizeof(float)),
+            0)
+      << GetParam() << ": the restored model serves different bits";
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ForecasterContract,

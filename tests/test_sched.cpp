@@ -495,7 +495,6 @@ TEST(SchedFleetIntegration, FleetForecastMatchesMirroredServeBitExactly) {
   stream::RetrainOptions ro = o.retrain;
   ro.model_name = spec.model.name;
   ro.model = spec.model.config;
-  ro.tenant = o.tenant;
   const stream::FittedGeneration g = stream::fit_generation_gated(
       scratch.history(span), scratch.normalizer(), ro, 1, "bootstrap:web",
       "web");

@@ -18,7 +18,7 @@
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "graph/plan.h"
-#include "models/nn_forecasters.h"
+#include "models/net_forecaster.h"
 #include "models/registry.h"
 #include "obs/metrics.h"
 #include "serve/engine.h"
@@ -82,30 +82,14 @@ models::ModelConfig tiny_config() {
 }
 
 /// The bit-parity reference: the unbatched (N=1) autograd forward in eval
-/// mode. Forecaster::predict is NOT usable here — predict_net batches
-/// windows at the training batch size, which is exactly the effect this
-/// suite must distinguish from.
+/// mode. Forecaster::predict is NOT usable here — NetForecaster::predict
+/// batches windows at the training batch size, which is exactly the effect
+/// this suite must distinguish from.
 Tensor reference_forward(models::Forecaster& model, const Tensor& x1) {
   NoGradScope no_grad;
-  if (auto* rptcn = dynamic_cast<models::RptcnForecaster*>(&model)) {
-    rptcn->net()->set_training(false);
-    return rptcn->net()->forward(Variable(x1)).value();
-  }
-  if (auto* tcn = dynamic_cast<models::TcnForecaster*>(&model)) {
-    tcn->net()->set_training(false);
-    return tcn->net()->forward(Variable(x1)).value();
-  }
-  if (auto* lstm = dynamic_cast<models::LstmForecaster*>(&model)) {
-    lstm->net()->set_training(false);
-    return lstm->net()->forward(Variable(x1)).value();
-  }
-  if (auto* bilstm = dynamic_cast<models::BiLstmForecaster*>(&model)) {
-    bilstm->net()->set_training(false);
-    return bilstm->net()->forward(Variable(x1)).value();
-  }
-  if (auto* cnnlstm = dynamic_cast<models::CnnLstmForecaster*>(&model)) {
-    cnnlstm->net()->set_training(false);
-    return cnnlstm->net()->forward(Variable(x1)).value();
+  if (auto* neural = dynamic_cast<models::NetForecaster*>(&model)) {
+    neural->net()->set_training(false);
+    return neural->net()->forward(Variable(x1)).value();
   }
   // ARIMA / XGBoost predict per sample, so predict() IS the N=1 path.
   return model.predict(x1);
@@ -299,7 +283,7 @@ TEST(ServeSession, ServesItsOwnCopyAfterTheForecasterChanges) {
   std::copy_n(ds.test.inputs.raw(), n * f * t, batch.raw());
   const Tensor before = session.run(batch);
 
-  auto* rptcn = dynamic_cast<models::RptcnForecaster*>(model.get());
+  auto* rptcn = dynamic_cast<models::NetForecaster*>(model.get());
   ASSERT_NE(rptcn, nullptr);
   for (Variable& p : rptcn->net()->parameters()) {
     Tensor& v = p.mutable_value();

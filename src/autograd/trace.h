@@ -1,11 +1,11 @@
 // Tape trace: introspection hooks the planned training step compiles from.
 //
 // When a Recording is active on the current thread, every supported ag:: op
-// appends one OpRecord describing the node it built (kind, operands, scalar
+// appends one OpRecord describing the node it built (kind, operands, typed
 // payload, RNG stream state for dropout), and Variable::backward appends the
-// nodes whose backward closures actually fire, in firing order. The planned
-// training-step compiler (graph/train.cpp) walks both lists to re-emit the
-// exact same arithmetic as flat TensorOps.
+// nodes whose backward closures actually fire, in firing order. The tape
+// compiler (graph/compile.cpp) walks both lists and emits each record's
+// op-table entry (autograd/op_table.h) as flat TensorOps.
 //
 // Ops without a record (anything not in OpKind) simply leave a gap: the
 // compiler treats any non-leaf node it cannot resolve to a record as
@@ -49,16 +49,29 @@ enum class OpKind {
   kPinballLoss,
 };
 
+/// Number of OpKinds: the op table has exactly one entry per kind.
+inline constexpr std::size_t kNumOpKinds =
+    static_cast<std::size_t>(OpKind::kPinballLoss) + 1;
+
+/// Typed payload of a traced op: the scalars its kernels read besides
+/// buffers and shapes. Each field names the ops that set it; the rest keep
+/// their defaults.
+struct Attrs {
+  std::size_t dilation = 1;  // conv1d
+  std::size_t pad = 0;       // conv1d: resolved left pad
+  std::size_t start = 0;     // time_slice: the timestep; slice_cols: first column
+  std::size_t count = 0;     // slice_cols: column count
+  float p = 0.0f;            // dropout, spatial_dropout: drop probability
+  float tau = 0.0f;          // pinball_loss: quantile level
+  Rng* rng = nullptr;        // dropout, spatial_dropout: the net's stream
+                             // (stable address)
+};
+
 struct OpRecord {
   OpKind kind = OpKind::kAdd;
   NodePtr result;
   std::array<NodePtr, 3> in{};  // operand nodes; unused slots stay null
-  std::size_t a = 0;            // conv1d: dilation; slice_cols: start;
-                                // time_slice: t
-  std::size_t b = 0;            // conv1d: pad flag (1 = causal); slice_cols:
-                                // count
-  float scalar = 0.0f;          // dropout: p; pinball: tau
-  Rng* rng = nullptr;           // dropout: the net's stream (stable address)
+  Attrs attrs;
   Rng rng_before{0};            // dropout: stream state before this op drew
 };
 

@@ -157,10 +157,10 @@ GraphBuilder::GraphBuilder(std::vector<std::size_t> input_shape,
     : input_shape_(std::move(input_shape)),
       output_shape_(std::move(output_shape)) {
   values_.push_back(
-      {Loc::kInput, 0, shape_floats(input_shape_), 0, 0, false});
+      {Loc::kInput, 0, shape_floats(input_shape_), 0, 0});
   input_id_ = 0;
   values_.push_back(
-      {Loc::kOutput, 0, shape_floats(output_shape_), 0, 0, false});
+      {Loc::kOutput, 0, shape_floats(output_shape_), 0, 0});
   output_id_ = 1;
 }
 
@@ -169,7 +169,7 @@ ValueId GraphBuilder::output_value() { return output_id_; }
 
 ValueId GraphBuilder::value(std::size_t floats) {
   RPTCN_CHECK(floats > 0, "planned value must be non-empty");
-  values_.push_back({Loc::kArena, 0, floats, kNpos, 0, false});
+  values_.push_back({Loc::kArena, 0, floats, kNpos, 0});
   return values_.size() - 1;
 }
 
@@ -180,14 +180,14 @@ ValueId GraphBuilder::target_value(std::size_t floats) {
     return target_id_;
   }
   RPTCN_CHECK(floats > 0, "target value must be non-empty");
-  values_.push_back({Loc::kTarget, 0, floats, 0, 0, false});
+  values_.push_back({Loc::kTarget, 0, floats, 0, 0});
   target_id_ = values_.size() - 1;
   return target_id_;
 }
 
 ValueId GraphBuilder::grads_value(std::size_t off, std::size_t floats) {
   RPTCN_CHECK(floats > 0, "grads value must be non-empty");
-  values_.push_back({Loc::kGrads, off, floats, 0, 0, false});
+  values_.push_back({Loc::kGrads, off, floats, 0, 0});
   return values_.size() - 1;
 }
 
@@ -207,8 +207,9 @@ std::shared_ptr<const Executable> GraphBuilder::finish() {
   const std::size_t n_vals = values_.size();
 
   // 1. Liveness: def = first defining step (output or scratch), last = last
-  // step touching the value at all. In-place mutation (LSTM h/c listed as
-  // outputs of several steps) keeps the first def and extends last.
+  // step touching the value at all. A gradient slot that receives several
+  // contributions is an output of each contributing step; it keeps the first
+  // def and extends last.
   for (std::size_t v = 2; v < n_vals; ++v) values_[v].def = kNpos;
   for (std::size_t s = 0; s < n_steps; ++s) {
     const EmitSpec& spec = specs_[s];
@@ -230,40 +231,13 @@ std::shared_ptr<const Executable> GraphBuilder::finish() {
     }
   }
 
-  // 2. Alias resolution. outputs[0] may take over alias_target's block when
-  // the target (and everything already sharing its block) dies at this very
-  // step — the op body tolerates in == out. alias_root holds the block
-  // owner; group_last tracks the latest use across the whole share group.
-  std::vector<ValueId> alias_root(n_vals, EmitSpec::kNoAlias);
-  std::vector<std::size_t> group_last(n_vals, 0);
-  for (std::size_t v = 0; v < n_vals; ++v) group_last[v] = values_[v].last;
-  for (std::size_t s = 0; s < n_steps; ++s) {
-    const EmitSpec& spec = specs_[s];
-    if (spec.alias_target == EmitSpec::kNoAlias) continue;
-    RPTCN_CHECK(!spec.outputs.empty(), "alias emit without outputs");
-    const ValueId out = spec.outputs[0];
-    const ValueId tgt = spec.alias_target;
-    const ValueId root =
-        alias_root[tgt] == EmitSpec::kNoAlias ? tgt : alias_root[tgt];
-    const bool legal = values_[out].loc == Loc::kArena &&
-                       values_[tgt].loc == Loc::kArena &&
-                       values_[out].def == s && group_last[root] <= s &&
-                       values_[root].floats >= values_[out].floats &&
-                       alias_root[out] == EmitSpec::kNoAlias && out != root;
-    if (!legal) continue;  // falls back to its own block
-    alias_root[out] = root;
-    values_[out].aliased = true;
-    group_last[root] = std::max(group_last[root], values_[out].last);
-    values_[root].last = std::max(values_[root].last, values_[out].last);
-  }
-
-  // 3. Arena assignment for block owners: linear scan over steps with a
-  // first-fit free list (offset-sorted, coalescing). Values dying at step
-  // s-1 are freed before values defined at step s are placed.
+  // 2. Arena assignment: linear scan over steps with a first-fit free list
+  // (offset-sorted, coalescing). Values dying at step s-1 are freed before
+  // values defined at step s are placed.
   std::vector<std::vector<ValueId>> alloc_at(n_steps);
   std::vector<std::vector<ValueId>> free_after(n_steps);
   for (std::size_t v = 0; v < n_vals; ++v) {
-    if (values_[v].loc != Loc::kArena || values_[v].aliased) continue;
+    if (values_[v].loc != Loc::kArena) continue;
     RPTCN_CHECK(values_[v].def != kNpos, "arena value never defined");
     alloc_at[values_[v].def].push_back(v);
     free_after[values_[v].last].push_back(v);
@@ -318,18 +292,13 @@ std::shared_ptr<const Executable> GraphBuilder::finish() {
       arena_floats = off + sz;
     }
   }
-  for (std::size_t v = 0; v < n_vals; ++v)
-    if (values_[v].aliased) values_[v].off = values_[alias_root[v]].off;
 
-  // 4. Safety net: no two concurrently-live arena values may overlap unless
-  // they deliberately share one block. O(V^2) but capture-time only.
+  // 3. Safety net: no two concurrently-live arena values may overlap.
+  // O(V^2) but capture-time only.
   for (std::size_t a = 0; a < n_vals; ++a) {
     if (values_[a].loc != Loc::kArena) continue;
-    const ValueId ra = values_[a].aliased ? alias_root[a] : a;
     for (std::size_t b = a + 1; b < n_vals; ++b) {
       if (values_[b].loc != Loc::kArena) continue;
-      const ValueId rb = values_[b].aliased ? alias_root[b] : b;
-      if (ra == rb) continue;
       const bool live_overlap =
           values_[a].def <= values_[b].last && values_[b].def <= values_[a].last;
       if (!live_overlap) continue;
@@ -341,7 +310,7 @@ std::shared_ptr<const Executable> GraphBuilder::finish() {
     }
   }
 
-  // 5. Bake the closures against the final offsets and freeze.
+  // 4. Bake the closures against the final offsets and freeze.
   Resolver resolver(&values_);
   std::vector<TensorOp> steps;
   steps.reserve(n_steps);

@@ -10,17 +10,16 @@
 //    of TensorOps, keyed by the input shape [N, F, T].
 //  * plan    — liveness analysis assigns every intermediate an offset in one
 //    contiguous arena. A value is live on [def, last_use]; non-overlapping
-//    lifetimes share arena bytes (first-fit free list, 16-float aligned),
-//    and an op whose input dies at the op itself may alias its output onto
-//    that input's block.
+//    lifetimes share arena bytes (first-fit free list, 16-float aligned).
 //  * replay  — Executable::run binds {input, output, arena} and walks the
 //    op list. No shape checks, no dispatch, no per-op allocation.
 //
 // Bit-identity contract: a program is bit-identical to the eager forward it
-// was recorded from. The compiler calls the eager kernels (or shares their
-// loop bodies), makes the same dispatch decisions ahead of time, keeps every
-// float summation order, and verifies each program against its probe before
-// caching it. tests/test_graph.cpp and tests/test_graph_train.cpp gate this.
+// was recorded from. The compiler runs the eager op-table kernels
+// (autograd/op_table.h), makes the same dispatch decisions ahead of time,
+// and verifies each program against its probe before caching it.
+// tests/test_graph.cpp, tests/test_graph_train.cpp and tests/test_op_table.cpp
+// gate this.
 //
 // Escape hatch: RPTCN_DISABLE_PLAN=1 (or set_planning_enabled(false)) makes
 // every plan-aware caller run the eager forward.
@@ -82,7 +81,6 @@ struct ValueInfo {
   std::size_t floats = 0;  ///< size
   std::size_t def = 0;     ///< defining step
   std::size_t last = 0;    ///< last step that reads or writes it
-  bool aliased = false;    ///< shares its block with the input it replaced
 };
 
 /// An immutable captured-and-planned forward. Thread-safe to replay
@@ -116,7 +114,7 @@ class Executable {
 };
 
 // -- capture-time graph construction ------------------------------------------
-// Emitters (train.cpp) declare values and ops against a GraphBuilder; the
+// Emitters (compile.cpp) declare values and ops against a GraphBuilder; the
 // builder runs liveness + arena assignment in finish(), then bakes each op's
 // closure with the final offsets. Ops never see ValueIds at replay time.
 
@@ -145,11 +143,6 @@ struct EmitSpec {
   std::vector<ValueId> inputs;   ///< values read (extends their liveness)
   std::vector<ValueId> outputs;  ///< values defined (or mutated in place)
   std::vector<ValueId> scratch;  ///< live only during this step
-  /// When set, try to place outputs[0] on this input's arena block (legal if
-  /// the alias target dies at this step and is at least as large). The op
-  /// must tolerate in == out.
-  ValueId alias_target = kNoAlias;
-  static constexpr ValueId kNoAlias = static_cast<ValueId>(-1);
 };
 
 class GraphBuilder {

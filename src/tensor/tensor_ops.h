@@ -69,7 +69,7 @@ Tensor sum_cols(const Tensor& a);
 /// be initialised by the caller (zeros, or a bias to accumulate onto). Same
 /// blocked packed deterministic kernel as matmul/_tn/_nt; exposed for
 /// callers that manage their own buffers — the conv1d im2col lowering in
-/// autograd/ops.cpp drives all three of its GEMMs through this.
+/// autograd/op_conv1d.cpp drives all three of its GEMMs through this.
 void gemm_accumulate(std::size_t m, std::size_t n, std::size_t k,
                      const float* a, std::size_t lda, bool trans_a,
                      const float* b, std::size_t ldb, bool trans_b, float* c);

@@ -1,5 +1,5 @@
 // Tests for the planned executor (src/graph): arena planning invariants
-// (liveness sharing, no overlap while live, in-place aliasing), parity of
+// (liveness sharing, no overlap while live), parity of
 // the forward-only tape compile (graph::compile_forward) against the eager
 // module forward for every supported net (the bit-identity contract from
 // plan.h) on both conv paths, weight folding in serving plans, compile
@@ -69,12 +69,11 @@ class ObsGuard {
 
 /// Emits `dst[i] = src[i] + delta` over `len` floats.
 void emit_add_const(GraphBuilder& g, ValueId src, ValueId dst, std::size_t len,
-                    float delta, ValueId alias = EmitSpec::kNoAlias) {
+                    float delta) {
   EmitSpec spec;
   spec.name = "add_const";
   spec.inputs = {src};
   spec.outputs = {dst};
-  spec.alias_target = alias;
   g.emit(spec, [src, dst, len, delta](const Resolver& r) -> Operation {
     auto in = r.cptr(src);
     auto out = r.ptr(dst);
@@ -151,36 +150,9 @@ TEST(GraphPlanner, DeadBlocksAreReusedAcrossLifetimes) {
   }
 }
 
-TEST(GraphPlanner, AliasedOutputSharesItsInputBlock) {
-  // in -> a; a -> b in place (a dies at the op); b -> out. One arena block.
-  const std::size_t len = 64;
-  GraphBuilder g({8, 8}, {8, 8});
-  const ValueId in = g.input_value();
-  const ValueId out = g.output_value();
-  const ValueId a = g.value(len);
-  const ValueId b = g.value(len);
-  emit_add_const(g, in, a, len, 1.0f);
-  emit_add_const(g, a, b, len, 2.0f, /*alias=*/a);
-  emit_add_const(g, b, out, len, 3.0f);
-  const auto exec = g.finish();
-
-  const auto& vals = exec->values();
-  EXPECT_TRUE(vals[b].aliased);
-  EXPECT_EQ(vals[b].off, vals[a].off);
-  EXPECT_EQ(exec->arena_floats(), len);
-
-  const Tensor x = random_tensor({8, 8}, 12);
-  const Tensor y = exec->run(x);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const float expected = ((x.raw()[i] + 1.0f) + 2.0f) + 3.0f;
-    ASSERT_EQ(y.raw()[i], expected);
-  }
-}
-
 TEST(GraphPlanner, LiveArenaBlocksNeverOverlapInRealCapture) {
-  // The planner invariant on a real model graph: any two non-aliased arena
-  // values whose [def, last] lifetimes intersect must occupy disjoint byte
-  // ranges. (Aliased values share their target's block by design.)
+  // The planner invariant on a real model graph: any two arena values whose
+  // [def, last] lifetimes intersect must occupy disjoint byte ranges.
   nn::RptcnOptions opt;
   opt.input_features = 3;
   opt.tcn.channels = {6, 6};
@@ -190,9 +162,9 @@ TEST(GraphPlanner, LiveArenaBlocksNeverOverlapInRealCapture) {
   ASSERT_NE(exec, nullptr);
   const auto& vals = exec->values();
   for (std::size_t i = 0; i < vals.size(); ++i) {
-    if (vals[i].loc != Loc::kArena || vals[i].aliased) continue;
+    if (vals[i].loc != Loc::kArena) continue;
     for (std::size_t j = i + 1; j < vals.size(); ++j) {
-      if (vals[j].loc != Loc::kArena || vals[j].aliased) continue;
+      if (vals[j].loc != Loc::kArena) continue;
       const bool lifetimes_intersect =
           vals[i].def <= vals[j].last && vals[j].def <= vals[i].last;
       if (!lifetimes_intersect) continue;

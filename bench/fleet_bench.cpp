@@ -20,8 +20,10 @@
 // Headline gate: exact p99 of tick-to-forecast latency (ingest-accept to
 // forecast delivery, mailbox + batching + forward included) across both
 // live phases, plus the sustained-ingest ratio and the dedup invariant.
-// Emits BENCH_fleet.json (override with --out); exit code 0 iff every gate
-// holds, so CI can assert on the binary alone as well as on the JSON.
+// Each shard engine's mean batch size (requests delivered / batches run)
+// is reported beside them. Emits BENCH_fleet.json (override with --out);
+// exit code 0 iff every gate holds, so CI can assert on the binary alone
+// as well as on the JSON.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -390,6 +392,22 @@ int run(int argc, char** argv) {
   const double lat_mean =
       lat.empty() ? 0.0 : lat_sum / static_cast<double>(lat.size());
 
+  // Mean coalesced batch per shard engine: requests delivered / batches.
+  std::vector<double> shard_batch_size(stats.shards, 0.0);
+  std::uint64_t engine_completed = 0, engine_batches = 0;
+  for (std::size_t k = 0; k < stats.shards; ++k) {
+    const serve::EngineStats es = fleet->shard_engine(k).stats();
+    engine_completed += es.completed;
+    engine_batches += es.batches;
+    if (es.batches > 0)
+      shard_batch_size[k] = static_cast<double>(es.completed) /
+                            static_cast<double>(es.batches);
+  }
+  const double mean_batch_size =
+      engine_batches == 0 ? 0.0
+                          : static_cast<double>(engine_completed) /
+                                static_cast<double>(engine_batches);
+
   std::vector<std::size_t> cohort_splintered(cfg.cohorts, 0);
   std::vector<std::string> cohort_reason(cfg.cohorts);
   std::vector<double> cohort_residual(cfg.cohorts, 0.0);
@@ -437,6 +455,10 @@ int run(int argc, char** argv) {
             << "  tick-to-forecast p50 " << p50 * 1e3 << " ms, p99 "
             << p99 * 1e3 << " ms, max " << lat_max * 1e3 << " ms over "
             << lat.size() << " forecasts\n"
+            << "  engine: " << engine_batches << " batches, mean batch "
+            << mean_batch_size << " (per shard:";
+  for (const double b : shard_batch_size) std::cout << " " << b;
+  std::cout << ")\n"
             << "  drift events " << stats.drift_events << ", retrains "
             << stats.retrains_completed << " (failed "
             << stats.retrains_failed << "), splintered " << splintered << "/"
@@ -497,6 +519,12 @@ int run(int argc, char** argv) {
       << "  \"tick_to_forecast_seconds\": {\"count\": " << lat.size()
       << ", \"mean\": " << lat_mean << ", \"p50\": " << p50
       << ", \"p99\": " << p99 << ", \"max\": " << lat_max << "},\n"
+      << "  \"engine\": {\"batches\": " << engine_batches
+      << ", \"mean_batch_size\": " << mean_batch_size
+      << ", \"mean_batch_size_per_shard\": [";
+  for (std::size_t k = 0; k < shard_batch_size.size(); ++k)
+    out << (k == 0 ? "" : ", ") << shard_batch_size[k];
+  out << "]},\n"
       << "  \"retrain_fit_seconds\": {\"tape\": " << refit.tape_seconds
       << ", \"planned\": " << refit.planned_seconds
       << ", \"speedup_planned_vs_tape\": " << refit.speedup

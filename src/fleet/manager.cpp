@@ -285,9 +285,12 @@ void FleetManager::drain() {
 }
 
 void FleetManager::worker_loop() {
+  // A claim: the mailboxes this worker owns, each with the ticks it took.
+  std::vector<std::pair<Entity*, std::deque<QueuedTick>>> claim;
+  std::vector<InFlightTick> wave;
   for (;;) {
-    Entity* e = nullptr;
-    std::deque<QueuedTick> batch;
+    claim.clear();
+    std::size_t waves = 0;
     {
       std::unique_lock<std::mutex> lock(mutex_);
       work_cv_.wait(lock, [this] { return stop_ || !ready_.empty(); });
@@ -295,38 +298,58 @@ void FleetManager::worker_loop() {
         // stop_ must be set (the predicate held) — drained, exit.
         return;
       }
-      e = ready_.front();
-      ready_.pop_front();
-      batch.swap(e->backlog);
-      queued_ticks_ -= batch.size();
+      // Up to one engine batch of mailboxes at once, so the forecasts one
+      // wave submits can coalesce into shared forwards.
+      while (!ready_.empty() && claim.size() < options_.engine.max_batch) {
+        Entity* e = ready_.front();
+        ready_.pop_front();
+        std::deque<QueuedTick>& ticks =
+            claim.emplace_back(e, std::deque<QueuedTick>{}).second;
+        ticks.swap(e->backlog);
+        queued_ticks_ -= ticks.size();
+        waves = std::max(waves, ticks.size());
+      }
       queue_depth_gauge_.set(static_cast<double>(queued_ticks_));
-      ++processing_;
+      processing_ += claim.size();
     }
-    {
-      std::lock_guard<std::mutex> state(e->state_mutex);
-      for (QueuedTick& tick : batch) process_tick(*e, std::move(tick));
+    // Wave k submits the k-th tick of every claimed mailbox, then waits for
+    // all of their forecasts: each entity's tick k is delivered before its
+    // tick k + 1 is ingested, so per-entity order is what it was with one
+    // tick at a time. One state_mutex at a time, none while waiting.
+    for (std::size_t k = 0; k < waves; ++k) {
+      wave.clear();
+      for (auto& [e, ticks] : claim)
+        if (k < ticks.size())
+          if (std::optional<InFlightTick> t = submit_tick(*e, ticks[k]))
+            wave.push_back(std::move(*t));
+      for (InFlightTick& t : wave) deliver_tick(t);
     }
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      --processing_;
-      if (!e->backlog.empty()) {
-        // Refilled while we processed: back in line (scheduled stays set —
-        // the entity is owned by the queue again, never by two workers).
-        ready_.push_back(e);
-        work_cv_.notify_one();
-      } else {
-        e->scheduled = false;
+      processing_ -= claim.size();
+      for (auto& [e, ticks] : claim) {
+        if (!e->backlog.empty()) {
+          // Refilled while we processed: back in line (scheduled stays set
+          // — the entity is owned by the queue again, never by two
+          // workers).
+          ready_.push_back(e);
+          work_cv_.notify_one();
+        } else {
+          e->scheduled = false;
+        }
       }
       if (queued_ticks_ == 0 && processing_ == 0) drain_cv_.notify_all();
     }
   }
 }
 
-void FleetManager::process_tick(Entity& e, QueuedTick tick) {
+std::optional<FleetManager::InFlightTick> FleetManager::submit_tick(
+    Entity& e, const QueuedTick& tick) {
+  std::lock_guard<std::mutex> state(e.state_mutex);
   if (!e.channel.ingest(tick.row)) {
     ticks_dropped_.fetch_add(1, std::memory_order_relaxed);
     dropped_counter_.add(1);
-    return;
+    return std::nullopt;
   }
   ticks_accepted_.fetch_add(1, std::memory_order_relaxed);
   ticks_counter_.add(1);
@@ -338,55 +361,76 @@ void FleetManager::process_tick(Entity& e, QueuedTick tick) {
       e.norm_row[f] = e.channel.latest_norm(f);
     if (e.drift.observe_inputs(e.norm_row)) drift_fired = true;
   }
+  if (drift_fired) latch_drift(e);
 
-  if (e.session != nullptr) {
-    const std::size_t window = options_.retrain.window.window;
-    if (e.channel.ready(window)) {
-      try {
-        std::future<Tensor> fut = engines_[e.shard]->submit(
-            e.channel.latest_window(window), e.session);
-        const Tensor out = fut.get();
-        Entity::PendingForecast p;
-        p.predicted_norm = static_cast<double>(out.raw()[0]);
-        p.due_provider_tick = e.channel.ticks() + e.channel.dropped() + 1;
-        p.generation = e.generation;
-        e.pending = p;
-        EntityForecast f;
-        f.entity = e.spec.id;
-        f.predicted_norm = p.predicted_norm;
-        f.predicted_raw =
-            e.channel.normalizer().denormalize(0, p.predicted_norm);
-        f.generation = e.generation;
-        f.tick = e.channel.ticks();
-        e.last_forecast = std::move(f);
-        ++e.forecasts;
-        forecasts_.fetch_add(1, std::memory_order_relaxed);
-        forecasts_counter_.add(1);
-        const double latency = seconds_since(tick.accepted_at);
-        tick_latency_hist_.record(latency);
-        if (options_.record_latencies) {
-          std::lock_guard<std::mutex> lock(latency_mutex_);
-          latencies_.push_back(latency);
-        }
-      } catch (const std::exception&) {
-        // The batch failure was delivered to every future; this entity's
-        // tick simply has no forecast.
-        forecast_failures_.fetch_add(1, std::memory_order_relaxed);
-        forecast_failures_counter_.add(1);
-      }
+  InFlightTick t;
+  t.entity = &e;
+  t.accepted_at = tick.accepted_at;
+  const std::size_t window = options_.retrain.window.window;
+  if (e.session != nullptr && e.channel.ready(window)) {
+    t.generation = e.generation;
+    t.tick = e.channel.ticks();
+    t.due_provider_tick = e.channel.ticks() + e.channel.dropped() + 1;
+    try {
+      t.forecast =
+          engines_[e.shard]->submit(e.channel.latest_window(window), e.session);
+    } catch (const std::exception&) {
+      // This entity's tick simply has no forecast.
+      forecast_failures_.fetch_add(1, std::memory_order_relaxed);
+      forecast_failures_counter_.add(1);
     }
   }
+  return t;
+}
 
-  if (drift_fired) {
-    ++e.drift_events;
-    drift_events_.fetch_add(1, std::memory_order_relaxed);
-    drift_counter_.add(1);
-    maybe_request_retrain(e);
-  } else {
-    // No fire this tick, but a latched one may have aged out of the
-    // cooldown window since it was caught.
-    request_latched_retrain(e);
+void FleetManager::deliver_tick(InFlightTick& t) {
+  std::optional<double> predicted_norm;
+  if (t.forecast.valid()) {
+    try {
+      predicted_norm = static_cast<double>(t.forecast.get().raw()[0]);
+    } catch (const std::exception&) {
+      // The batch failure was delivered to every future; this entity's
+      // tick simply has no forecast.
+      forecast_failures_.fetch_add(1, std::memory_order_relaxed);
+      forecast_failures_counter_.add(1);
+    }
   }
+  Entity& e = *t.entity;
+  std::lock_guard<std::mutex> state(e.state_mutex);
+  if (predicted_norm.has_value()) {
+    // A retrain that installed while this forward was in flight already
+    // discarded the old generation's residual: the forecast still counts,
+    // tagged with the generation that made it, but is never scored.
+    if (t.generation == e.generation) {
+      Entity::PendingForecast p;
+      p.predicted_norm = *predicted_norm;
+      p.due_provider_tick = t.due_provider_tick;
+      p.generation = t.generation;
+      e.pending = p;
+    }
+    // Only the claiming worker ingests into the channel, so its normalizer
+    // is still the one the forecast was submitted under.
+    EntityForecast f;
+    f.entity = e.spec.id;
+    f.predicted_norm = *predicted_norm;
+    f.predicted_raw = e.channel.normalizer().denormalize(0, *predicted_norm);
+    f.generation = t.generation;
+    f.tick = t.tick;
+    e.last_forecast = std::move(f);
+    ++e.forecasts;
+    forecasts_.fetch_add(1, std::memory_order_relaxed);
+    forecasts_counter_.add(1);
+    const double latency = seconds_since(t.accepted_at);
+    tick_latency_hist_.record(latency);
+    if (options_.record_latencies) {
+      std::lock_guard<std::mutex> lock(latency_mutex_);
+      latencies_.push_back(latency);
+    }
+  }
+  // Filed only once the forecast is recorded, so a fit never runs ahead of
+  // the tick that asked for it. A latch that aged out of the cooldown since
+  // it was caught is filed here too.
+  request_latched_retrain(e);
 }
 
 bool FleetManager::harvest_due(Entity& e) {
@@ -428,7 +472,10 @@ double FleetManager::drift_severity(const stream::DriftMonitor& drift,
   return severity;
 }
 
-void FleetManager::maybe_request_retrain(Entity& e) {
+void FleetManager::latch_drift(Entity& e) {
+  ++e.drift_events;
+  drift_events_.fetch_add(1, std::memory_order_relaxed);
+  drift_counter_.add(1);
   if (!options_.retrain_on_drift || e.session == nullptr) return;
   // Latch first: the fire survives even when the cooldown or an in-flight
   // fit blocks the request right now. A louder fire raises the latched
@@ -439,7 +486,6 @@ void FleetManager::maybe_request_retrain(Entity& e) {
     e.latched_severity = severity;
     e.latched_reason = e.drift.last_reason();
   }
-  request_latched_retrain(e);
 }
 
 void FleetManager::request_latched_retrain(Entity& e) {

@@ -12,9 +12,9 @@
 //    pointer lives on in the others.
 //  * Engine sharding: `shards` BatchingEngines, entity -> shard by FNV-1a
 //    hash of the id (deterministic across runs).
-//    Requests pin their entity's session; the engine coalesces runs of
-//    same-session same-shape windows, so a cohort hashed to one shard
-//    still batches its forwards together.
+//    Requests pin their entity's session; the engine coalesces every
+//    queued same-session same-shape window, so a cohort hashed to one
+//    shard still batches its forwards together.
 //  * Per-entity streaming state (IngestChannel + DriftMonitor + pending
 //    forecast) behind a per-entity mailbox. ingest() is the admission
 //    gate: O(1), never blocks, answers kQueueFull / kBacklogFull when the
@@ -23,6 +23,14 @@
 //    one entity is owned by at most one worker at a time, so per-entity
 //    processing is serial (tick order preserved) while distinct entities
 //    proceed in parallel.
+//  * Claims and waves: a worker claims up to engine.max_batch ready
+//    mailboxes and runs their ticks in waves — wave k submits the k-th
+//    tick's forecast of every claimed entity, then waits for all of them —
+//    so a claim's forecasts reach the engines together and coalesce. A
+//    worker holds one entity's state_mutex at a time and none while a
+//    forecast is in flight; readers never wait on a forward. A retrain
+//    that installs while a forecast is in flight leaves that forecast
+//    counted under the generation that made it, but unscored.
 //  * Elastic retraining: drift severity (detector statistic over its
 //    threshold) becomes the priority of a RetrainScheduler request; at
 //    most retrain_workers fits run fleet-wide, worst drift first. With
@@ -41,6 +49,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -244,9 +253,29 @@ class FleetManager {
            const FleetOptions& options);
   };
 
+  /// One accepted tick between its submit and its delivery: what the
+  /// worker captured under the entity's state_mutex when it submitted the
+  /// forecast, so delivery needs no state from the submit side.
+  struct InFlightTick {
+    Entity* entity = nullptr;
+    std::chrono::steady_clock::time_point accepted_at;
+    /// The pinned forecast; not valid() when the tick submitted none (no
+    /// session yet, window not full, or the submit failed).
+    std::future<Tensor> forecast;
+    std::uint64_t generation = 0;       ///< generation that made it
+    std::uint64_t tick = 0;             ///< channel tick it was made at
+    std::size_t due_provider_tick = 0;  ///< provider tick it targets
+  };
+
   void worker_loop();
-  /// Process one tick for `e`. Caller holds e.state_mutex, NOT mutex_.
-  void process_tick(Entity& e, QueuedTick tick);
+  /// First half of a tick: ingest, score the due forecast, watch the inputs
+  /// (a fire is counted and latched here, against the detectors that
+  /// fired) and submit the next forecast to e's shard. Takes e.state_mutex;
+  /// the caller holds no lock. nullopt when the channel dropped the tick.
+  std::optional<InFlightTick> submit_tick(Entity& e, const QueuedTick& tick);
+  /// Second half: wait for the forecast with no lock held, then under the
+  /// entity's state_mutex record it and file any owed retrain.
+  void deliver_tick(InFlightTick& t);
   /// Score the due forecast (if any) against the just-accepted tick.
   /// Returns true when a drift detector fired.
   bool harvest_due(Entity& e);
@@ -254,7 +283,9 @@ class FleetManager {
   /// threshold the loudest detector sits (>= 1 at a fire).
   static double drift_severity(const stream::DriftMonitor& drift,
                                const stream::DriftOptions& options);
-  void maybe_request_retrain(Entity& e);
+  /// Count a detector fire and latch its severity and reason. Caller holds
+  /// e.state_mutex.
+  void latch_drift(Entity& e);
   /// File the latched retrain request if one is owed and the cooldown /
   /// in-flight guards allow it. Caller holds e.state_mutex.
   void request_latched_retrain(Entity& e);

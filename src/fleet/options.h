@@ -47,6 +47,8 @@ struct FleetOptions {
   std::size_t shards = 4;
   /// Per-shard engine template. The tenant field is overwritten per shard
   /// ("<tenant>/shard<k>") so N shards never collide on serve/* metrics.
+  /// max_batch also bounds an ingest worker's claim: the mailboxes whose
+  /// forecasts it submits together before waiting on any of them.
   serve::EngineOptions engine;
 
   /// Ingest worker pool multiplexing the per-entity mailboxes.

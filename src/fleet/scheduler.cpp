@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 
 namespace rptcn::fleet {
 
@@ -121,6 +122,10 @@ void RetrainScheduler::worker_loop() {
       inflight_gauge_.set(static_cast<double>(inflight_));
     }
     try {
+      // A fit is a coarse job, like a pool task or a batch forward: while
+      // another one runs, its kernels stay on this thread instead of
+      // forking an OpenMP team onto the cores serving needs.
+      ActiveJobScope job;
       fit_(r);
     } catch (...) {
       // The fit contract is no-throw; a violation must not kill the worker.

@@ -15,6 +15,9 @@
 //    priority in place (max), it never duplicates work.
 //  * The queue is bounded (max_queue); beyond it requests are rejected
 //    and the caller's drift detectors simply re-trigger later.
+//  * Each fit runs inside an ActiveJobScope, like a ThreadPool task, so
+//    two concurrent fits (or a fit beside a serving batch) keep their
+//    kernels on one thread each instead of forking OpenMP teams.
 //
 // The scheduler is mechanism only — it runs an opaque FitFn per request.
 // The FleetManager supplies the fit (history snapshot -> gated fit ->

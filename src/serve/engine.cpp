@@ -95,17 +95,26 @@ void BatchingEngine::worker_loop() {
         });
         if (queue_.empty()) continue;  // another worker took everything
       }
-      // Coalesce a run of same-session, same-shape windows from the front; a
-      // shape or session change starts the next batch so every request still
-      // gets served.
+      // Coalesce every queued request that shares the head's session and
+      // shape, in queue order: one shard's queue interleaves every cohort
+      // hashed to it, so a run from the head alone would split a cohort
+      // into single-row forwards. The requests skipped on the way slide up
+      // to keep their order, and the scan stops at a full batch, so a
+      // single-session queue costs what popping the batch off its front
+      // does.
       const std::vector<std::size_t> shape = queue_.front().window.shape();
       const InferenceSession* pinned = queue_.front().session.get();
-      while (!queue_.empty() && batch.size() < options_.max_batch &&
-             queue_.front().session.get() == pinned &&
-             queue_.front().window.shape() == shape) {
-        batch.push_back(std::move(queue_.front()));
-        queue_.pop_front();
+      auto kept = queue_.begin();
+      auto it = queue_.begin();
+      for (; it != queue_.end() && batch.size() < options_.max_batch; ++it) {
+        if (it->session.get() == pinned && it->window.shape() == shape) {
+          batch.push_back(std::move(*it));
+        } else {
+          if (kept != it) *kept = std::move(*it);
+          ++kept;
+        }
       }
+      queue_.erase(kept, it);
       in_flight_ += batch.size();
       queue_depth_.set(static_cast<double>(queue_.size()));
     }

@@ -10,14 +10,17 @@
 // per-layer kernel dispatch to its N=1 decision.
 //
 // Threading model: submit() may be called from any thread. `workers` engine
-// threads pop coalesced batches under one mutex; a batch is a run of
-// same-session, same-shape requests from the queue head, so one engine
-// multiplexes any number of models and requests sharing a session still
-// batch together. Each batch forward runs inside an ActiveJobScope so
-// concurrent batches gate nested OpenMP exactly like ThreadPool jobs do. A
-// batch failure (e.g. a feature-count mismatch) is delivered to every
-// future of that batch; other batches are unaffected. The destructor stops
-// intake, drains every queued request, then joins.
+// threads pop coalesced batches under one mutex; a batch is every queued
+// request (up to max_batch, in queue order) that shares the head request's
+// session and window shape, so one engine multiplexes any number of models
+// and requests sharing a session batch together even when other sessions'
+// requests sit between them in the queue. A batch fires when the queue
+// holds max_batch requests or the head request has waited max_delay_us.
+// Each batch forward runs inside an ActiveJobScope so concurrent batches
+// gate nested OpenMP exactly like ThreadPool jobs do. A batch failure (e.g.
+// a feature-count mismatch) is delivered to every future of that batch;
+// other batches are unaffected. The destructor stops intake, drains every
+// queued request, then joins.
 //
 // Installing a new model is the caller's business: requests carry their
 // session by shared_ptr, so a caller that replaces its session pointer has

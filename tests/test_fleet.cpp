@@ -1,7 +1,9 @@
 // Fleet-layer tests: deterministic sharding, snapshot dedup across a
 // cohort (and the splinter onto a private generation under live ingest),
-// non-finite tick dropping, per-entity checkpoint names, retrain-scheduler
-// priority / dedup / budget / queue bounds, admission backpressure, and the
+// non-finite tick dropping, cohort forecasts sharing engine forwards, no
+// entity lock held across an in-flight forward, per-entity checkpoint
+// names, retrain-scheduler priority / dedup / budget / queue bounds and
+// fit slots counted as active jobs, admission backpressure, and the
 // typed-options construction API (named validation errors, FleetBuilder,
 // registry ForecasterSpec).
 #include <gtest/gtest.h>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "fleet/builder.h"
 #include "fleet/manager.h"
 #include "fleet/options.h"
@@ -227,6 +230,45 @@ TEST(FleetCohort, DriftSplintersOneEntityOntoPrivateGeneration) {
   EXPECT_GE(fleet->stats().retrains_completed, 1u);
 }
 
+TEST(FleetCohort, ForecastStraddlingAnInstallIsNotScored) {
+  // No entity lock is held while a forecast is in flight, so a retrain can
+  // install between its submit and its delivery. The install already
+  // discarded the old generation's residual: the straddling forecast is
+  // counted under the generation that made it and never scored.
+  FleetOptions o = tiny_fleet_options("straddle");
+  o.workers = 1;
+  o.retrain_on_drift = false;  // only the request below retrains
+  o.engine.max_delay_us = 2'000'000;  // a lone request waits 2 s for peers
+  auto fleet = FleetBuilder()
+                   .options(o)
+                   .add_cohort("web", arima_spec(), 1, "web-")
+                   .build();
+  fleet->bootstrap_cohort("web", regime_trace(regime_a(), 240, 35));
+  const std::uint64_t seeded = fleet->entity_stats("web-0").ticks;
+  const auto live = regime_trace(regime_a(), 2, 36);
+
+  ingest_blocking(*fleet, "web-0", live, 0, 1);
+  while (fleet->entity_stats("web-0").ticks == seeded)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(fleet->scheduler().request({"web-0", 1.0, "straddle"}));
+  fleet->scheduler().wait_idle();
+  ASSERT_EQ(fleet->entity_stats("web-0").generation, 2u)
+      << "no install for the forecast to straddle";
+
+  fleet->drain();
+  const std::vector<EntityForecast> latest = fleet->latest_forecasts();
+  ASSERT_EQ(latest.size(), 1u);
+  EXPECT_EQ(latest[0].generation, 1u);
+  EXPECT_EQ(fleet->entity_stats("web-0").forecasts, 1u);
+
+  ingest_blocking(*fleet, "web-0", live, 1, 2);
+  fleet->drain();
+  const EntityStats after = fleet->entity_stats("web-0");
+  EXPECT_EQ(after.forecasts, 2u);
+  EXPECT_EQ(after.residuals, 0u)
+      << "scored generation 1's forecast against generation 2's detectors";
+}
+
 // ---------------------------------------------------------------------------
 // Ingest, forecasting, latency recording
 // ---------------------------------------------------------------------------
@@ -368,6 +410,66 @@ TEST(FleetIngest, GlobalQueueBoundShedsAcrossEntities) {
         ++queue_full;
   EXPECT_GT(queue_full, 0u);
   fleet->drain();
+}
+
+TEST(FleetIngest, CohortTicksShareForwards) {
+  // One shard, one worker: the worker claims every ready mailbox and
+  // submits all of their forecasts before it waits, so a cohort's ticks
+  // share forwards instead of each waiting out the 500 ms window alone.
+  FleetOptions o = tiny_fleet_options("cohort-forwards");
+  o.shards = 1;
+  o.workers = 1;
+  o.engine.max_batch = 8;
+  o.engine.max_delay_us = 500'000;
+  auto fleet = FleetBuilder()
+                   .options(o)
+                   .add_cohort("web", arima_spec(), 8, "web-")
+                   .build();
+  fleet->bootstrap_cohort("web", regime_trace(regime_a(), 240, 37));
+
+  const auto live = regime_trace(regime_a(), 1, 38);
+  for (const std::string& id : fleet->entity_ids())
+    ingest_blocking(*fleet, id, live, 0, 1);
+  fleet->drain();
+
+  // The worker may wake on the first mailbox before the others are ready;
+  // every later one joins the next forward.
+  EXPECT_LE(fleet->shard_engine(0).stats().batches, 2u);
+  EXPECT_EQ(fleet->stats().forecasts, 8u);
+  const std::vector<EntityForecast> latest = fleet->latest_forecasts();
+  ASSERT_EQ(latest.size(), 8u);
+  for (const EntityForecast& f : latest)
+    EXPECT_EQ(f.predicted_norm, latest[0].predicted_norm) << f.entity;
+}
+
+TEST(FleetIngest, ReadersDoNotWaitOnAnInFlightForward) {
+  // The worker releases the entity's lock before it waits for the
+  // forecast: readers see the tick ingested and its forecast not yet
+  // delivered instead of blocking until the forward completes.
+  FleetOptions o = tiny_fleet_options("readers");
+  o.workers = 1;
+  o.engine.max_delay_us = 2'000'000;  // a lone request waits 2 s for peers
+  auto fleet = FleetBuilder()
+                   .options(o)
+                   .add_cohort("web", arima_spec(), 1, "web-")
+                   .build();
+  fleet->bootstrap_cohort("web", regime_trace(regime_a(), 240, 39));
+  const std::uint64_t seeded = fleet->entity_stats("web-0").ticks;
+
+  ingest_blocking(*fleet, "web-0", regime_trace(regime_a(), 1, 40), 0, 1);
+  EntityStats mid = fleet->entity_stats("web-0");
+  while (mid.ticks == seeded) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    mid = fleet->entity_stats("web-0");
+  }
+  EXPECT_EQ(mid.ticks, seeded + 1);
+  EXPECT_EQ(mid.forecasts, 0u) << "entity_stats waited out the forward";
+  EXPECT_FALSE(mid.has_forecast);
+  EXPECT_TRUE(fleet->latest_forecasts().empty());
+  EXPECT_EQ(fleet->stats().forecasts, 0u);
+
+  fleet->drain();
+  EXPECT_EQ(fleet->entity_stats("web-0").forecasts, 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -570,6 +672,55 @@ TEST(FleetScheduler, ConcurrencyNeverExceedsBudget) {
   EXPECT_EQ(sched.stats().completed, 10u);
   EXPECT_LE(peak.load(), 3);
   EXPECT_GE(peak.load(), 1);
+}
+
+TEST(FleetScheduler, FitsCountAsActiveJobs) {
+  // A fit is a coarse job like a pool task: two concurrent fits keep their
+  // kernels on one thread each, while a lone fit may still fan out.
+  SchedulerOptions so;
+  so.workers = 2;
+  so.max_queue = 4;
+  so.tenant = "sched-jobs";
+  struct Seen {
+    std::string entity;
+    bool fan_out_allowed = false;
+  };
+  std::mutex seen_mutex;
+  std::vector<Seen> seen;
+  std::atomic<int> arrived{0};
+  std::atomic<int> recorded{0};
+  RetrainScheduler sched(so, [&](const RetrainRequest& r) {
+    const bool pair = r.entity != "solo";
+    if (pair) {
+      // Both pair fits record while the other is still inside its fit.
+      arrived.fetch_add(1);
+      while (arrived.load() < 2) std::this_thread::yield();
+    }
+    Seen s;
+    s.entity = r.entity;
+    s.fan_out_allowed = kernel_parallelism_allowed();
+    {
+      std::lock_guard<std::mutex> lock(seen_mutex);
+      seen.push_back(s);
+    }
+    if (pair) {
+      recorded.fetch_add(1);
+      while (recorded.load() < 2) std::this_thread::yield();
+    }
+  });
+
+  ASSERT_TRUE(sched.request({"solo", 1.0, "t"}));
+  sched.wait_idle();
+  ASSERT_TRUE(sched.request({"pair-a", 1.0, "t"}));
+  ASSERT_TRUE(sched.request({"pair-b", 1.0, "t"}));
+  sched.wait_idle();
+
+  ASSERT_EQ(seen.size(), 3u);
+  EXPECT_EQ(seen[0].entity, "solo");
+  EXPECT_TRUE(seen[0].fan_out_allowed);
+  EXPECT_FALSE(seen[1].fan_out_allowed);
+  EXPECT_FALSE(seen[2].fan_out_allowed);
+  EXPECT_EQ(ThreadPool::active_jobs(), 0u);
 }
 
 TEST(FleetScheduler, BudgetExhaustionFilesHighSeverityAndRunsItFirst) {

@@ -501,7 +501,7 @@ TEST(SchedFleetIntegration, FleetForecastMatchesMirroredServeBitExactly) {
   ASSERT_NE(g.session, nullptr) << g.outcome.error;
 
   // Mirror the entity's channel: bootstrap seed + live rows, then serve
-  // the trailing window exactly as FleetManager::process_tick does.
+  // the trailing window exactly as FleetManager::submit_tick does.
   stream::IngestChannel mirror(kFeatures, o.channel);
   mirror.replay(bootstrap);
   if (o.freeze_normalizer_at_bootstrap) mirror.freeze_normalizer();

@@ -619,8 +619,8 @@ TEST(ServeEngine, StatsTrackSubmissionsBatchesAndGeneration) {
 
 TEST(ServeEngine, InterleavedSessionsEachGetTheirOwnRows) {
   // One engine, two sessions with different weights, concurrent submitters
-  // interleaving requests pinned to either. Workers coalesce only runs of
-  // one session and each session owns its plan cache, so every row must
+  // interleaving requests pinned to either. A batch holds requests of one
+  // session only and each session owns its plan cache, so every row must
   // equal its own session's row for that window bit for bit: a batch that
   // mixed sessions, or a plan replayed against the other session's
   // weights, would deliver the other session's row (or neither).
@@ -685,6 +685,40 @@ TEST(ServeEngine, InterleavedSessionsEachGetTheirOwnRows) {
           << ") did not get its own session's row";
     }
   EXPECT_EQ(engine.stats().submitted, kThreads * kPerThread);
+}
+
+TEST(ServeEngine, CoalescesEachSessionAcrossAnInterleavedQueue) {
+  // One shard's queue interleaves every cohort hashed to it. A worker takes
+  // every queued request of the head's session into its batch, not only
+  // the run at the head: a, b, a, b, a, b is two forwards, not six.
+  auto opt_b = engine_net_options();
+  opt_b.seed = 14;  // different weights than engine_net_options()
+  nn::RptcnNet net_a(engine_net_options());
+  nn::RptcnNet net_b(opt_b);
+  auto sess_a = std::make_shared<InferenceSession>(net_a);
+  auto sess_b = std::make_shared<InferenceSession>(net_b);
+  const auto session_of = [&](std::size_t i) {
+    return i % 2 == 0 ? sess_a : sess_b;
+  };
+
+  // max_batch == request count: the size trigger fires once all six are
+  // queued; the three b requests left behind then wait out their head's
+  // 2 s deadline as one batch.
+  BatchingEngine engine({/*max_batch=*/6, /*max_delay_us=*/2'000'000,
+                         /*workers=*/1});
+  Rng rng(21);
+  std::vector<Tensor> windows;
+  std::vector<std::future<Tensor>> futures;
+  for (std::size_t i = 0; i < 6; ++i) {
+    windows.push_back(random_window(rng));
+    futures.push_back(engine.submit(windows.back(), session_of(i)));
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i)
+    expect_row_matches(*session_of(i), windows[i], futures[i].get());
+  // The worker bumps its counters just after it delivers a batch.
+  while (engine.stats().completed < 6)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(engine.stats().batches, 2u);
 }
 
 TEST(ServeEngine, ConcurrentSubmittersAllGetTheirOwnRow) {

@@ -65,13 +65,9 @@ void BM_GemmNt(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNt)->Arg(64)->Arg(256);
 
-/// Forward at the paper's residual-block shape with a pinned conv1d
-/// implementation: Arg(1) = 0 direct loops, 1 im2col+GEMM lowering.
+/// Forward at the paper's residual-block shape (im2col+GEMM lowering).
 void BM_Conv1dForward(benchmark::State& state) {
   const auto t = static_cast<std::size_t>(state.range(0));
-  const auto impl = state.range(1) == 0 ? ag::Conv1dImpl::kDirect
-                                        : ag::Conv1dImpl::kIm2col;
-  ag::set_conv1d_impl(impl);
   Rng rng(2);
   const Variable x(Tensor::randn({32, 16, t}, rng));
   const Variable w(Tensor::randn({16, 16, 3}, rng));
@@ -81,24 +77,12 @@ void BM_Conv1dForward(benchmark::State& state) {
     Variable y = ag::conv1d(x, w, b, 2);
     benchmark::DoNotOptimize(y.node().get());
   }
-  ag::set_conv1d_impl(ag::Conv1dImpl::kAuto);
 }
-BENCHMARK(BM_Conv1dForward)
-    ->ArgNames({"t", "im2col"})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({32, 0})
-    ->Args({32, 1})
-    ->Args({64, 0})
-    ->Args({64, 1});
+BENCHMARK(BM_Conv1dForward)->ArgName("t")->Arg(16)->Arg(32)->Arg(64);
 
-/// Forward + backward (dX, dW, db) under a pinned implementation — the
-/// direct-vs-lowered comparison for the full autograd round trip.
+/// Forward + backward (dX, dW, db): the full autograd round trip.
 void BM_Conv1dTrainStep(benchmark::State& state) {
   const auto t = static_cast<std::size_t>(state.range(0));
-  const auto impl = state.range(1) == 0 ? ag::Conv1dImpl::kDirect
-                                        : ag::Conv1dImpl::kIm2col;
-  ag::set_conv1d_impl(impl);
   Rng rng(3);
   const Variable x(Tensor::randn({32, 16, t}, rng));
   Variable w(Tensor::randn({16, 16, 3}, rng), true);
@@ -111,14 +95,8 @@ void BM_Conv1dTrainStep(benchmark::State& state) {
     loss.backward();
     benchmark::DoNotOptimize(w.grad().raw());
   }
-  ag::set_conv1d_impl(ag::Conv1dImpl::kAuto);
 }
-BENCHMARK(BM_Conv1dTrainStep)
-    ->ArgNames({"t", "im2col"})
-    ->Args({16, 0})
-    ->Args({16, 1})
-    ->Args({32, 0})
-    ->Args({32, 1});
+BENCHMARK(BM_Conv1dTrainStep)->ArgName("t")->Arg(16)->Arg(32);
 
 void BM_SoftmaxLastdim(benchmark::State& state) {
   const auto t = static_cast<std::size_t>(state.range(0));
@@ -272,10 +250,8 @@ double gemm_gflops(const char* which) {
 }
 
 /// Seconds per conv1d forward+backward round trip at the paper's residual
-/// block shape (batch 32, 16->16 channels, k=3, d=2, T=24) with the given
-/// implementation pinned.
-double conv_step_seconds(ag::Conv1dImpl impl) {
-  ag::set_conv1d_impl(impl);
+/// block shape (batch 32, 16->16 channels, k=3, d=2, T=24).
+double conv_step_seconds() {
   Rng rng(13);
   const Variable x(Tensor::randn({32, 16, 24}, rng));
   Variable w(Tensor::randn({16, 16, 3}, rng), true);
@@ -295,9 +271,7 @@ double conv_step_seconds(ag::Conv1dImpl impl) {
     run();
     ++iters;
   }
-  const double sec = watch.elapsed_seconds() / iters;
-  ag::set_conv1d_impl(ag::Conv1dImpl::kAuto);
-  return sec;
+  return watch.elapsed_seconds() / iters;
 }
 
 struct GridTiming {
@@ -407,10 +381,7 @@ void emit_kernels_json() {
   const double mm = gemm_gflops("matmul");
   const double tn = gemm_gflops("tn");
   const double nt = gemm_gflops("nt");
-  const double conv_direct = conv_step_seconds(ag::Conv1dImpl::kDirect);
-  const double conv_im2col = conv_step_seconds(ag::Conv1dImpl::kIm2col);
-  const double conv_speedup =
-      conv_im2col > 0.0 ? conv_direct / conv_im2col : 0.0;
+  const double conv_seconds = conv_step_seconds();
   const GridTiming grid = time_grid();
   // With one worker the "parallel" run is a second serial run, so its ratio
   // to the first measures only run-to-run noise: report no speedup then.
@@ -458,9 +429,7 @@ void emit_kernels_json() {
       << "  },\n"
       << "  \"conv1d\": {\n"
       << "    \"shape\": \"32x16x24 k3 d2 fwd+bwd\",\n"
-      << "    \"seconds_direct\": " << conv_direct << ",\n"
-      << "    \"seconds_im2col\": " << conv_im2col << ",\n"
-      << "    \"speedup_im2col\": " << conv_speedup << "\n"
+      << "    \"seconds_per_step\": " << conv_seconds << "\n"
       << "  },\n"
       << "  \"grid\": {\n"
       << "    \"jobs\": 4,\n"
@@ -473,7 +442,8 @@ void emit_kernels_json() {
       << "  }\n"
       << "}\n";
   std::cout << "[json] wrote BENCH_kernels.json — 256^3 GEMM " << mm
-            << " GFLOP/s; conv1d im2col speedup " << conv_speedup << "x; ";
+            << " GFLOP/s; conv1d fwd+bwd " << conv_seconds * 1e3
+            << " ms; ";
   if (grid_parallel)
     std::cout << "grid speedup " << speedup << "x on " << grid.parallel_jobs
               << " workers";

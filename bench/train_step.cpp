@@ -2,11 +2,9 @@
 // gradient clip + Adam on batch 32 of the Mul-Exp scenario (12 indicator
 // channels, window 24), the exact inner loop of every accuracy experiment.
 //
-// Times the 2x2 grid {conv direct, conv im2col+GEMM} x {pool off, pool on}
-// so the JSON records both the baseline and the optimised configuration and
-// their speedup — the headline number for the im2col+buffer-pool work. The
-// four runs share one seed, so parameters and data are identical and only
-// the kernels differ.
+// Times the eager step with the buffer pool off and on, then the planned
+// step against the eager tape. The runs share one seed, so parameters and
+// data are identical and only the execution differs.
 //
 // Emits BENCH_training.json (override with --out <path>).
 #include <cstring>
@@ -37,7 +35,6 @@ constexpr std::size_t kTimedSteps = 40;
 
 struct RunConfig {
   const char* name;
-  ag::Conv1dImpl impl;
   bool pool;
 };
 
@@ -50,11 +47,10 @@ struct RunResult {
   float final_loss = 0.0f;
 };
 
-/// One fresh net + optimizer + fixed batch, trained kTimedSteps steps under
-/// the given kernel configuration. Same seed everywhere: every run does the
-/// same logical work, only the kernels differ.
+/// One fresh net + optimizer + fixed batch, trained kTimedSteps steps with
+/// the pool on or off. Same seed everywhere: every run does the same
+/// logical work.
 RunResult run_config(const RunConfig& cfg) {
-  ag::set_conv1d_impl(cfg.impl);
   pool::set_enabled(cfg.pool);
   pool::clear_thread_cache();
 
@@ -214,7 +210,7 @@ TrainPlanResult run_train_plan_bench() {
 }
 
 void emit_json(const std::string& path, const RunConfig* cfgs,
-               const RunResult* results, std::size_t count, double speedup,
+               const RunResult* results, std::size_t count,
                const TrainPlanResult& plan) {
   std::ofstream out(path);
   out << "{\n"
@@ -246,8 +242,7 @@ void emit_json(const std::string& path, const RunConfig* cfgs,
       << "    \"speedup_planned_vs_tape\": " << plan.speedup << ",\n"
       << "    \"arena_bytes\": " << plan.arena_bytes << ",\n"
       << "    \"bit_identical\": " << (plan.bit_identical ? "true" : "false")
-      << "\n  },\n"
-      << "  \"speedup_im2col_pool_vs_direct_nopool\": " << speedup << "\n"
+      << "\n  }\n"
       << "}\n";
   std::cout << "[json] wrote " << path << "\n";
 }
@@ -259,10 +254,8 @@ int run(int argc, char** argv) {
       out_path = argv[++i];
 
   const RunConfig configs[] = {
-      {"direct_nopool", ag::Conv1dImpl::kDirect, false},
-      {"direct_pool", ag::Conv1dImpl::kDirect, true},
-      {"im2col_nopool", ag::Conv1dImpl::kIm2col, false},
-      {"im2col_pool", ag::Conv1dImpl::kIm2col, true},
+      {"im2col_nopool", false},
+      {"im2col_pool", true},
   };
   constexpr std::size_t kConfigs = sizeof(configs) / sizeof(configs[0]);
 
@@ -282,16 +275,8 @@ int run(int argc, char** argv) {
     std::cout << ")\n";
   }
 
-  // Restore defaults for anything running after us in-process.
-  ag::set_conv1d_impl(ag::Conv1dImpl::kAuto);
+  // Restore the default for anything running after us in-process.
   pool::set_enabled(true);
-
-  const double speedup =
-      results[3].seconds_per_step > 0.0
-          ? results[0].seconds_per_step / results[3].seconds_per_step
-          : 0.0;
-  std::cout << "\nspeedup (im2col+pool vs direct+nopool): " << speedup
-            << "x\n";
 
   const TrainPlanResult plan = run_train_plan_bench();
   std::cout << "train step (planned vs tape): tape "
@@ -301,7 +286,7 @@ int run(int argc, char** argv) {
             << " KiB, bit_identical "
             << (plan.bit_identical ? "true" : "false") << "\n";
 
-  emit_json(out_path, configs, results, kConfigs, speedup, plan);
+  emit_json(out_path, configs, results, kConfigs, plan);
   return 0;
 }
 

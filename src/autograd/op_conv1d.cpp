@@ -1,26 +1,25 @@
-// conv1d kernels and dispatch (paper eqs. 3 and 4).
+// conv1d kernels (paper eqs. 3 and 4).
 //
-// Two kernel paths compute the same convolution:
-//  * direct — per-(sample, channel) offset loops; wins on tiny shapes where
-//    patch traffic would dominate.
-//  * im2col+GEMM — forward, dX and dW lowered onto the packed blocked GEMM
-//    (tensor_ops gemm_accumulate). Samples are batched into one patch
-//    matrix patches[Cin*K, n_chunk*T_out] so the GEMM sees wide panels:
-//      forward: Y = W[Cout, Cin*K] × patches            (+ bias prefill)
-//      dW     : dW += dY × patchesᵀ                      (trans_b)
-//      dX     : cols = Wᵀ × dY, then col2im scatter-add  (trans_a)
-//    The batch is cut into chunks that bound the patch scratch. Each chunk
-//    runs one im2col/gather and then the chunk kernels below; a compiled
-//    program whose batch fits one chunk runs the same chunk kernels on
-//    intermediates it builds once and shares (op_table.h, lowering).
-// Dispatch is shape-only (never data-dependent); see Conv1dImpl in ops.h.
+// Forward, dX and dW are lowered onto the packed blocked GEMM (tensor_ops
+// gemm_accumulate). Samples are batched into one patch matrix
+// patches[Cin*K, n_chunk*T_out] so the GEMM sees wide panels:
+//   forward: Y = W[Cout, Cin*K] × patches            (+ bias prefill)
+//   dW     : dW += dY × patchesᵀ                      (trans_b)
+//   dX     : cols = Wᵀ × dY, then col2im scatter-add  (trans_a)
+// The batch is cut into chunks that bound the patch scratch. Each chunk runs
+// one im2col/gather and then the chunk kernels below; a compiled program
+// whose batch fits one chunk runs the same chunk kernels on intermediates it
+// builds once and shares (op_table.h, lowering).
+//
+// Every shape takes this one path. A forward output is its bias plus one
+// GEMM element, and a GEMM element's summation order does not depend on the
+// matrix shape (tensor_ops.h), so each row of a batched forward is
+// bit-identical to its window's N=1 forward.
 // Layouts are sample-major: x [N,Cin,T_in], w [Cout,Cin,K], y [N,Cout,T_out].
 #include <algorithm>
-#include <atomic>
 
 #include "autograd/op_table.h"
 #include "autograd/ops.h"
-#include "common/thread_pool.h"
 #include "tensor/buffer_pool.h"
 #include "tensor/dispatch.h"
 #include "tensor/tensor_ops.h"
@@ -29,39 +28,9 @@ namespace rptcn::ag {
 
 namespace {
 
-std::atomic<Conv1dImpl>& conv1d_impl_flag() {
-  static std::atomic<Conv1dImpl> impl{Conv1dImpl::kAuto};
-  return impl;
-}
-
-// Below this many fused multiply-adds the direct loops win (patch build +
-// pack overhead dominate the GEMM). Calibrated with bench/micro_kernels.
-constexpr std::size_t kConv1dGemmMinFlops = 1u << 14;
 // Patch-matrix cap: chunk the batch so im2col scratch stays cache-friendly
 // and bounded (~8 MiB) for any batch size.
 constexpr std::size_t kConv1dChunkFloats = 1u << 21;
-
-/// Whether a SingleWindowConvDispatch scope is alive on this thread.
-thread_local bool t_single_window_conv = false;
-
-bool conv1d_above_gemm_cutoff(std::size_t n, std::size_t cin,
-                              std::size_t cout, std::size_t k,
-                              std::size_t t_out) {
-  return 2 * n * cout * cin * k * t_out >= kConv1dGemmMinFlops;
-}
-
-bool conv1d_use_gemm(std::size_t n, std::size_t cin, std::size_t cout,
-                     std::size_t k, std::size_t t_out) {
-  switch (conv1d_impl_flag().load(std::memory_order_relaxed)) {
-    case Conv1dImpl::kDirect:
-      return false;
-    case Conv1dImpl::kIm2col:
-      return true;
-    case Conv1dImpl::kAuto:
-    default:
-      return conv1d_above_gemm_cutoff(n, cin, cout, k, t_out);
-  }
-}
 
 /// The dimensions of one conv1d call.
 struct Conv {
@@ -91,7 +60,7 @@ inline void tap_range(std::ptrdiff_t off, std::size_t t_in, std::size_t t_out,
                       std::size_t& t_lo, std::size_t& t_hi) {
   // Clamp both ends to [0, t_out]: with pad > T_in a tap can sit entirely in
   // the zero padding (t_lo would exceed t_out), which must yield an empty
-  // range, not an out-of-bounds fill in the im2col writer.
+  // range, not an out-of-bounds col2im scatter.
   t_lo = off < 0 ? std::min(static_cast<std::size_t>(-off), t_out) : 0u;
   const std::ptrdiff_t hi =
       std::min<std::ptrdiff_t>(static_cast<std::ptrdiff_t>(t_out),
@@ -106,97 +75,7 @@ inline std::ptrdiff_t tap_offset(const Conv& c, std::size_t kk) {
          static_cast<std::ptrdiff_t>(c.pad);
 }
 
-// -- direct path ----------------------------------------------------------------
-
-/// y[n,co,t] = b[co] + sum_{ci,k} w[co,ci,k] * x[n,ci,t + k*d - P]
-/// (indices outside [0,T) read as zero — left padding).
-void forward_direct(const Conv& c, const float* x, const float* w,
-                    const float* b, float* y) {
-  // Fork across windows only when one window alone reaches the GEMM flop
-  // cutoff. Smaller windows reach this kernel batched only under a pin
-  // (SingleWindowConvDispatch, Conv1dImpl::kDirect), and per window they
-  // cost less than the fork.
-  const bool fork = c.n * c.cout > 1 &&
-                    conv1d_above_gemm_cutoff(1, c.cin, c.cout, c.k, c.t_out) &&
-                    kernel_parallelism_allowed();
-#pragma omp parallel for collapse(2) schedule(static) if (fork)
-  for (std::size_t ni = 0; ni < c.n; ++ni) {
-    for (std::size_t co = 0; co < c.cout; ++co) {
-      float* yrow = y + (ni * c.cout + co) * c.t_out;
-      // Unconditional prefill: arena rows (unlike fresh Tensors) are not
-      // zero-initialised.
-      const float bias = b != nullptr ? b[co] : 0.0f;
-      for (std::size_t t = 0; t < c.t_out; ++t) yrow[t] = bias;
-      for (std::size_t ci = 0; ci < c.cin; ++ci) {
-        const float* xrow = x + (ni * c.cin + ci) * c.t_in;
-        const float* wrow = w + (co * c.cin + ci) * c.k;
-        for (std::size_t kk = 0; kk < c.k; ++kk) {
-          const float wv = wrow[kk];
-          if (wv == 0.0f) continue;
-          const std::ptrdiff_t off = tap_offset(c, kk);
-          std::size_t t_lo, t_hi;
-          tap_range(off, c.t_in, c.t_out, t_lo, t_hi);
-          // Unit-stride rows from t_lo on: the same per-element mul + add,
-          // in a form the compiler vectorises.
-          const float* src = xrow + (static_cast<std::ptrdiff_t>(t_lo) + off);
-          float* dst = yrow + t_lo;
-          for (std::size_t i = 0; i < t_hi - t_lo; ++i) dst[i] += wv * src[i];
-        }
-      }
-    }
-  }
-}
-
-/// dx[n,ci,t+off] += w[co,ci,k] * dy[n,co,t] — transpose of the forward.
-void dx_direct(const Conv& c, const float* dy, const float* w, float* dx) {
-#pragma omp parallel for schedule(static) if (c.n > 1 && kernel_parallelism_allowed())
-  for (std::size_t ni = 0; ni < c.n; ++ni) {
-    for (std::size_t co = 0; co < c.cout; ++co) {
-      const float* gyrow = dy + (ni * c.cout + co) * c.t_out;
-      for (std::size_t ci = 0; ci < c.cin; ++ci) {
-        float* dxrow = dx + (ni * c.cin + ci) * c.t_in;
-        const float* wrow = w + (co * c.cin + ci) * c.k;
-        for (std::size_t kk = 0; kk < c.k; ++kk) {
-          const float wv = wrow[kk];
-          if (wv == 0.0f) continue;
-          const std::ptrdiff_t off = tap_offset(c, kk);
-          std::size_t t_lo, t_hi;
-          tap_range(off, c.t_in, c.t_out, t_lo, t_hi);
-          for (std::size_t t = t_lo; t < t_hi; ++t)
-            dxrow[static_cast<std::size_t>(static_cast<std::ptrdiff_t>(t) +
-                                           off)] += wv * gyrow[t];
-        }
-      }
-    }
-  }
-}
-
-/// dw[co,ci,k] += sum_{n,t} dy[n,co,t] * x[n,ci,t+off].
-void dw_direct(const Conv& c, const float* dy, const float* x, float* dw) {
-#pragma omp parallel for schedule(static) if (c.cout > 1 && kernel_parallelism_allowed())
-  for (std::size_t co = 0; co < c.cout; ++co) {
-    for (std::size_t ni = 0; ni < c.n; ++ni) {
-      const float* gyrow = dy + (ni * c.cout + co) * c.t_out;
-      for (std::size_t ci = 0; ci < c.cin; ++ci) {
-        const float* xrow = x + (ni * c.cin + ci) * c.t_in;
-        float* dwrow = dw + (co * c.cin + ci) * c.k;
-        for (std::size_t kk = 0; kk < c.k; ++kk) {
-          const std::ptrdiff_t off = tap_offset(c, kk);
-          std::size_t t_lo, t_hi;
-          tap_range(off, c.t_in, c.t_out, t_lo, t_hi);
-          double s = 0.0;
-          for (std::size_t t = t_lo; t < t_hi; ++t)
-            s += static_cast<double>(gyrow[t]) *
-                 xrow[static_cast<std::size_t>(
-                     static_cast<std::ptrdiff_t>(t) + off)];
-          dwrow[kk] += static_cast<float>(s);
-        }
-      }
-    }
-  }
-}
-
-// -- im2col + GEMM path, one chunk of nc samples --------------------------------
+// -- one chunk of nc samples ------------------------------------------------------
 
 void im2col_chunk(const Conv& c, const float* x, std::size_t nc,
                   float* patches) {
@@ -268,66 +147,9 @@ void dw_chunk(const Conv& c, const float* dyg, const float* patches,
   gemm_accumulate(c.cout, c.ck(), nt, dyg, nt, false, patches, nt, true, dw);
 }
 
-// The chunked GEMM path: chunks run in fixed n0 order — deterministic.
-
-void forward_gemm(const Conv& c, const float* x, const float* w,
-                  const float* b, float* y) {
-  const std::size_t chunk = c.chunk();
-  pool::Scratch patches(c.ck() * chunk * c.t_out);
-  for (std::size_t n0 = 0; n0 < c.n; n0 += chunk) {
-    const std::size_t nc = std::min(chunk, c.n - n0);
-    im2col_chunk(c, x + n0 * c.cin * c.t_in, nc, patches.data());
-    forward_chunk(c, patches.data(), w, b, nc, y + n0 * c.cout * c.t_out);
-  }
-}
-
-void dx_gemm(const Conv& c, const float* dy, const float* w, float* dx) {
-  const std::size_t chunk = c.chunk();
-  pool::Scratch dyg(c.cout * chunk * c.t_out);
-  for (std::size_t n0 = 0; n0 < c.n; n0 += chunk) {
-    const std::size_t nc = std::min(chunk, c.n - n0);
-    gather_dy_chunk(c, dy, n0, nc, dyg.data());
-    dx_chunk(c, dyg.data(), w, nc, dx + n0 * c.cin * c.t_in);
-  }
-}
-
-void dw_gemm(const Conv& c, const float* dy, const float* x, float* dw) {
-  const std::size_t chunk = c.chunk();
-  pool::Scratch patches(c.ck() * chunk * c.t_out);
-  pool::Scratch dyg(c.cout * chunk * c.t_out);
-  for (std::size_t n0 = 0; n0 < c.n; n0 += chunk) {
-    const std::size_t nc = std::min(chunk, c.n - n0);
-    im2col_chunk(c, x + n0 * c.cin * c.t_in, nc, patches.data());
-    gather_dy_chunk(c, dy, n0, nc, dyg.data());
-    dw_chunk(c, dyg.data(), patches.data(), nc, dw);
-  }
-}
-
 }  // namespace
 
-void set_conv1d_impl(Conv1dImpl impl) {
-  conv1d_impl_flag().store(impl, std::memory_order_relaxed);
-}
-
-Conv1dImpl conv1d_impl() {
-  return conv1d_impl_flag().load(std::memory_order_relaxed);
-}
-
-SingleWindowConvDispatch::SingleWindowConvDispatch()
-    : previous_(t_single_window_conv) {
-  t_single_window_conv = true;
-}
-
-SingleWindowConvDispatch::~SingleWindowConvDispatch() {
-  t_single_window_conv = previous_;
-}
-
 namespace fwd {
-
-bool conv1d_uses_gemm(std::size_t n, std::size_t cin, std::size_t cout,
-                      std::size_t k, std::size_t t_out) {
-  return conv1d_use_gemm(t_single_window_conv ? 1 : n, cin, cout, k, t_out);
-}
 
 void im2col_strided(const float* x, std::size_t xs, std::size_t xc,
                     std::size_t nc, std::size_t cin, std::size_t t_in,
@@ -342,33 +164,42 @@ void im2col_strided(const float* x, std::size_t xs, std::size_t xc,
 
 namespace op {
 
-void conv1d_forward(const Geom& g, const Bufs& b, float* y, bool gemm) {
+// The whole-batch kernels: chunks run in fixed n0 order — deterministic.
+
+void conv1d_forward(const Geom& g, const Bufs& b, float* y) {
   const Conv c(g);
-  if (gemm)
-    forward_gemm(c, b.in[0], b.in[1], b.in[2], y);
-  else
-    forward_direct(c, b.in[0], b.in[1], b.in[2], y);
+  const std::size_t chunk = c.chunk();
+  pool::Scratch patches(c.ck() * chunk * c.t_out);
+  for (std::size_t n0 = 0; n0 < c.n; n0 += chunk) {
+    const std::size_t nc = std::min(chunk, c.n - n0);
+    im2col_chunk(c, b.in[0] + n0 * c.cin * c.t_in, nc, patches.data());
+    forward_chunk(c, patches.data(), b.in[1], b.in[2], nc,
+                  y + n0 * c.cout * c.t_out);
+  }
 }
 
-void conv1d_dx(const Geom& g, const Bufs& b, float* dx, bool gemm) {
+void conv1d_dx(const Geom& g, const Bufs& b, float* dx, bool) {
   const Conv c(g);
-  if (gemm)
-    dx_gemm(c, b.gy, b.in[1], dx);
-  else
-    dx_direct(c, b.gy, b.in[1], dx);
+  const std::size_t chunk = c.chunk();
+  pool::Scratch dyg(c.cout * chunk * c.t_out);
+  for (std::size_t n0 = 0; n0 < c.n; n0 += chunk) {
+    const std::size_t nc = std::min(chunk, c.n - n0);
+    gather_dy_chunk(c, b.gy, n0, nc, dyg.data());
+    dx_chunk(c, dyg.data(), b.in[1], nc, dx + n0 * c.cin * c.t_in);
+  }
 }
 
-void conv1d_dw(const Geom& g, const Bufs& b, float* dw, bool gemm) {
+void conv1d_dw(const Geom& g, const Bufs& b, float* dw, bool) {
   const Conv c(g);
-  if (gemm)
-    dw_gemm(c, b.gy, b.in[0], dw);
-  else
-    dw_direct(c, b.gy, b.in[0], dw);
-}
-
-bool conv1d_backward_uses_gemm(const Geom& g) {
-  const Conv c(g);
-  return conv1d_use_gemm(c.n, c.cin, c.cout, c.k, c.t_out);
+  const std::size_t chunk = c.chunk();
+  pool::Scratch patches(c.ck() * chunk * c.t_out);
+  pool::Scratch dyg(c.cout * chunk * c.t_out);
+  for (std::size_t n0 = 0; n0 < c.n; n0 += chunk) {
+    const std::size_t nc = std::min(chunk, c.n - n0);
+    im2col_chunk(c, b.in[0] + n0 * c.cin * c.t_in, nc, patches.data());
+    gather_dy_chunk(c, b.gy, n0, nc, dyg.data());
+    dw_chunk(c, dyg.data(), patches.data(), nc, dw);
+  }
 }
 
 bool conv1d_single_chunk(const Geom& g) {

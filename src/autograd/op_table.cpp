@@ -7,10 +7,8 @@
 #include <sstream>
 #include <string>
 
-#include "autograd/ops.h"
 #include "common/check.h"
 #include "common/rng.h"
-#include "obs/metrics.h"
 #include "tensor/tensor_ops.h"
 
 namespace rptcn::ag::op {
@@ -195,37 +193,6 @@ Shape conv1d_shape(const Geom& g) {
   RPTCN_CHECK(x[2] + g.attrs.pad >= k_reach,
               "conv1d: input too short for kernel reach " << k_reach);
   return {x[0], w[0], x[2] + g.attrs.pad - k_reach};
-}
-
-struct Conv1dMetrics {
-  obs::Counter& gemm_calls =
-      obs::metrics().counter("kernel/conv1d_gemm_calls");
-  obs::Counter& direct_calls =
-      obs::metrics().counter("kernel/conv1d_direct_calls");
-};
-
-Conv1dMetrics& conv1d_metrics() {
-  static Conv1dMetrics* m = new Conv1dMetrics();
-  return *m;
-}
-
-void conv1d_entry_forward(const Geom& g, const Bufs& b, float* y) {
-  const bool gemm = fwd::conv1d_uses_gemm(g.in[0][0], g.in[0][1], g.in[1][0],
-                                          g.in[1][2], g.out[2]);
-  if (obs::enabled())
-    (gemm ? conv1d_metrics().gemm_calls : conv1d_metrics().direct_calls)
-        .add(1);
-  conv1d_forward(g, b, y, gemm);
-}
-
-// The backward re-evaluates the shape-only dispatch, so it honours
-// set_conv1d_impl at backward time too.
-void conv1d_entry_dx(const Geom& g, const Bufs& b, float* dst, bool) {
-  conv1d_dx(g, b, dst, conv1d_backward_uses_gemm(g));
-}
-
-void conv1d_entry_dw(const Geom& g, const Bufs& b, float* dst, bool) {
-  conv1d_dw(g, b, dst, conv1d_backward_uses_gemm(g));
 }
 
 /// db[co] += per-(sample, channel) double row-sums of dy, in (n, co) order.
@@ -631,9 +598,9 @@ const std::array<Entry, trace::kNumOpKinds> kTable{{
      {{{sigmoid_grad, kGy | kOut}, kNoGrad, kNoGrad}}, false},
     {OpKind::kTanh, "tanh", 1, same_as_input, nullptr, tanh_forward,
      {{{tanh_grad, kGy | kOut}, kNoGrad, kNoGrad}}, false},
-    {OpKind::kConv1d, "conv1d", 3, conv1d_shape, nullptr, conv1d_entry_forward,
-     {{{conv1d_entry_dx, kGy | kIn1, kAcc},
-       {conv1d_entry_dw, kGy | kIn0, kAcc},
+    {OpKind::kConv1d, "conv1d", 3, conv1d_shape, nullptr, conv1d_forward,
+     {{{conv1d_dx, kGy | kIn1, kAcc},
+       {conv1d_dw, kGy | kIn0, kAcc},
        {conv1d_db, kGy, kAcc}}},
      false},
     {OpKind::kWeightNorm, "weight_norm", 2, weight_norm_shape,

@@ -99,20 +99,18 @@ const Entry& entry(OpKind kind);
 const std::array<Entry, trace::kNumOpKinds>& table();
 
 // -- conv1d and linear lowering -----------------------------------------------
-// The compiler lowers these two ops itself: it decides dispatch at capture,
-// prepacks weights, and shares one im2col patch matrix and one gathered dy
-// between GEMMs. It runs the kernels below, which are the ones the entries'
-// own kernels run.
+// The compiler lowers these two ops itself: it prepacks weights and shares
+// one im2col patch matrix and one gathered dy between GEMMs. It runs the
+// kernels below, which are the ones the entries' own kernels run.
 
-/// conv1d forward on a fixed path: im2col+GEMM when `gemm`, else direct.
-void conv1d_forward(const Geom& g, const Bufs& b, float* y, bool gemm);
-/// conv1d dX / dW on a fixed path; both add into a zero-filled destination.
-void conv1d_dx(const Geom& g, const Bufs& b, float* dx, bool gemm);
-void conv1d_dw(const Geom& g, const Bufs& b, float* dw, bool gemm);
-/// The GEMM-vs-direct decision a conv1d backward makes, on the true N.
-bool conv1d_backward_uses_gemm(const Geom& g);
-/// True when one im2col chunk covers the whole batch. The GEMM path then
-/// runs exactly the three kernels below on whole-batch intermediates.
+/// conv1d forward, dX and dW over the whole batch, im2col chunk by chunk.
+/// These are the conv1d entry's kernels. dX and dW are `accumulates`
+/// kernels: they always add into a zero-filled destination and ignore `add`.
+void conv1d_forward(const Geom& g, const Bufs& b, float* y);
+void conv1d_dx(const Geom& g, const Bufs& b, float* dx, bool add);
+void conv1d_dw(const Geom& g, const Bufs& b, float* dw, bool add);
+/// True when one im2col chunk covers the whole batch. Each kernel above is
+/// then exactly the kernels below, run once on whole-batch intermediates.
 bool conv1d_single_chunk(const Geom& g);
 /// patches[(ci*K+kk), s*T_out+t] = x[s,ci,t+kk*d-pad] for the whole batch.
 void conv1d_patches(const Geom& g, const float* x, float* patches);

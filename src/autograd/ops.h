@@ -50,40 +50,11 @@ Variable reshape(const Variable& a, std::vector<std::size_t> shape);
 /// Output: [N, Cout, T + left_pad - (K-1)*dilation].
 ///
 /// Forward, dX and dW are lowered onto the packed blocked GEMM via a
-/// causal-padding-aware im2col patch matrix whenever the shape is large
-/// enough to amortise the patch traffic (see Conv1dImpl); small shapes keep
-/// the direct loops. Both paths compute the same convolution; they differ
-/// only in float summation order (parity is gradcheck-tested).
+/// causal-padding-aware im2col patch matrix, for every shape. Each output's
+/// summation order is fixed by the GEMM (tensor/tensor_ops.h), so each row
+/// of a batched forward is bit-identical to its window's N=1 forward.
 Variable conv1d(const Variable& x, const Variable& w, const Variable& b,
                 std::size_t dilation = 1, std::ptrdiff_t left_pad = -1);
-
-/// Conv1d kernel dispatch. kAuto (default) picks by a flop-count cutoff:
-/// large shapes lower to im2col+GEMM, tiny ones keep the direct loop.
-/// kDirect / kIm2col pin one path — used by the parity tests and the
-/// direct-vs-lowered benches. Process-wide; shape-dependent only, so
-/// dispatch never depends on data.
-enum class Conv1dImpl { kAuto, kDirect, kIm2col };
-void set_conv1d_impl(Conv1dImpl impl);
-Conv1dImpl conv1d_impl();
-
-/// Batch-invariant conv dispatch. The kAuto cutoff depends on the batch
-/// size N, so a coalesced batch could pick a different summation order than
-/// the N=1 forward of each of its windows. While a scope is alive on the
-/// current thread, every conv1d forward (ag::conv1d, fwd::conv1d and the
-/// compiler's conv lowering) makes the N=1 decision instead, so each row of a
-/// batched forward is bit-identical to its window's N=1 forward. Serving
-/// runs under one; training never does. Chunking still uses the true N, and
-/// kDirect/kIm2col pins win either way. Scopes nest.
-class SingleWindowConvDispatch {
- public:
-  SingleWindowConvDispatch();
-  ~SingleWindowConvDispatch();
-  SingleWindowConvDispatch(const SingleWindowConvDispatch&) = delete;
-  SingleWindowConvDispatch& operator=(const SingleWindowConvDispatch&) = delete;
-
- private:
-  bool previous_;
-};
 
 /// Weight normalisation: w[c,...] = g[c] * v[c,...] / ||v[c,...]||_2.
 /// Used inside the TCN residual block (Fig. 6).
@@ -121,16 +92,9 @@ Variable slice_cols(const Variable& x, std::size_t start, std::size_t count);
 namespace fwd {
 
 /// Dilated causal Conv1d forward on plain tensors: the conv1d op-table entry
-/// without a tape node (same contract as ag::conv1d, including
-/// SingleWindowConvDispatch).
+/// without a tape node (same contract as ag::conv1d).
 Tensor conv1d(const Tensor& x, const Tensor& w, const Tensor* b,
               std::size_t dilation = 1, std::ptrdiff_t left_pad = -1);
-
-/// Shape-only GEMM-vs-direct dispatch of a conv1d forward, as the conv1d
-/// entry evaluates it per call (honours set_conv1d_impl and
-/// SingleWindowConvDispatch).
-bool conv1d_uses_gemm(std::size_t n, std::size_t cin, std::size_t cout,
-                      std::size_t k, std::size_t t_out);
 
 /// Causal-padding-aware im2col over nc samples with explicit input strides:
 /// patches[(ci*K + kk), s*T_out + t] = x[s*xs + ci*xc + (t + kk*d - pad)],

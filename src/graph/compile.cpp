@@ -9,10 +9,9 @@
 // matrix per conv input, one gathered dy per conv gradient.
 //
 // Gradient slots follow the tape's first-write/accumulate discipline
-// (op_table.h). Dispatch decisions (GEMM small-vs-blocked, conv
-// direct-vs-im2col) are made here, at capture, with the shape-only
-// predicates the table kernels evaluate per call, so a replay can never
-// pick a different summation order than the tape it replaced.
+// (op_table.h). A lowering changes only where a kernel's operands come
+// from, never a summation order: the GEMM reduces every output in one
+// shape-independent order, so a replay matches the tape it replaced.
 #include "graph/compile.h"
 
 #include <algorithm>
@@ -26,7 +25,6 @@
 #include <utility>
 
 #include "autograd/op_table.h"
-#include "autograd/ops.h"
 #include "common/check.h"
 #include "tensor/tensor_ops.h"
 
@@ -367,13 +365,12 @@ class Compiler {
       saved_of_[res] = s.saved;
     }
     s.reads = op::kIn0 | op::kIn1 | op::kIn2;
-    std::string name = e.name;
     ForwardFn fn = e.forward;
-    if (r.kind == OpKind::kConv1d) lower_conv1d(g, &s, &name, &fn);
+    if (r.kind == OpKind::kConv1d) lower_conv1d(g, &s, &fn);
     if (r.kind == OpKind::kLinear) lower_linear(g, s, &fn);
 
     EmitSpec spec;
-    spec.name = std::move(name);
+    spec.name = e.name;
     s.add_inputs(spec);
     spec.outputs.push_back(out);
     if (s.has_saved) spec.outputs.push_back(s.saved);
@@ -389,30 +386,20 @@ class Compiler {
     return true;
   }
 
-  /// The forward decision the eager conv1d makes (pinned to N=1 under
-  /// SingleWindowConvDispatch). When one chunk covers the batch, the patch
-  /// matrix becomes its own step; the backward-dW GEMM reuses it instead of
-  /// re-running im2col over the same x.
-  void lower_conv1d(const op::Geom& g, Srcs* s, std::string* name,
-                    ForwardFn* fn) {
-    const bool gemm = ag::fwd::conv1d_uses_gemm(g.in[0][0], g.in[0][1],
-                                                g.in[1][0], g.in[1][2],
-                                                g.out[2]);
-    *name = gemm ? "conv1d_gemm" : "conv1d_direct";
-    if (gemm && op::conv1d_single_chunk(g)) {
-      s->in[0] = SrcRef::value(ensure_patches(s->in[0], g));
-      *fn = [](const op::Geom& gg, const op::Bufs& b, float* y) {
-        op::conv1d_forward_patches(gg, b.in[0], b.in[1], b.in[2], y);
-      };
-      return;
-    }
-    *fn = [gemm](const op::Geom& gg, const op::Bufs& b, float* y) {
-      op::conv1d_forward(gg, b, y, gemm);
+  /// When one chunk covers the batch, the patch matrix becomes its own step;
+  /// the backward-dW GEMM reuses it instead of re-running im2col over the
+  /// same x. Otherwise the entry's chunked kernel runs as is.
+  void lower_conv1d(const op::Geom& g, Srcs* s, ForwardFn* fn) {
+    if (!op::conv1d_single_chunk(g)) return;
+    s->in[0] = SrcRef::value(ensure_patches(s->in[0], g));
+    *fn = [](const op::Geom& gg, const op::Bufs& b, float* y) {
+      op::conv1d_forward_patches(gg, b.in[0], b.in[1], b.in[2], y);
     };
   }
 
-  /// y = x·Wᵀ: prepack a baked W when the shape takes the blocked GEMM
-  /// path (the packed replay is bit-identical only there).
+  /// y = x·Wᵀ: prepack a baked W where the shape takes the blocked GEMM
+  /// path, which packs B on every call. Both GEMM paths round alike, so
+  /// this is a cost choice: the small path packs nothing to save.
   void lower_linear(const op::Geom& g, const Srcs& s, ForwardFn* fn) {
     const std::size_t m = g.in[0][0], in_f = g.in[1][1], out_f = g.in[1][0];
     if (s.in[1].is_val || !rptcn::gemm_uses_blocked(m, out_f, in_f)) return;
@@ -503,34 +490,22 @@ class Compiler {
         });
   }
 
-  /// The backward decision the eager conv1d makes, on the true N. When one
-  /// chunk covers the batch, dX and dW share a single dy gather, and dW
-  /// reuses the patch matrix the forward already built from this x.
+  /// When one chunk covers the batch, dX and dW share a single dy gather,
+  /// and dW reuses the patch matrix the forward already built from this x.
   void lower_conv1d_grad(std::size_t i, const op::Geom& g, Srcs* s,
                          GradFn* fn) {
-    const bool gemm = op::conv1d_backward_uses_gemm(g);
-    if (gemm && op::conv1d_single_chunk(g)) {
-      s->gy = SrcRef::value(ensure_gathered_dy(s->gy.id, g));
-      if (i == 0) {
-        *fn = [](const op::Geom& gg, const op::Bufs& b, float* d, bool) {
-          op::conv1d_dx_gathered(gg, b.gy, b.in[1], d);
-        };
-      } else {
-        s->in[0] = SrcRef::value(ensure_patches(s->in[0], g));
-        *fn = [](const op::Geom& gg, const op::Bufs& b, float* d, bool) {
-          op::conv1d_dw_patches(gg, b.gy, b.in[0], d);
-        };
-      }
-      return;
+    if (!op::conv1d_single_chunk(g)) return;
+    s->gy = SrcRef::value(ensure_gathered_dy(s->gy.id, g));
+    if (i == 0) {
+      *fn = [](const op::Geom& gg, const op::Bufs& b, float* d, bool) {
+        op::conv1d_dx_gathered(gg, b.gy, b.in[1], d);
+      };
+    } else {
+      s->in[0] = SrcRef::value(ensure_patches(s->in[0], g));
+      *fn = [](const op::Geom& gg, const op::Bufs& b, float* d, bool) {
+        op::conv1d_dw_patches(gg, b.gy, b.in[0], d);
+      };
     }
-    if (i == 0)
-      *fn = [gemm](const op::Geom& gg, const op::Bufs& b, float* d, bool) {
-        op::conv1d_dx(gg, b, d, gemm);
-      };
-    else
-      *fn = [gemm](const op::Geom& gg, const op::Bufs& b, float* d, bool) {
-        op::conv1d_dw(gg, b, d, gemm);
-      };
   }
 
   /// dx = dy·W — the second weight-side GEMM worth a shared pack.

@@ -9,12 +9,12 @@
 //    operands, scalar payload, dropout RNG state) and, for a training step,
 //    the backward closures' firing order.
 //  * compile — re-emit the trace as flat TensorOps against a GraphBuilder,
-//    making every shape-dependent dispatch decision (GEMM small-vs-blocked,
-//    conv direct-vs-im2col) with the predicates the eager kernels evaluate
-//    per call. Values share one liveness-planned arena. Only true leaves
-//    (parameters, constants) are baked; a parentless node that some
-//    untraced op produced fails the compile, since its value derives from
-//    the probe's input.
+//    binding the op table's kernels to planned buffers (a blocked-path
+//    weight prepack and a shared im2col patch matrix change where operands
+//    come from, never a summation order). Values share one liveness-planned
+//    arena. Only true leaves (parameters, constants) are baked; a
+//    parentless node that some untraced op produced fails the compile,
+//    since its value derives from the probe's input.
 //  * verify  — replay the program on the probe batch and demand bitwise
 //    equality with the eager result. Only a program that passes is cached;
 //    a mismatch pins that shape to the eager forward.
@@ -63,9 +63,7 @@ std::shared_ptr<opt::PlannedStep> make_planned_step(
 /// bit-for-bit; nullptr means "serve this shape eagerly". The module behind
 /// `forward` must be in eval mode and its parameters must stay unchanged
 /// for the program's lifetime (they are read in place, and weight-derived
-/// values are folded). Conv dispatch follows the caller's thread, so
-/// compiling under ag::SingleWindowConvDispatch yields a batch-invariant
-/// serving plan.
+/// values are folded).
 std::shared_ptr<const Executable> compile_forward(const opt::ForwardFn& forward,
                                                   const Tensor& probe);
 

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "autograd/ops.h"
 #include "graph/train.h"
 #include "models/net_forecaster.h"
 
@@ -57,7 +56,6 @@ void InferenceSession::adopt(const nn::ForecastNet& net) {
   net_->set_training(false);
   plans_ = std::make_unique<graph::PlanCache>([this](const Tensor& probe) {
     std::lock_guard<std::mutex> lock(eager_mutex_);
-    ag::SingleWindowConvDispatch single_window;
     return graph::compile_forward(
         [this](const Variable& x) { return net_->forward(x); }, probe);
   });
@@ -99,7 +97,6 @@ Tensor InferenceSession::run(const Tensor& inputs) const {
   if (graph::planning_enabled())
     if (const auto plan = plans_->get(inputs)) return plan->run(inputs);
   std::lock_guard<std::mutex> lock(eager_mutex_);
-  ag::SingleWindowConvDispatch single_window;
   NoGradScope no_grad;
   return net_->forward(Variable(inputs)).value();
 }

@@ -15,9 +15,11 @@
 // by a mutex because a net's forward may write state (RPTCN records its
 // attention weights).
 //
-// Batch invariance: recording, compiling and eager fallbacks all run under
-// ag::SingleWindowConvDispatch, so each row of a coalesced batch is
-// bit-identical to the unbatched (N=1) forward of that window.
+// Batch invariance holds by construction: every kernel a net's forward runs
+// sums each output in an order that does not depend on the batch size (the
+// conv1d and linear GEMMs included), so each row of a coalesced batch is
+// bit-identical to the unbatched (N=1) forward of that window, planned or
+// eager.
 //
 // Non-tensor models (ARIMA, XGBoost) have no net to copy; for those the
 // session delegates run() to the forecaster's own predict() behind the same

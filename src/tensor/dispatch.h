@@ -17,7 +17,8 @@
 //
 // Determinism contract: all tiers are BIT-IDENTICAL, not merely close.
 //   * GEMM: every tier folds products with one correctly-rounded fma per
-//     element in the same fixed k-ascending order; micro-tile width (8x8
+//     element in the same fixed k-ascending order, panel by panel (kKC),
+//     on the small-shape and the blocked path alike; micro-tile width (8x8
 //     scalar/avx2, 16x16 avx512) only changes which elements are computed
 //     together, never the per-element operation sequence.
 //   * exp/tanh (and sigmoid/softmax built on them): one shared polynomial
@@ -35,6 +36,13 @@
 #include <string>
 
 namespace rptcn {
+
+/// k-panel depth of every GEMM. Each C element is reduced as an fma chain
+/// from zero over each kKC-deep k panel, and each panel's sum is added to C
+/// in ascending panel order. The blocked kernel (tensor_ops.cpp) and the
+/// small-shape kernel (kernels_detail.h) both read this one constant, so a
+/// GEMM's bits never depend on which of them its shape takes.
+inline constexpr std::size_t kKC = 256;
 
 /// Arch tiers in strictly increasing capability order (comparable with <).
 enum class KernelArch : int { kScalar = 0, kAvx2 = 1, kAvx512 = 2 };
@@ -66,8 +74,8 @@ struct KernelTable {
   void (*pack_b)(const float* b, std::size_t ldb, bool trans, std::size_t p0,
                  std::size_t kc, std::size_t n, float* buf) = nullptr;
 
-  /// Small-shape triple loop (same k-ascending fma reduction), accumulating
-  /// into zero-initialised C.
+  /// Small-shape loop nest, C += op(A)·op(B), in the blocked kernel's
+  /// per-element order (see kKC). C may hold a bias to accumulate onto.
   void (*gemm_small)(std::size_t m, std::size_t n, std::size_t k,
                      const float* a, std::size_t lda, bool ta, const float* b,
                      std::size_t ldb, bool tb, float* c) = nullptr;

@@ -9,8 +9,8 @@
 //
 // Bit-identity across tiers rests on two rules encoded here:
 //   1. Float kernels fix the per-element operation sequence (fma chains,
-//      k-ascending reductions). Vectorising across elements then cannot
-//      change any result, because lanes never interact.
+//      k-ascending reductions in kKC panels). Vectorising across elements
+//      then cannot change any result, because lanes never interact.
 //   2. The transcendental kernels (exp_core / tanh_core) are written once
 //      against a tiny vector-ops concept `V`; the scalar specialisation
 //      (VecScalar) performs literally the same per-lane operations the SIMD
@@ -31,6 +31,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+
+#include "tensor/dispatch.h"
 
 namespace rptcn::kdetail {
 namespace {
@@ -225,18 +227,36 @@ inline void micro_kernel_impl(std::size_t kc, const float* ap, const float* bp,
   }
 }
 
-/// Simple branch-free triple loop for tiny shapes (same reduction order:
-/// k ascending, fma per product), accumulating into zero-initialised C.
+/// Small-shape GEMM, C[m,n] += op(A)·op(B), in the blocked kernel's order:
+/// per C element an fma chain from zero over each kKC-deep k panel, each
+/// panel's sum added to C in ascending order (dispatch.h). Columns run in
+/// strips of kStrip, so one row's panel sums fit a stack buffer and every
+/// inner loop vectorises across columns.
 inline void gemm_small_impl(std::size_t m, std::size_t n, std::size_t k,
                             const float* a, std::size_t lda, bool ta,
                             const float* b, std::size_t ldb, bool tb,
                             float* c) {
-  for (std::size_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float av = at_maybe_t(a, lda, ta, i, p);
-      for (std::size_t j = 0; j < n; ++j)
-        crow[j] = std::fma(av, at_maybe_t(b, ldb, tb, p, j), crow[j]);
+  constexpr std::size_t kStrip = 256;
+  float acc[kStrip];
+  for (std::size_t j0 = 0; j0 < n; j0 += kStrip) {
+    const std::size_t nc = std::min(kStrip, n - j0);
+    const float* bs = tb ? b + j0 * ldb : b + j0;  // op(B) from column j0
+    for (std::size_t i = 0; i < m; ++i) {
+      float* crow = c + i * n + j0;
+      for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
+        const std::size_t p1 = std::min(k, p0 + kKC);
+        // Start with fma(a, b, +0) as the micro-kernel's zeroed accumulator
+        // does, not a*b: the two differ in the sign of a zero product.
+        const float a0 = at_maybe_t(a, lda, ta, i, p0);
+        for (std::size_t j = 0; j < nc; ++j)
+          acc[j] = std::fma(a0, at_maybe_t(bs, ldb, tb, p0, j), 0.0f);
+        for (std::size_t p = p0 + 1; p < p1; ++p) {
+          const float av = at_maybe_t(a, lda, ta, i, p);
+          for (std::size_t j = 0; j < nc; ++j)
+            acc[j] = std::fma(av, at_maybe_t(bs, ldb, tb, p, j), acc[j]);
+        }
+        for (std::size_t j = 0; j < nc; ++j) crow[j] += acc[j];
+      }
     }
   }
 }

@@ -203,24 +203,25 @@ Tensor sum_cols(const Tensor& a) {
 //   * each row block packs its A panel [mc x kc] into row panels of height
 //     kt.mr (k-major) and runs the kt.mr x kt.nr micro-kernel.
 //
-// Determinism contract: per C element the reduction order is k ascending
-// within a panel, panels ascending, each product folded with a single
-// rounding via fma. Tile geometry only changes which elements are computed
-// together, never the per-element sequence, so results are identical across
-// tiers too. No data-dependent branches, no atomic reductions.
-// tests/test_tensor_ops.cpp checks bit-exact equality against a reference
-// triple loop that mirrors this reduction order;
+// Determinism contract: per C element the reduction order is an fma chain
+// from zero over each kKC panel (k ascending, one rounding per product),
+// each panel's sum added to C in ascending panel order (kKC lives in
+// tensor/dispatch.h; the small-shape kernel reduces the same way). Tile
+// geometry and the small-vs-blocked choice only change which elements are
+// computed together, never the per-element sequence, so results are
+// identical across shapes and tiers. No data-dependent branches, no atomic
+// reductions. tests/test_tensor_ops.cpp checks bit-exact equality against a
+// reference loop that mirrors this reduction order;
 // tests/test_kernel_dispatch.cpp checks it across tiers.
 namespace {
 
-constexpr std::size_t kMC = 64;   // row-block height (A panel rows)
-constexpr std::size_t kKC = 256;  // k-panel depth
+constexpr std::size_t kMC = 64;  // row-block height (A panel rows)
 // Largest micro-tile any tier registers (avx512 is 16x16); sizes the
 // stack accumulator in gemm_row_block.
 constexpr std::size_t kMaxTileElems = 16 * 16;
-// Below this flop count the packing overhead dominates; use the simple
-// branch-free triple loop. Shape-dependent dispatch only — never
-// data-dependent.
+// Below this flop count the packing overhead dominates; use the small-shape
+// loop nest, which reduces in the same order. A pure cost choice: shape-only,
+// never data-dependent, and invisible in the result bits.
 constexpr std::size_t kSmallGemmFlops = 1u << 13;
 // OpenMP fan-out threshold for the blocked path.
 constexpr std::size_t kParallelGemmFlops = 1u << 16;

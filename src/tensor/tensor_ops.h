@@ -67,7 +67,11 @@ Tensor sum_cols(const Tensor& a);
 /// Raw GEMM entry point: C[m,n] += op(A)·op(B), where op transposes iff
 /// trans_a/trans_b and lda/ldb are the *storage* leading dimensions. C must
 /// be initialised by the caller (zeros, or a bias to accumulate onto). Same
-/// blocked packed deterministic kernel as matmul/_tn/_nt; exposed for
+/// deterministic kernels as matmul/_tn/_nt, with one per-element order for
+/// every shape: an fma chain from zero per kKC-deep k panel, each panel's
+/// sum added to C in ascending order (tensor/dispatch.h). Each C element
+/// therefore depends only on its row of op(A) and its column of op(B),
+/// never on m or n. Exposed for
 /// callers that manage their own buffers — the conv1d im2col lowering in
 /// autograd/op_conv1d.cpp drives all three of its GEMMs through this.
 void gemm_accumulate(std::size_t m, std::size_t n, std::size_t k,
@@ -75,11 +79,10 @@ void gemm_accumulate(std::size_t m, std::size_t n, std::size_t k,
                      const float* b, std::size_t ldb, bool trans_b, float* c);
 
 /// True iff gemm_accumulate(m,n,k,...) takes the blocked packed path rather
-/// than the small-shape triple loop. Shape-only, never data-dependent; the
-/// graph planner uses it to decide ahead of time whether a prepacked operand
-/// is legal for a given batch shape (the two paths round differently when C
-/// is prefilled with a bias, so a plan must make the same choice the eager
-/// kernel makes).
+/// than the small-shape loop nest. Shape-only, never data-dependent. Both
+/// paths reduce each element in the same order (tensor/dispatch.h, kKC), so
+/// the choice is a cost choice; the graph planner uses it to prepack a
+/// weight only where the blocked path would pack it on every call.
 bool gemm_uses_blocked(std::size_t m, std::size_t n, std::size_t k);
 
 /// A GEMM B operand packed ahead of time into the blocked kernel's k-major
@@ -105,9 +108,9 @@ struct PackedB {
 PackedB gemm_pack_b(const float* b, std::size_t ldb, bool trans_b,
                     std::size_t k, std::size_t n);
 
-/// gemm_accumulate with a prepacked B. Only valid on shapes where
-/// gemm_uses_blocked(m,n,k) holds (checked); bit-identical to the unpacked
-/// call on those shapes.
+/// gemm_accumulate with a prepacked B, bit-identical to the unpacked call.
+/// Only valid on shapes where gemm_uses_blocked(m,n,k) holds (checked): a
+/// small shape never packs, so a pack for it is a planner bug.
 void gemm_accumulate_packed_b(std::size_t m, std::size_t n, std::size_t k,
                               const float* a, std::size_t lda, bool trans_a,
                               const PackedB& b, float* c);

@@ -1,40 +1,25 @@
-// Parity tests for the im2col+GEMM conv1d lowering against the direct
-// loops, across the dilation/kernel/padding grid the RPTCN stack uses.
-// Both paths compute the same convolution and may differ only in float
-// summation order, so forward values and all three gradients must agree
-// to allclose tolerance, and the lowered path must pass finite-difference
-// gradcheck on its own. The dispatch tests pin the shape-only GEMM-vs-direct
-// decision, including ag::SingleWindowConvDispatch (serving's batch-invariant
-// N=1 decision); the direct-kernel test checks that a batched direct call,
-// forked or serial, reproduces each window's own call bit-for-bit.
+// Tests for the im2col+GEMM conv1d, across the dilation/kernel/padding grid
+// the RPTCN stack uses. Forward values and all three gradients must agree
+// to allclose tolerance with a naive reference written here (the eq. 3 sum
+// and its gradients, accumulated in double), and the lowered path must pass
+// finite-difference gradcheck on its own. The batch-invariance tests check
+// that every row of a batched conv1d or linear, and every window's conv1d
+// dX, is bit-identical to its own N=1 call, with no scope or setting
+// involved.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "autograd/gradcheck.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
-#include "obs/metrics.h"
 #include "tensor/tensor_ops.h"
 
 namespace rptcn {
 namespace {
-
-using ag::Conv1dImpl;
-
-/// Pins one conv1d implementation for the test body and restores the
-/// default dispatch on teardown, so test order never leaks a forced path.
-class ImplGuard {
- public:
-  explicit ImplGuard(Conv1dImpl impl) { ag::set_conv1d_impl(impl); }
-  ~ImplGuard() { ag::set_conv1d_impl(Conv1dImpl::kAuto); }
-  ImplGuard(const ImplGuard&) = delete;
-  ImplGuard& operator=(const ImplGuard&) = delete;
-};
 
 struct LoweringCase {
   std::size_t n, cin, cout, k, dilation, t;
@@ -45,17 +30,53 @@ struct ConvRun {
   Tensor y, dx, dw, db;
 };
 
-/// Forward + backward under a pinned implementation, seeding backward with
-/// a fixed dy so both paths push identical cotangents.
-ConvRun run_conv(Conv1dImpl impl, const LoweringCase& c, const Tensor& xv,
-                 const Tensor& wv, const Tensor& bv, const Tensor& dy) {
-  ImplGuard guard(impl);
+/// Forward + backward through ag::conv1d, seeding backward with a fixed dy.
+ConvRun run_conv(const LoweringCase& c, const Tensor& xv, const Tensor& wv,
+                 const Tensor& bv, const Tensor& dy) {
   Variable x(xv, /*requires_grad=*/true);
   Variable w(wv, /*requires_grad=*/true);
   Variable b(bv, /*requires_grad=*/true);
   Variable y = ag::conv1d(x, w, b, c.dilation, c.left_pad);
   y.backward(dy);
   return {y.value(), x.grad(), w.grad(), b.grad()};
+}
+
+/// The paper's eq. 3 written out, with its dX/dW/db, accumulated in double:
+///   y[n,co,t] = b[co] + sum_{ci,kk} w[co,ci,kk] * x[n,ci,t + kk*d - pad],
+/// where x reads as zero outside [0, T).
+ConvRun reference_conv(const LoweringCase& c, std::size_t pad,
+                       std::size_t t_out, const Tensor& x, const Tensor& w,
+                       const Tensor& b, const Tensor& dy) {
+  std::vector<double> y(c.n * c.cout * t_out), dx(c.n * c.cin * c.t),
+      dw(c.cout * c.cin * c.k), db(c.cout);
+  for (std::size_t ni = 0; ni < c.n; ++ni)
+    for (std::size_t co = 0; co < c.cout; ++co)
+      for (std::size_t t = 0; t < t_out; ++t) {
+        const double g = dy.at(ni, co, t);
+        double acc = b.at(co);
+        db[co] += g;
+        for (std::size_t ci = 0; ci < c.cin; ++ci)
+          for (std::size_t kk = 0; kk < c.k; ++kk) {
+            const std::ptrdiff_t src =
+                static_cast<std::ptrdiff_t>(t + kk * c.dilation) -
+                static_cast<std::ptrdiff_t>(pad);
+            if (src < 0 || src >= static_cast<std::ptrdiff_t>(c.t)) continue;
+            const auto s = static_cast<std::size_t>(src);
+            acc += static_cast<double>(w.at(co, ci, kk)) * x.at(ni, ci, s);
+            dx[(ni * c.cin + ci) * c.t + s] += g * w.at(co, ci, kk);
+            dw[(co * c.cin + ci) * c.k + kk] += g * x.at(ni, ci, s);
+          }
+        y[(ni * c.cout + co) * t_out + t] = acc;
+      }
+  const auto to_tensor = [](const std::vector<double>& v,
+                            std::vector<std::size_t> shape) {
+    Tensor out(std::move(shape));
+    std::transform(v.begin(), v.end(), out.raw(),
+                   [](double d) { return static_cast<float>(d); });
+    return out;
+  };
+  return {to_tensor(y, {c.n, c.cout, t_out}), to_tensor(dx, {c.n, c.cin, c.t}),
+          to_tensor(dw, {c.cout, c.cin, c.k}), to_tensor(db, {c.cout})};
 }
 
 class Conv1dLowering : public ::testing::TestWithParam<LoweringCase> {};
@@ -68,19 +89,18 @@ TEST_P(Conv1dLowering, MatchesDirectForwardAndBackward) {
   const Tensor xv = Tensor::randn({c.n, c.cin, c.t}, rng);
   const Tensor wv = Tensor::randn({c.cout, c.cin, c.k}, rng);
   const Tensor bv = Tensor::randn({c.cout}, rng);
-  const std::size_t t_out = c.t + (c.left_pad < 0 ? (c.k - 1) * c.dilation
-                                                  : static_cast<std::size_t>(
-                                                        c.left_pad)) -
-                            (c.k - 1) * c.dilation;
+  const std::size_t pad = c.left_pad < 0 ? (c.k - 1) * c.dilation
+                                         : static_cast<std::size_t>(c.left_pad);
+  const std::size_t t_out = c.t + pad - (c.k - 1) * c.dilation;
   const Tensor dy = Tensor::randn({c.n, c.cout, t_out}, rng);
 
-  const ConvRun direct = run_conv(Conv1dImpl::kDirect, c, xv, wv, bv, dy);
-  const ConvRun gemm = run_conv(Conv1dImpl::kIm2col, c, xv, wv, bv, dy);
+  const ConvRun ref = reference_conv(c, pad, t_out, xv, wv, bv, dy);
+  const ConvRun got = run_conv(c, xv, wv, bv, dy);
 
-  EXPECT_TRUE(allclose(direct.y, gemm.y)) << "forward mismatch";
-  EXPECT_TRUE(allclose(direct.dx, gemm.dx)) << "dX mismatch";
-  EXPECT_TRUE(allclose(direct.dw, gemm.dw, 1e-4f, 1e-3f)) << "dW mismatch";
-  EXPECT_TRUE(allclose(direct.db, gemm.db)) << "db mismatch";
+  EXPECT_TRUE(allclose(ref.y, got.y)) << "forward mismatch";
+  EXPECT_TRUE(allclose(ref.dx, got.dx)) << "dX mismatch";
+  EXPECT_TRUE(allclose(ref.dw, got.dw, 1e-4f, 1e-3f)) << "dW mismatch";
+  EXPECT_TRUE(allclose(ref.db, got.db)) << "db mismatch";
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -102,7 +122,7 @@ INSTANTIATE_TEST_SUITE_P(
         LoweringCase{8, 16, 16, 3, 2, 24, -1}));
 
 /// Finite-difference check of the lowered path itself (not just agreement
-/// with the direct loops) over the same grid corners.
+/// with the reference) over the same grid corners.
 struct GradCase {
   std::size_t cin, cout, k, dilation, t;
   std::ptrdiff_t left_pad;
@@ -112,7 +132,6 @@ class Conv1dLoweringGrad : public ::testing::TestWithParam<GradCase> {};
 
 TEST_P(Conv1dLoweringGrad, GradcheckPassesWithIm2colForced) {
   const auto c = GetParam();
-  ImplGuard guard(Conv1dImpl::kIm2col);
   Rng rng(static_cast<std::uint64_t>(c.cin * 100 + c.cout * 10 + c.k +
                                      c.dilation + c.t) +
           static_cast<std::uint64_t>(c.left_pad + 1));
@@ -136,164 +155,109 @@ INSTANTIATE_TEST_SUITE_P(
                       GradCase{2, 3, 3, 1, 8, 0}, GradCase{2, 2, 3, 2, 10, 0},
                       GradCase{2, 2, 2, 4, 12, 0}, GradCase{2, 2, 3, 8, 20, 0}));
 
-TEST(Conv1dLoweringDispatch, AutoLowersPaperShapeAndKeepsTinyDirect) {
-  // kAuto must route the paper's residual-block shape through the GEMM
-  // path and a tiny shape through the direct loops. The per-path call
-  // counters are the observable: each forward bumps exactly one of them.
-  ag::set_conv1d_impl(Conv1dImpl::kAuto);
-  const bool obs_was_enabled = obs::enabled();
-  obs::set_enabled(true);
-  auto& gemm_calls = obs::metrics().counter("kernel/conv1d_gemm_calls");
-  auto& direct_calls = obs::metrics().counter("kernel/conv1d_direct_calls");
-  Rng rng(7);
-  {
-    const std::uint64_t g0 = gemm_calls.value();
-    Variable x(Tensor::randn({32, 16, 24}, rng));
-    Variable w(Tensor::randn({16, 16, 3}, rng));
-    Variable y = ag::conv1d(x, w, Variable{}, 2);
-    EXPECT_EQ(y.shape(), (std::vector<std::size_t>{32, 16, 24}));
-    EXPECT_EQ(gemm_calls.value(), g0 + 1) << "paper shape must lower to GEMM";
-  }
-  {
-    const std::uint64_t d0 = direct_calls.value();
-    Variable x(Tensor::randn({1, 1, 4}, rng));
-    Variable w(Tensor::randn({1, 1, 2}, rng));
-    Variable y = ag::conv1d(x, w, Variable{}, 1);
-    EXPECT_EQ(y.shape(), (std::vector<std::size_t>{1, 1, 4}));
-    EXPECT_EQ(direct_calls.value(), d0 + 1) << "tiny shape must stay direct";
-  }
-  obs::set_enabled(obs_was_enabled);
-}
-
-// Residual-block shape whose kAuto decision flips with the batch: one window
-// (2*1*8*8*3*24 = 9216 flops) stays below the GEMM cutoff, four windows cross
-// it.
-constexpr std::size_t kFlipC = 8, kFlipK = 3, kFlipT = 24, kFlipN = 4;
-
-bool flip_shape_uses_gemm(std::size_t n) {
-  return ag::fwd::conv1d_uses_gemm(n, kFlipC, kFlipC, kFlipK, kFlipT);
-}
-
-/// Rows [i, i+1) of a [N, C, T] tensor as a [1, C, T] tensor.
+/// Row i of a [N, ...] tensor as a [1, ...] tensor.
 Tensor row_of(const Tensor& x, std::size_t i) {
-  const std::size_t row = x.dim(1) * x.dim(2);
-  Tensor one({1, x.dim(1), x.dim(2)});
+  std::vector<std::size_t> shape = x.shape();
+  const std::size_t row = x.size() / shape[0];
+  shape[0] = 1;
+  Tensor one(shape);
   std::copy_n(x.raw() + i * row, row, one.raw());
   return one;
 }
 
-TEST(Conv1dLoweringDispatch, SingleWindowScopePinsTheN1Decision) {
-  ag::set_conv1d_impl(Conv1dImpl::kAuto);
-  ASSERT_FALSE(flip_shape_uses_gemm(1));
-  ASSERT_TRUE(flip_shape_uses_gemm(kFlipN));
-  {
-    ag::SingleWindowConvDispatch outer;
-    EXPECT_FALSE(flip_shape_uses_gemm(kFlipN)) << "scope must decide as N=1";
-    {
-      ag::SingleWindowConvDispatch inner;
-      EXPECT_FALSE(flip_shape_uses_gemm(kFlipN));
-    }
-    EXPECT_FALSE(flip_shape_uses_gemm(kFlipN))
-        << "closing a nested scope must keep the outer one alive";
-    // Explicit implementation pins win over the scope either way.
-    {
-      ImplGuard gemm(Conv1dImpl::kIm2col);
-      EXPECT_TRUE(flip_shape_uses_gemm(kFlipN));
-    }
-    {
-      ImplGuard direct(Conv1dImpl::kDirect);
-      EXPECT_FALSE(ag::fwd::conv1d_uses_gemm(32, 16, 16, 3, 24));
-    }
-  }
-  EXPECT_TRUE(flip_shape_uses_gemm(kFlipN))
-      << "the true-batch decision must come back once the scope closes";
+/// memcmp of row i of `batched` against the [1, ...] tensor `one`.
+bool row_matches(const Tensor& batched, std::size_t i, const Tensor& one) {
+  return std::memcmp(batched.raw() + i * one.size(), one.raw(),
+                     one.size() * sizeof(float)) == 0;
 }
 
-TEST(Conv1dLoweringDispatch, SingleWindowScopeIsThreadLocal) {
-  ag::set_conv1d_impl(Conv1dImpl::kAuto);
-  bool other_thread_gemm = false;
-  {
-    ag::SingleWindowConvDispatch pinned_here;
-    std::thread other([&] { other_thread_gemm = flip_shape_uses_gemm(kFlipN); });
-    other.join();
-    EXPECT_FALSE(flip_shape_uses_gemm(kFlipN));
-  }
-  EXPECT_TRUE(other_thread_gemm) << "a scope leaked into another thread";
-
-  bool pinned_there = true;
-  std::thread pinning([&] {
-    ag::SingleWindowConvDispatch scope;
-    pinned_there = !flip_shape_uses_gemm(kFlipN);
-  });
-  pinning.join();
-  EXPECT_TRUE(pinned_there);
-  EXPECT_TRUE(flip_shape_uses_gemm(kFlipN))
-      << "another thread's scope pinned this one";
-}
-
-TEST(Conv1dLoweringDispatch, BatchedRowsUnderScopeMatchEachWindowsN1Forward) {
-  // Under the scope a coalesced batch runs the direct loops its windows run
-  // alone (the per-path counters show which), so every row reproduces its
-  // window's N=1 forward bit-for-bit.
-  ag::set_conv1d_impl(Conv1dImpl::kAuto);
-  const bool obs_was_enabled = obs::enabled();
-  obs::set_enabled(true);
-  auto& gemm_calls = obs::metrics().counter("kernel/conv1d_gemm_calls");
-  auto& direct_calls = obs::metrics().counter("kernel/conv1d_direct_calls");
+TEST(Conv1dLowering, BatchedRowsMatchEachWindowsN1Forward) {
+  // Shapes where batching moves the GEMM across its small/blocked cutoff.
+  // The bias prefill makes C non-zero, so a path whose order differed from
+  // the blocked kernel's would show up in the last bits of these rows.
+  struct Shape {
+    std::size_t n, cin, cout, k, t;
+  };
+  const Shape shapes[] = {
+      {4, 8, 8, 3, 24},    // a residual block of width 8
+      {3, 16, 16, 2, 16},  // Cout·T·Cin·K = 8192 at N=1
+      {10, 2, 16, 3, 24},  // the first conv of a 2-feature RPTCN
+  };
   Rng rng(31);
-  const Variable x(Tensor::randn({kFlipN, kFlipC, kFlipT}, rng));
-  const Variable w(Tensor::randn({kFlipC, kFlipC, kFlipK}, rng));
-  const Variable b(Tensor::randn({kFlipC}, rng));
-  const std::size_t dilation = 2;
-
-  const std::uint64_t g0 = gemm_calls.value();
-  (void)ag::conv1d(x, w, b, dilation);
-  EXPECT_EQ(gemm_calls.value(), g0 + 1) << "unpinned batch must lower to GEMM";
-
-  Tensor batched;
-  {
-    ag::SingleWindowConvDispatch scope;
-    const std::uint64_t d0 = direct_calls.value();
-    batched = ag::conv1d(x, w, b, dilation).value();
-    EXPECT_EQ(direct_calls.value(), d0 + 1) << "pinned batch must stay direct";
-  }
-  const std::size_t row = kFlipC * kFlipT;
-  for (std::size_t i = 0; i < kFlipN; ++i) {
-    const Tensor one =
-        ag::conv1d(Variable(row_of(x.value(), i)), w, b, dilation).value();
-    EXPECT_EQ(std::memcmp(batched.raw() + i * row, one.raw(),
-                          row * sizeof(float)),
-              0)
-        << "row " << i << " differs from its window's N=1 forward";
-  }
-  obs::set_enabled(obs_was_enabled);
-}
-
-TEST(Conv1dLoweringDirect, ForkedDirectKernelMatchesPerWindowCalls) {
-  // Pinned direct forks an OpenMP region over (window, channel) when one
-  // window reaches the GEMM flop cutoff (16 channels here) and runs serially
-  // below it (kFlipC channels). Either way, every row of the batched call
-  // must match its window's own call bit-for-bit.
-  ASSERT_FALSE(ag::fwd::conv1d_uses_gemm(1, kFlipC, kFlipC, kFlipK, kFlipT));
-  ASSERT_TRUE(ag::fwd::conv1d_uses_gemm(1, 16, 16, kFlipK, kFlipT));
-  ImplGuard direct(Conv1dImpl::kDirect);
-  Rng rng(43);
-  const std::size_t n = 6;
-  for (const std::size_t c : {kFlipC, std::size_t{16}}) {
-    const Tensor x = Tensor::randn({n, c, kFlipT}, rng);
-    const Tensor w = Tensor::randn({c, c, kFlipK}, rng);
-    const Tensor b = Tensor::randn({c}, rng);
-    for (const std::size_t dilation : {std::size_t{1}, std::size_t{4}}) {
-      const Tensor batched = ag::fwd::conv1d(x, w, &b, dilation);
-      const std::size_t row = c * kFlipT;
-      for (std::size_t i = 0; i < n; ++i) {
-        const Tensor one = ag::fwd::conv1d(row_of(x, i), w, &b, dilation);
-        EXPECT_EQ(std::memcmp(batched.raw() + i * row, one.raw(),
-                              row * sizeof(float)),
-                  0)
-            << "channels " << c << " dilation " << dilation << " row " << i;
+  for (const Shape& s : shapes) {
+    const Tensor x = Tensor::randn({s.n, s.cin, s.t}, rng);
+    const Tensor w = Tensor::randn({s.cout, s.cin, s.k}, rng);
+    const Tensor b = Tensor::randn({s.cout}, rng);
+    for (const std::size_t dilation : {std::size_t{1}, std::size_t{2}}) {
+      const Tensor taped =
+          ag::conv1d(Variable(x), Variable(w), Variable(b), dilation).value();
+      const Tensor tapeless = ag::fwd::conv1d(x, w, &b, dilation);
+      for (std::size_t i = 0; i < s.n; ++i) {
+        const Tensor one_taped = ag::conv1d(Variable(row_of(x, i)),
+                                            Variable(w), Variable(b), dilation)
+                                     .value();
+        const Tensor one_tapeless =
+            ag::fwd::conv1d(row_of(x, i), w, &b, dilation);
+        EXPECT_TRUE(row_matches(taped, i, one_taped))
+            << "ag::conv1d N=" << s.n << " Cin=" << s.cin << " Cout=" << s.cout
+            << " K=" << s.k << " d=" << dilation << ": row " << i
+            << " differs from its window's N=1 forward";
+        EXPECT_TRUE(row_matches(tapeless, i, one_tapeless))
+            << "ag::fwd::conv1d N=" << s.n << " Cin=" << s.cin
+            << " Cout=" << s.cout << " K=" << s.k << " d=" << dilation
+            << ": row " << i << " differs from its window's N=1 forward";
       }
     }
+  }
+}
+
+TEST(Conv1dLowering, BatchedDxRowsMatchEachWindowsN1Backward) {
+  // dX = col2im(Wᵀ·dY): each GEMM column reads one window's dY, so each
+  // window's dX must equal what its own N=1 backward computes. dW and db sum
+  // over the batch and have no per-window rows.
+  struct Shape {
+    std::size_t n, cin, cout, k, t;
+  };
+  const Shape shapes[] = {
+      {4, 8, 8, 3, 24},
+      {3, 16, 16, 2, 16},  // dX's GEMM is 32x16x16 = 8192 at N=1
+      {10, 2, 16, 3, 24},
+      {4, 1, 300, 2, 6},  // dX's GEMM reduces over two k panels of Cout
+  };
+  Rng rng(41);
+  for (const Shape& s : shapes) {
+    const Tensor x = Tensor::randn({s.n, s.cin, s.t}, rng);
+    const Tensor w = Tensor::randn({s.cout, s.cin, s.k}, rng);
+    const Tensor b = Tensor::randn({s.cout}, rng);
+    for (const std::size_t dilation : {std::size_t{1}, std::size_t{2}}) {
+      const LoweringCase batch{s.n, s.cin, s.cout, s.k, dilation, s.t, -1};
+      const LoweringCase single{1, s.cin, s.cout, s.k, dilation, s.t, -1};
+      const Tensor dy = Tensor::randn({s.n, s.cout, s.t}, rng);
+      const ConvRun batched = run_conv(batch, x, w, b, dy);
+      for (std::size_t i = 0; i < s.n; ++i) {
+        const ConvRun one =
+            run_conv(single, row_of(x, i), w, b, row_of(dy, i));
+        EXPECT_TRUE(row_matches(batched.dx, i, one.dx))
+            << "N=" << s.n << " Cin=" << s.cin << " Cout=" << s.cout
+            << " K=" << s.k << " d=" << dilation << ": dX of window " << i
+            << " differs from its N=1 backward";
+      }
+    }
+  }
+}
+
+TEST(LinearBatchInvariance, RowsMatchEachRowsN1Forward) {
+  // 300 inputs span two k panels. At N=1 the GEMM is small (300 fmas), at
+  // N=40 it is blocked; each row must round the same either way.
+  Rng rng(37);
+  const Tensor x = Tensor::randn({40, 300}, rng);
+  const Variable w(Tensor::randn({1, 300}, rng));
+  const Variable b(Tensor::randn({1}, rng));
+  const Tensor batched = ag::linear(Variable(x), w, b).value();
+  for (std::size_t i = 0; i < x.dim(0); ++i) {
+    const Tensor one = ag::linear(Variable(row_of(x, i)), w, b).value();
+    EXPECT_TRUE(row_matches(batched, i, one))
+        << "row " << i << " differs from its N=1 forward";
   }
 }
 

@@ -2,8 +2,8 @@
 // (liveness sharing, no overlap while live), parity of
 // the forward-only tape compile (graph::compile_forward) against the eager
 // module forward for every supported net (the bit-identity contract from
-// plan.h) on both conv paths, weight folding in serving plans, compile
-// determinism and shape checks, PlanCache behaviour
+// plan.h), weight folding in serving plans, compile determinism and shape
+// checks, PlanCache behaviour
 // (capture-once, hit/miss counters, eviction, pinned shapes), and
 // InferenceSession integration including the RPTCN_DISABLE_PLAN-style
 // fallback and shape-error messages. The "Graph" prefix is matched by the
@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -179,24 +178,19 @@ TEST(GraphPlanner, LiveArenaBlocksNeverOverlapInRealCapture) {
 
 // -- forward-only compile parity (the bit-identity contract) -----------------
 
-/// At N=1 and N=5, with conv dispatch on the true batch and pinned to the
-/// N=1 decision (the serving mode), the verified program reproduces the
-/// eager module forward on its probe, on a second replay (arena re-bound
-/// from the pool), and on a second, different input.
+/// At N=1 and N=5 the verified program reproduces the eager module forward
+/// on its probe, on a second replay (arena re-bound from the pool), and on
+/// a second, different input.
 void expect_forward_parity(const opt::ForwardFn& forward, std::size_t f,
                            std::size_t t) {
-  for (const bool single_window : {false, true}) {
-    std::optional<ag::SingleWindowConvDispatch> pin;
-    if (single_window) pin.emplace();
-    for (const std::size_t n : {std::size_t{1}, std::size_t{5}}) {
-      const Tensor x = random_tensor({n, f, t}, 100 + n);
-      const auto exec = compile_forward(forward, x);
-      ASSERT_NE(exec, nullptr);
-      expect_same_bits(eager(forward, x), exec->run(x));
-      expect_same_bits(eager(forward, x), exec->run(x));
-      const Tensor x2 = random_tensor({n, f, t}, 200 + n);
-      expect_same_bits(eager(forward, x2), exec->run(x2));
-    }
+  for (const std::size_t n : {std::size_t{1}, std::size_t{5}}) {
+    const Tensor x = random_tensor({n, f, t}, 100 + n);
+    const auto exec = compile_forward(forward, x);
+    ASSERT_NE(exec, nullptr);
+    expect_same_bits(eager(forward, x), exec->run(x));
+    expect_same_bits(eager(forward, x), exec->run(x));
+    const Tensor x2 = random_tensor({n, f, t}, 200 + n);
+    expect_same_bits(eager(forward, x2), exec->run(x2));
   }
 }
 
@@ -287,19 +281,9 @@ bool has_step(const Executable& exec, const std::string& name) {
                      [&](const TensorOp& s) { return s.name == name; });
 }
 
-/// Pins one conv1d implementation for the test body, restoring kAuto.
-class ConvImplGuard {
- public:
-  explicit ConvImplGuard(ag::Conv1dImpl impl) { ag::set_conv1d_impl(impl); }
-  ~ConvImplGuard() { ag::set_conv1d_impl(ag::Conv1dImpl::kAuto); }
-  ConvImplGuard(const ConvImplGuard&) = delete;
-  ConvImplGuard& operator=(const ConvImplGuard&) = delete;
-};
-
 TEST(GraphCapture, PaperShapeRptcnParityThroughTheGemmConvPath) {
-  // The paper's configuration ({16,16,16}, k=3, window 24) lowers its TCN
-  // convs to im2col+GEMM even for a single window, so it is the parity case
-  // for the compiler's GEMM conv emitter in serving mode.
+  // The paper's configuration ({16,16,16}, k=3, window 24): the parity case
+  // for the compiler's conv emitter at the serving shape.
   nn::RptcnOptions opt;
   opt.input_features = 4;
   opt.tcn.channels = {16, 16, 16};
@@ -309,42 +293,43 @@ TEST(GraphCapture, PaperShapeRptcnParityThroughTheGemmConvPath) {
   nn::RptcnNet net(opt);
   const opt::ForwardFn forward = eval_forward(net);
   {
-    ag::SingleWindowConvDispatch pin;
     const auto exec = compile_forward(forward, random_tensor({1, 4, 24}, 30));
     ASSERT_NE(exec, nullptr);
-    EXPECT_TRUE(has_step(*exec, "conv1d_gemm"));
+    EXPECT_TRUE(has_step(*exec, "conv1d"));
   }
   expect_forward_parity(forward, 4, 24);
 }
 
-TEST(GraphCapture, PinnedConvImplsCompileToTheirKernels) {
-  // set_conv1d_impl pins reach the compiled program: kDirect emits the
-  // direct loops, kIm2col the GEMM path. Both replay the eager forward
-  // bit-for-bit.
+TEST(GraphCapture, BatchedProgramRowsMatchEachWindowsN1Program) {
+  // A program for N=10 and one for N=1 differ in which GEMM path each conv
+  // and linear takes and in which weights are prepacked; every row of the
+  // batched program must still equal its window's N=1 program bit-for-bit.
+  // A 2-feature RPTCN, so the first conv reduces over only Cin·K = 6.
   nn::RptcnOptions opt;
-  opt.input_features = 3;
-  opt.tcn.channels = {6, 6};  // 3 -> 6 adds a 1x1 shortcut
-  opt.fc_dim = 6;
-  opt.seed = 31;
+  opt.input_features = 2;
+  opt.tcn.channels = {16, 16, 16};
+  opt.tcn.kernel_size = 3;
+  opt.fc_dim = 16;
+  opt.seed = 43;
   nn::RptcnNet net(opt);
   const opt::ForwardFn forward = eval_forward(net);
-  const Tensor x = random_tensor({2, 3, 12}, 32);
-  const Tensor x2 = random_tensor({2, 3, 12}, 33);
-  {
-    ConvImplGuard direct(ag::Conv1dImpl::kDirect);
-    const auto exec = compile_forward(forward, x);
-    ASSERT_NE(exec, nullptr);
-    EXPECT_TRUE(has_step(*exec, "conv1d_direct"));
-    EXPECT_FALSE(has_step(*exec, "conv1d_gemm"));
-    expect_same_bits(eager(forward, x2), exec->run(x2));
-  }
-  {
-    ConvImplGuard gemm(ag::Conv1dImpl::kIm2col);
-    const auto exec = compile_forward(forward, x);
-    ASSERT_NE(exec, nullptr);
-    EXPECT_TRUE(has_step(*exec, "conv1d_gemm"));
-    EXPECT_FALSE(has_step(*exec, "conv1d_direct"));
-    expect_same_bits(eager(forward, x2), exec->run(x2));
+  const std::size_t n = 10;
+  const Tensor x = random_tensor({n, 2, 24}, 44);
+  const auto batched = compile_forward(forward, x);
+  ASSERT_NE(batched, nullptr);
+  const Tensor out = batched->run(x);
+
+  Tensor one = random_tensor({1, 2, 24}, 45);
+  const auto single = compile_forward(forward, one);
+  ASSERT_NE(single, nullptr);
+  const std::size_t row = out.size() / n;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::copy_n(x.raw() + i * one.size(), one.size(), one.raw());
+    const Tensor got = single->run(one);
+    ASSERT_EQ(got.size(), row);
+    EXPECT_EQ(std::memcmp(out.raw() + i * row, got.raw(), row * sizeof(float)),
+              0)
+        << "row " << i << " differs from its window's N=1 program";
   }
 }
 

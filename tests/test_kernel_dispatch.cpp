@@ -119,33 +119,53 @@ TEST(KernelDispatch, TablesAreFullyPopulated) {
   }
 }
 
+/// gemm_accumulate of shape s, for every operand layout, on every tier:
+/// each tier must reproduce scalar's bits.
+void expect_gemm_parity(const GemmShape& s,
+                        const std::vector<KernelArch>& tiers, Rng& rng) {
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      std::vector<float> a(s.m * s.k), b(s.k * s.n), c0(s.m * s.n);
+      fill_normal(a, rng);
+      fill_normal(b, rng);
+      fill_normal(c0, rng);  // accumulate onto a bias, not zeros
+      const std::size_t lda = ta ? s.m : s.k;
+      const std::size_t ldb = tb ? s.k : s.n;
+
+      std::vector<float> want;
+      for (KernelArch arch : tiers) {
+        set_kernel_arch_for_testing(arch);
+        std::vector<float> c = c0;
+        gemm_accumulate(s.m, s.n, s.k, a.data(), lda, ta, b.data(), ldb, tb,
+                        c.data());
+        if (arch == KernelArch::kScalar)
+          want = std::move(c);
+        else
+          expect_bits_equal(c, want, arch, "gemm_accumulate");
+      }
+    }
+  }
+}
+
 TEST(KernelDispatch, GemmBitParityAcrossTiers) {
   ArchGuard guard;
   const auto tiers = available_tiers();
   Rng rng(101);
-  for (const GemmShape& s : kGemmShapes) {
-    for (const bool ta : {false, true}) {
-      for (const bool tb : {false, true}) {
-        std::vector<float> a(s.m * s.k), b(s.k * s.n), c0(s.m * s.n);
-        fill_normal(a, rng);
-        fill_normal(b, rng);
-        fill_normal(c0, rng);  // accumulate onto a bias, not zeros
-        const std::size_t lda = ta ? s.m : s.k;
-        const std::size_t ldb = tb ? s.k : s.n;
+  for (const GemmShape& s : kGemmShapes) expect_gemm_parity(s, tiers, rng);
+}
 
-        std::vector<float> want;
-        for (KernelArch arch : tiers) {
-          set_kernel_arch_for_testing(arch);
-          std::vector<float> c = c0;
-          gemm_accumulate(s.m, s.n, s.k, a.data(), lda, ta, b.data(), ldb,
-                          tb, c.data());
-          if (arch == KernelArch::kScalar)
-            want = std::move(c);
-          else
-            expect_bits_equal(c, want, arch, "gemm_accumulate");
-        }
-      }
-    }
+TEST(KernelDispatch, SmallGemmPanelsBitParityAcrossTiers) {
+  // Small shapes whose k spans more than one kKC panel: every tier's small
+  // kernel must close each panel and add its sum to C exactly as scalar
+  // does.
+  ArchGuard guard;
+  const auto tiers = available_tiers();
+  Rng rng(151);
+  const GemmShape shapes[] = {
+      {1, 1, 300}, {2, 3, 600}, {3, 5, 513}, {1, 17, 257}, {1, 16, 512}};
+  for (const GemmShape& s : shapes) {
+    ASSERT_FALSE(gemm_uses_blocked(s.m, s.n, s.k));
+    expect_gemm_parity(s, tiers, rng);
   }
 }
 

@@ -1,11 +1,11 @@
 // Table-driven parity over the op table (autograd/op_table.h): every
 // ag::trace::OpKind has exactly one entry, and for every entry the compiled
 // training step reproduces the tape step bit-for-bit (loss and every
-// gradient), on both conv1d paths, and a forward-only compile reproduces the
-// eager forward. Each case applies its op twice to the same operands, so
-// every operand's backward kernel runs once in write mode and once in add
-// mode; for the losses, which are the graph's root, only the write mode is
-// reachable. The "Graph" prefix is matched by the TSAN CI job's -R filter.
+// gradient), and a forward-only compile reproduces the eager forward. Each
+// case applies its op twice to the same operands, so every operand's
+// backward kernel runs once in write mode and once in add mode; for the
+// losses, which are the graph's root, only the write mode is reachable. The
+// "Graph" prefix is matched by the TSAN CI job's -R filter.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -111,15 +111,6 @@ std::vector<Case> cases() {
        }},
   };
 }
-
-/// Pins one conv1d implementation for the test body, restoring kAuto.
-class ConvImplGuard {
- public:
-  explicit ConvImplGuard(ag::Conv1dImpl impl) { ag::set_conv1d_impl(impl); }
-  ~ConvImplGuard() { ag::set_conv1d_impl(ag::Conv1dImpl::kAuto); }
-  ConvImplGuard(const ConvImplGuard&) = delete;
-  ConvImplGuard& operator=(const ConvImplGuard&) = delete;
-};
 
 TEST(GraphOpTable, EveryOpKindHasExactlyOneEntry) {
   const auto& table = ag::op::table();
@@ -242,19 +233,11 @@ void expect_forward_parity(const Case& c) {
 }
 
 TEST(GraphOpTable, CompiledStepMatchesTapeForEveryEntry) {
-  for (const ag::Conv1dImpl impl :
-       {ag::Conv1dImpl::kDirect, ag::Conv1dImpl::kIm2col}) {
-    ConvImplGuard pin(impl);
-    for (const Case& c : cases()) expect_step_parity(c);
-  }
+  for (const Case& c : cases()) expect_step_parity(c);
 }
 
 TEST(GraphOpTable, ForwardCompileMatchesEagerForEveryEntry) {
-  for (const ag::Conv1dImpl impl :
-       {ag::Conv1dImpl::kDirect, ag::Conv1dImpl::kIm2col}) {
-    ConvImplGuard pin(impl);
-    for (const Case& c : cases()) expect_forward_parity(c);
-  }
+  for (const Case& c : cases()) expect_forward_parity(c);
 }
 
 }  // namespace

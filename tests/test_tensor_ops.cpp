@@ -7,6 +7,7 @@
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "tensor/dispatch.h"
 #include "tensor/tensor_ops.h"
 
 namespace rptcn {
@@ -191,31 +192,27 @@ TEST(TensorOps, AllcloseBehaviour) {
 }
 
 // ---------------------------------------------------------------------------
-// Exact-match tests for the blocked GEMM. The reference mirrors the kernel's
-// documented reduction order — per C element: k ascending inside a kKC=256
-// panel via std::fma, panels summed in ascending order; shapes at or below
-// the 2^13-flop dispatch threshold reduce over all of k in one pass. If these
-// constants change in tensor_ops.cpp they must change here too.
+// Exact-match tests for the GEMM. The reference mirrors the one documented
+// reduction order — per C element: an fma chain from zero over each k panel
+// of kKC (tensor/dispatch.h) elements, k ascending, and each panel's sum
+// added to C in ascending panel order. It reads the same kKC constant as
+// both GEMM paths, small and blocked, so it holds for every shape.
 // ---------------------------------------------------------------------------
 
+/// c[i*n+j] += sum_p av(i,p)·bv(p,j) in the GEMM's order; c holds zeros or a
+/// bias to accumulate onto.
 template <class FA, class FB>
 void gemm_reference(std::size_t m, std::size_t n, std::size_t k, FA av, FB bv,
                     float* c) {
-  const bool small = m * n * k <= (1u << 13);
   for (std::size_t i = 0; i < m; ++i) {
     for (std::size_t j = 0; j < n; ++j) {
-      float total = 0.0f;
-      if (small) {
-        for (std::size_t p = 0; p < k; ++p)
-          total = std::fma(av(i, p), bv(p, j), total);
-      } else {
-        for (std::size_t p0 = 0; p0 < k; p0 += 256) {
-          const std::size_t kc = std::min<std::size_t>(256, k - p0);
-          float acc = 0.0f;
-          for (std::size_t p = p0; p < p0 + kc; ++p)
-            acc = std::fma(av(i, p), bv(p, j), acc);
-          total += acc;
-        }
+      float total = c[i * n + j];
+      for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
+        const std::size_t kc = std::min(kKC, k - p0);
+        float acc = 0.0f;
+        for (std::size_t p = p0; p < p0 + kc; ++p)
+          acc = std::fma(av(i, p), bv(p, j), acc);
+        total += acc;
       }
       c[i * n + j] = total;
     }
@@ -230,10 +227,11 @@ void expect_bit_equal(const Tensor& got, const Tensor& want) {
 
 // Shapes chosen to hit every dispatch/edge case: scalar, odd non-multiples
 // of the 8x8 micro-tile, exact tile multiples, the small->blocked threshold,
-// and k > 256 (multi-panel reduction).
+// and k > 256 (multi-panel reduction) on both the blocked and the small path.
 const std::vector<std::array<std::size_t, 3>> kGemmShapes = {
     {1, 1, 1},    {3, 5, 129},  {64, 64, 64},  {13, 9, 7},
     {65, 33, 70}, {8, 8, 600},  {31, 257, 40}, {128, 17, 300},
+    {2, 3, 600},  {1, 1, 300},
 };
 
 TEST(TensorOps, MatmulBitExactVsReference) {
@@ -274,6 +272,59 @@ TEST(TensorOps, MatmulNtBitExactVsReference) {
         m, n, k, [&](std::size_t i, std::size_t p) { return a.at(i, p); },
         [&](std::size_t p, std::size_t j) { return b.at(j, p); }, want.raw());
     expect_bit_equal(matmul_nt(a, b), want);
+  }
+}
+
+// A small shape accumulating onto a non-zero C (a bias prefill, as the conv
+// forward does) must add its panel sum to C, not start its fma chain at C.
+TEST(TensorOps, SmallGemmAccumulatesOntoBiasInBlockedOrder) {
+  const std::size_t m = 16, n = 16, k = 32;
+  ASSERT_FALSE(gemm_uses_blocked(m, n, k));
+  Rng rng(17);
+  const Tensor a = Tensor::randn({m, k}, rng);
+  const Tensor b = Tensor::randn({k, n}, rng);
+  const Tensor bias = Tensor::randn({m, n}, rng);
+  Tensor got = bias;
+  gemm_accumulate(m, n, k, a.raw(), k, false, b.raw(), n, false, got.raw());
+  Tensor want = bias;
+  gemm_reference(
+      m, n, k, [&](std::size_t i, std::size_t p) { return a.at(i, p); },
+      [&](std::size_t p, std::size_t j) { return b.at(p, j); }, want.raw());
+  expect_bit_equal(got, want);
+}
+
+// With one order on both paths, an element's bits depend only on its row of
+// A, its column of B and its starting C, never on the product's shape: each
+// row of a blocked product, recomputed alone as a small product, must read
+// the same. Covers the transposed operands the conv dX and dW GEMMs use.
+TEST(TensorOps, GemmRowsMatchTheirOwnSmallShapeProduct) {
+  const std::size_t m = 40, n = 24, k = 300;
+  ASSERT_TRUE(gemm_uses_blocked(m, n, k));
+  ASSERT_FALSE(gemm_uses_blocked(1, n, k));
+  Rng rng(23);
+  for (const bool ta : {false, true}) {
+    for (const bool tb : {false, true}) {
+      const Tensor a = Tensor::randn(ta ? std::vector<std::size_t>{k, m}
+                                        : std::vector<std::size_t>{m, k},
+                                     rng);
+      const Tensor b = Tensor::randn(tb ? std::vector<std::size_t>{n, k}
+                                        : std::vector<std::size_t>{k, n},
+                                     rng);
+      const Tensor bias = Tensor::randn({m, n}, rng);
+      const std::size_t lda = ta ? m : k;
+      const std::size_t ldb = tb ? k : n;
+      Tensor full = bias;
+      gemm_accumulate(m, n, k, a.raw(), lda, ta, b.raw(), ldb, tb, full.raw());
+      for (std::size_t i = 0; i < m; ++i) {
+        std::vector<float> row(bias.raw() + i * n, bias.raw() + (i + 1) * n);
+        const float* a_row = a.raw() + (ta ? i : i * k);
+        gemm_accumulate(1, n, k, a_row, lda, ta, b.raw(), ldb, tb, row.data());
+        for (std::size_t j = 0; j < n; ++j)
+          ASSERT_EQ(row[j], full.raw()[i * n + j])
+              << "ta=" << ta << " tb=" << tb << " C(" << i << "," << j
+              << ") depends on m";
+      }
+    }
   }
 }
 
@@ -340,9 +391,8 @@ TEST(TensorOps, PackedBGemmRejectsSmallShapesAndMismatchedPacks) {
   Tensor c({4, 4});
   ASSERT_FALSE(gemm_uses_blocked(4, 4, 4));
   const PackedB pb = gemm_pack_b(b.raw(), 4, false, 4, 4);
-  // Small shapes take the single-pass kernel whose rounding differs from
-  // the blocked panels, so the packed entry point must refuse them rather
-  // than silently break bit-identity.
+  // Small shapes never pack B (the small-shape kernel reads it in place),
+  // so a pack offered for one is a planner bug and is refused.
   EXPECT_THROW(
       gemm_accumulate_packed_b(4, 4, 4, a.raw(), 4, false, pb, c.raw()),
       CheckError);

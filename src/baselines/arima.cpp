@@ -47,8 +47,7 @@ void Arima::fit(std::span<const double> series) {
       for (std::size_t i = 1; i <= long_ar; ++i) row[i] = w[t - i];
       target[t - long_ar] = w[t];
     }
-    const auto coef =
-        least_squares(design, rows, cols, target, options_.ridge);
+    const auto coef = least_squares(design, rows, cols, target);
     for (std::size_t t = long_ar; t < n; ++t) {
       double pred = coef[0];
       for (std::size_t i = 1; i <= long_ar; ++i) pred += coef[i] * w[t - i];
@@ -69,7 +68,7 @@ void Arima::fit(std::span<const double> series) {
     for (std::size_t j = 1; j <= q; ++j) row[p + j] = ehat[t - j];
     target[t - t0] = w[t];
   }
-  const auto coef = least_squares(design, rows, cols, target, options_.ridge);
+  const auto coef = least_squares(design, rows, cols, target);
   intercept_ = coef[0];
   phi_.assign(coef.begin() + 1, coef.begin() + 1 + p);
   theta_.assign(coef.begin() + 1 + p, coef.end());

@@ -19,7 +19,6 @@ struct ArimaOptions {
   std::size_t d = 1;        ///< differencing order
   std::size_t q = 1;        ///< MA order
   std::size_t long_ar = 20; ///< stage-1 AR order (>= p + q)
-  double ridge = 1e-8;      ///< OLS stabiliser
 };
 
 class Arima {

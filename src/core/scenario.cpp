@@ -85,8 +85,7 @@ PreparedData prepare_scenario(const data::TimeSeriesFrame& raw,
   obs::TraceSpan window_span("pipeline/window");
   const auto all =
       data::make_windows(out.features, target, options.window);
-  auto split =
-      data::chrono_split(all, options.train_frac, options.valid_frac);
+  auto split = data::chrono_split(all);
 
   models::ForecastDataset& ds = out.dataset;
   ds.train = std::move(split.train);

@@ -28,8 +28,6 @@ struct PrepareOptions {
                                      ///< (paper future work, Section V-C)
   bool weighted_expansion = false;   ///< PCC-weighted copies instead of
                                      ///< uniform (paper future work)
-  double train_frac = 0.6;           ///< paper split 6:2:2
-  double valid_frac = 0.2;
 };
 
 /// Result of Algorithm 1 lines 1-5: the processed feature frame, the fitted
@@ -42,7 +40,8 @@ struct PreparedData {
 };
 
 /// Run DataClean -> Normalise -> PCC screen -> DataExpansion -> windows for
-/// the given scenario. The target is always feature channel 0.
+/// the given scenario, split chronologically 6:2:2 as in the paper. The
+/// target is always feature channel 0.
 PreparedData prepare_scenario(const data::TimeSeriesFrame& raw,
                               const std::string& target, Scenario scenario,
                               const PrepareOptions& options);

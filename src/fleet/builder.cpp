@@ -12,84 +12,10 @@ FleetBuilder& FleetBuilder::options(FleetOptions options) {
   return *this;
 }
 
-FleetBuilder& FleetBuilder::features(std::vector<std::string> names) {
-  options_.features = std::move(names);
-  return *this;
-}
-
-FleetBuilder& FleetBuilder::shards(std::size_t n) {
-  options_.shards = n;
-  return *this;
-}
-
-FleetBuilder& FleetBuilder::workers(std::size_t n) {
-  options_.workers = n;
-  return *this;
-}
-
-FleetBuilder& FleetBuilder::engine(serve::EngineOptions options) {
-  options_.engine = std::move(options);
-  return *this;
-}
-
-FleetBuilder& FleetBuilder::channel(stream::ChannelOptions options) {
-  options_.channel = options;
-  return *this;
-}
-
-FleetBuilder& FleetBuilder::freeze_normalizer_at_bootstrap(bool on) {
-  options_.freeze_normalizer_at_bootstrap = on;
-  return *this;
-}
-
-FleetBuilder& FleetBuilder::drift(stream::DriftOptions options) {
-  options_.drift = std::move(options);
-  return *this;
-}
-
-FleetBuilder& FleetBuilder::retrain(stream::RetrainOptions options) {
-  options_.retrain = std::move(options);
-  return *this;
-}
-
-FleetBuilder& FleetBuilder::retrain_on_drift(bool on) {
-  options_.retrain_on_drift = on;
-  return *this;
-}
-
-FleetBuilder& FleetBuilder::retrain_workers(std::size_t n) {
-  options_.retrain_workers = n;
-  return *this;
-}
-
-FleetBuilder& FleetBuilder::admission(std::size_t max_queued_ticks,
-                                      std::size_t max_entity_backlog) {
-  options_.max_queued_ticks = max_queued_ticks;
-  options_.max_entity_backlog = max_entity_backlog;
-  return *this;
-}
-
-FleetBuilder& FleetBuilder::record_latencies(bool on) {
-  options_.record_latencies = on;
-  return *this;
-}
-
-FleetBuilder& FleetBuilder::tenant(std::string tenant) {
-  options_.tenant = std::move(tenant);
-  return *this;
-}
-
 FleetBuilder& FleetBuilder::add_entity(EntitySpec spec) {
   if (spec.cohort.empty()) spec.cohort = spec.id;
   entities_.push_back(std::move(spec));
   return *this;
-}
-
-FleetBuilder& FleetBuilder::add_entity(std::string id) {
-  EntitySpec spec;
-  spec.id = std::move(id);
-  spec.cohort = spec.id;
-  return add_entity(std::move(spec));
 }
 
 FleetBuilder& FleetBuilder::add_cohort(const std::string& cohort,

@@ -3,12 +3,13 @@
 // Single-entity serving is the N=1 case of the same builder — there is one
 // way to stand up serving, not a special-cased pipeline next to a fleet:
 //
+//   FleetOptions opt;
+//   opt.shards = 2;
+//   opt.retrain = retrain_opts;
 //   auto fleet = FleetBuilder()
-//                    .shards(2)
-//                    .workers(4)
-//                    .retrain(retrain_opts)
+//                    .options(opt)
 //                    .add_cohort("web", {"RPTCN"}, /*count=*/500, "web-")
-//                    .add_entity("db-primary")   // private cohort of one
+//                    .add_entity(db_primary)   // private cohort of one
 //                    .build();
 //   fleet->bootstrap_cohort("web", history_frame);
 //
@@ -30,37 +31,17 @@ class FleetBuilder {
  public:
   FleetBuilder() = default;
 
-  /// Replace the whole options aggregate (then refine with the setters).
+  /// Set the whole options aggregate.
   FleetBuilder& options(FleetOptions options);
-
-  FleetBuilder& features(std::vector<std::string> names);
-  FleetBuilder& shards(std::size_t n);
-  FleetBuilder& workers(std::size_t n);
-  FleetBuilder& engine(serve::EngineOptions options);
-  FleetBuilder& channel(stream::ChannelOptions options);
-  FleetBuilder& freeze_normalizer_at_bootstrap(bool on);
-  FleetBuilder& drift(stream::DriftOptions options);
-  FleetBuilder& retrain(stream::RetrainOptions options);
-  FleetBuilder& retrain_on_drift(bool on);
-  FleetBuilder& retrain_workers(std::size_t n);
-  /// Admission bounds: global queued-tick cap + per-entity backlog cap.
-  FleetBuilder& admission(std::size_t max_queued_ticks,
-                          std::size_t max_entity_backlog);
-  FleetBuilder& record_latencies(bool on);
-  FleetBuilder& tenant(std::string tenant);
 
   /// Register one entity (cohort defaults to the id — no sharing).
   FleetBuilder& add_entity(EntitySpec spec);
-  FleetBuilder& add_entity(std::string id);
   /// Register `count` entities "<id_prefix>0" .. "<id_prefix><count-1>" in
   /// one cohort sharing `model` — the bulk form a thousand-entity bench or
   /// deployment actually writes.
   FleetBuilder& add_cohort(const std::string& cohort,
                            models::ForecasterSpec model, std::size_t count,
                            const std::string& id_prefix);
-
-  std::size_t entity_count() const { return entities_.size(); }
-  const FleetOptions& peek_options() const { return options_; }
 
   /// Validate everything (named CheckError on the first offending field),
   /// start the manager, register every entity. The builder can be reused

@@ -106,7 +106,6 @@ FleetManager::FleetManager(FleetOptions options)
   }
   SchedulerOptions so;
   so.workers = options_.retrain_workers;
-  so.max_queue = options_.max_retrain_queue;
   so.tenant = options_.tenant;
   scheduler_ = std::make_unique<RetrainScheduler>(
       so, [this](const RetrainRequest& r) { retrain_entity(r); });
@@ -422,10 +421,8 @@ void FleetManager::deliver_tick(InFlightTick& t) {
     forecasts_counter_.add(1);
     const double latency = seconds_since(t.accepted_at);
     tick_latency_hist_.record(latency);
-    if (options_.record_latencies) {
-      std::lock_guard<std::mutex> lock(latency_mutex_);
-      latencies_.push_back(latency);
-    }
+    std::lock_guard<std::mutex> lock(latency_mutex_);
+    latencies_.push_back(latency);
   }
   // Filed only once the forecast is recorded, so a fit never runs ahead of
   // the tick that asked for it. A latch that aged out of the cooldown since

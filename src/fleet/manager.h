@@ -181,8 +181,8 @@ class FleetManager {
   /// entity id (deterministic). The bulk read the scheduling layer drives
   /// allocation from — one lock round-trip instead of N entity_stats calls.
   std::vector<EntityForecast> latest_forecasts() const;
-  /// Copy of every recorded tick-to-forecast latency (seconds), for exact
-  /// quantiles. Empty when record_latencies is off.
+  /// Copy of every tick-to-forecast latency (ingest-accept to forecast
+  /// delivery, seconds), for exact quantiles.
   std::vector<double> latencies_seconds() const;
 
   RetrainScheduler& scheduler() { return *scheduler_; }

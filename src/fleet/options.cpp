@@ -24,8 +24,6 @@ void FleetOptions::validate() const {
               "FleetOptions.max_entity_backlog must be >= 1");
   RPTCN_CHECK(retrain_workers >= 1,
               "FleetOptions.retrain_workers must be >= 1");
-  RPTCN_CHECK(max_retrain_queue >= 1,
-              "FleetOptions.max_retrain_queue must be >= 1");
   RPTCN_CHECK(tenant.find_first_of("{}=") == std::string::npos,
               "FleetOptions.tenant must not contain '{', '}' or '=': \""
                   << tenant << "\"");

@@ -74,7 +74,7 @@ struct FleetOptions {
   /// Per-entity drift template. The tenant field is overwritten per shard
   /// so detector gauges aggregate per shard and roll up per fleet.
   stream::DriftOptions drift;
-  /// Retrain recipe template: window/horizon/history/split/gate/cooldown/
+  /// Retrain recipe template: window/horizon/history/gate/cooldown/
   /// checkpoint_dir. model_name/model are overridden by each entity's
   /// ForecasterSpec.
   stream::RetrainOptions retrain;
@@ -84,15 +84,8 @@ struct FleetOptions {
   bool retrain_on_drift = true;
   /// Global concurrent-retrain budget: the elastic scheduler runs at most
   /// this many fits at once no matter how many entities drift together.
+  /// Pending requests queue up to SchedulerOptions::max_queue (256).
   std::size_t retrain_workers = 2;
-  /// Pending retrain requests bound; beyond it requests are rejected and
-  /// the entity re-triggers on its next drift event.
-  std::size_t max_retrain_queue = 256;
-
-  /// Record every tick-to-forecast latency sample (ingest-accept to future
-  /// delivery) for exact quantiles via latencies_seconds(). Histograms keep
-  /// aggregating either way.
-  bool record_latencies = true;
 
   /// Metrics namespace for the whole fleet: fleet/* series label as
   /// {tenant=<tenant>}, shard-scoped series as {tenant=<tenant>/shard<k>}.

@@ -49,12 +49,12 @@
 namespace rptcn::graph {
 
 /// Build the planned training step for one fit() call, or nullptr to train
-/// eagerly. Requirements: `optimizer` is an opt::Adam whose parameter list
-/// matches model.parameters() element-for-element (the slab layout and the
-/// clip reduction order both follow it), and planning is enabled. Wired into
+/// eagerly. Requirements: `optimizer`'s parameter list matches
+/// model.parameters() element-for-element (the slab layout and the clip
+/// reduction order both follow it), and planning is enabled. Wired into
 /// opt::TrainOptions::planned_step_factory by models::NetForecaster::fit.
 std::shared_ptr<opt::PlannedStep> make_planned_step(
-    nn::Module& model, const opt::ForwardFn& forward, opt::Optimizer& optimizer,
+    nn::Module& model, const opt::ForwardFn& forward, opt::Adam& optimizer,
     const opt::TrainOptions& options);
 
 /// Forward-only compile for inputs of probe's shape: records `forward` on

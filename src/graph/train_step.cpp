@@ -188,20 +188,18 @@ class TrainStep final : public opt::PlannedStep {
 }  // namespace
 
 std::shared_ptr<opt::PlannedStep> make_planned_step(
-    nn::Module& model, const opt::ForwardFn& forward, opt::Optimizer& optimizer,
+    nn::Module& model, const opt::ForwardFn& forward, opt::Adam& optimizer,
     const opt::TrainOptions& options) {
   if (!planning_enabled()) return nullptr;
-  auto* adam = dynamic_cast<opt::Adam*>(&optimizer);
-  if (adam == nullptr) return nullptr;
   // The slab layout and the clip-norm reduction both follow the optimizer's
   // parameter order; require it to be exactly the model's so an eager clip
   // over model.parameters() and a slab clip agree bit-for-bit.
   const std::vector<Variable> model_params = model.parameters();
-  const std::vector<Variable>& opt_params = adam->params();
+  const std::vector<Variable>& opt_params = optimizer.params();
   if (model_params.size() != opt_params.size()) return nullptr;
   for (std::size_t i = 0; i < model_params.size(); ++i)
     if (model_params[i].node() != opt_params[i].node()) return nullptr;
-  return std::make_shared<TrainStep>(model, forward, *adam, options);
+  return std::make_shared<TrainStep>(model, forward, optimizer, options);
 }
 
 }  // namespace rptcn::graph

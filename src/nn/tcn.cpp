@@ -55,7 +55,6 @@ Variable TemporalBlock::forward(const Variable& x, Rng& rng) const {
 Tcn::Tcn(std::size_t input_channels, const TcnOptions& options, Rng& rng)
     : options_(options) {
   RPTCN_CHECK(!options.channels.empty(), "TCN needs at least one block");
-  RPTCN_CHECK(options.dilation_base >= 1, "dilation base must be >= 1");
   std::size_t in_ch = input_channels;
   std::size_t dilation = 1;
   for (std::size_t i = 0; i < options.channels.size(); ++i) {
@@ -64,7 +63,7 @@ Tcn::Tcn(std::size_t input_channels, const TcnOptions& options, Rng& rng)
         options.dropout, rng));
     register_module("block" + std::to_string(i), *blocks_.back());
     in_ch = options.channels[i];
-    dilation *= options.dilation_base;
+    dilation *= 2;  // block i dilates by 2^i (eq. 3)
   }
 }
 
@@ -81,7 +80,7 @@ std::size_t Tcn::receptive_field() const {
   std::size_t dilation = 1;
   for (std::size_t i = 0; i < blocks_.size(); ++i) {
     field += 2 * (options_.kernel_size - 1) * dilation;  // two convs per block
-    dilation *= options_.dilation_base;
+    dilation *= 2;
   }
   return field;
 }

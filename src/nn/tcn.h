@@ -42,7 +42,6 @@ struct TcnOptions {
   std::vector<std::size_t> channels = {16, 16, 16};  ///< one entry per block
   std::size_t kernel_size = 3;
   float dropout = 0.1f;
-  std::size_t dilation_base = 2;  ///< dilation of block i = base^i
 };
 
 class Tcn : public Module {

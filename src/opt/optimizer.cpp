@@ -7,70 +7,17 @@
 
 namespace rptcn::opt {
 
-Optimizer::Optimizer(std::vector<Variable> params, float lr)
-    : params_(std::move(params)), lr_(lr) {
+Adam::Adam(std::vector<Variable> params, float lr, float beta1, float beta2,
+           float eps)
+    : params_(std::move(params)),
+      lr_(lr),
+      beta1_(beta1),
+      beta2_(beta2),
+      eps_(eps) {
   RPTCN_CHECK(!params_.empty(), "optimizer needs at least one parameter");
   for (const auto& p : params_)
     RPTCN_CHECK(p.defined() && p.requires_grad(),
                 "optimizer parameters must be trainable leaves");
-}
-
-void Optimizer::zero_grad() {
-  for (auto& p : params_) p.zero_grad();
-}
-
-std::size_t Optimizer::parameter_count() const {
-  std::size_t n = 0;
-  for (const auto& p : params_) n += p.size();
-  return n;
-}
-
-Sgd::Sgd(std::vector<Variable> params, float lr, float momentum)
-    : Optimizer(std::move(params), lr), momentum_(momentum) {
-  if (momentum_ != 0.0f)
-    for (const auto& p : params_)
-      velocity_.push_back(Tensor::zeros(p.value().shape()));
-}
-
-void Sgd::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto& value = params_[i].mutable_value();
-    const Tensor& g = params_[i].grad();
-    if (momentum_ == 0.0f) {
-      axpy(-lr_, g, value);
-    } else {
-      Tensor& v = velocity_[i];
-      scale_inplace(v, momentum_);
-      add_inplace(v, g);
-      axpy(-lr_, v, value);
-    }
-  }
-}
-
-RmsProp::RmsProp(std::vector<Variable> params, float lr, float decay, float eps)
-    : Optimizer(std::move(params), lr), decay_(decay), eps_(eps) {
-  for (const auto& p : params_)
-    sq_avg_.push_back(Tensor::zeros(p.value().shape()));
-}
-
-void RmsProp::step() {
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    auto value = params_[i].mutable_value().data();
-    const auto g = params_[i].grad().data();
-    auto s = sq_avg_[i].data();
-    for (std::size_t j = 0; j < value.size(); ++j) {
-      s[j] = decay_ * s[j] + (1.0f - decay_) * g[j] * g[j];
-      value[j] -= lr_ * g[j] / (std::sqrt(s[j]) + eps_);
-    }
-  }
-}
-
-Adam::Adam(std::vector<Variable> params, float lr, float beta1, float beta2,
-           float eps)
-    : Optimizer(std::move(params), lr),
-      beta1_(beta1),
-      beta2_(beta2),
-      eps_(eps) {
   offsets_.reserve(params_.size() + 1);
   std::size_t off = 0;
   for (const auto& p : params_) {
@@ -80,6 +27,16 @@ Adam::Adam(std::vector<Variable> params, float lr, float beta1, float beta2,
   offsets_.push_back(off);
   m_.assign(off, 0.0f);
   v_.assign(off, 0.0f);
+}
+
+void Adam::zero_grad() {
+  for (auto& p : params_) p.zero_grad();
+}
+
+std::size_t Adam::parameter_count() const {
+  std::size_t n = 0;
+  for (const auto& p : params_) n += p.size();
+  return n;
 }
 
 void Adam::update_param(std::size_t i, const float* g, float bc1, float bc2) {

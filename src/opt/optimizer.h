@@ -1,7 +1,8 @@
-// First-order optimizers over autograd parameters.
+// The paper's optimizer over autograd parameters (Adam), plus gradient
+// clipping.
 //
-// Each optimizer holds the parameter Variables (shared graph leaves) plus
-// its own per-parameter state buffers, and updates values in place from the
+// Adam holds the parameter Variables (shared graph leaves) plus its own
+// per-parameter moment state, and updates values in place from the
 // accumulated gradients.
 #pragma once
 
@@ -11,70 +12,34 @@
 
 namespace rptcn::opt {
 
-class Optimizer {
- public:
-  Optimizer(std::vector<Variable> params, float lr);
-  virtual ~Optimizer() = default;
-  Optimizer(const Optimizer&) = delete;
-  Optimizer& operator=(const Optimizer&) = delete;
-
-  /// Apply one update from the current gradients.
-  virtual void step() = 0;
-
-  /// Clear gradients of all managed parameters.
-  void zero_grad();
-
-  float lr() const { return lr_; }
-  void set_lr(float lr) { lr_ = lr; }
-  std::size_t parameter_count() const;
-  const std::vector<Variable>& params() const { return params_; }
-
- protected:
-  std::vector<Variable> params_;
-  float lr_;
-};
-
-/// SGD with optional classical momentum.
-class Sgd : public Optimizer {
- public:
-  Sgd(std::vector<Variable> params, float lr, float momentum = 0.0f);
-  void step() override;
-
- private:
-  float momentum_;
-  std::vector<Tensor> velocity_;
-};
-
-/// RMSProp (Tieleman & Hinton).
-class RmsProp : public Optimizer {
- public:
-  RmsProp(std::vector<Variable> params, float lr, float decay = 0.9f,
-          float eps = 1e-8f);
-  void step() override;
-
- private:
-  float decay_;
-  float eps_;
-  std::vector<Tensor> sq_avg_;
-};
-
-/// Adam (Kingma & Ba) with bias correction — the paper's training optimizer.
+/// Adam (Kingma & Ba) with bias correction — the paper's training optimizer
+/// and the only one opt::fit and the planned training step drive.
 ///
 /// Moment state lives in two contiguous slabs laid out in parameter order
 /// (offsets()), so the planned training step can fuse the whole update into
 /// strided sweeps over one gradient slab; step() walks the same slabs
 /// per-parameter with identical element order, keeping the two paths
 /// bit-identical.
-class Adam : public Optimizer {
+class Adam {
  public:
   Adam(std::vector<Variable> params, float lr = 1e-3f, float beta1 = 0.9f,
        float beta2 = 0.999f, float eps = 1e-8f);
-  void step() override;
+  Adam(const Adam&) = delete;
+  Adam& operator=(const Adam&) = delete;
+
+  /// Apply one update from the current gradients.
+  void step();
 
   /// One update reading gradients from a contiguous slab in parameter order
   /// (params()[i]'s gradient spans [offsets()[i], offsets()[i] + size)).
   /// Bit-identical to step() given bit-identical gradients.
   void step_planned(const float* grad_slab);
+
+  /// Clear gradients of all managed parameters.
+  void zero_grad();
+
+  std::size_t parameter_count() const;
+  const std::vector<Variable>& params() const { return params_; }
 
   /// Slab offset of each parameter, parameter order; back() is total floats.
   const std::vector<std::size_t>& offsets() const { return offsets_; }
@@ -83,7 +48,8 @@ class Adam : public Optimizer {
  private:
   void update_param(std::size_t i, const float* g, float bc1, float bc2);
 
-  float beta1_, beta2_, eps_;
+  std::vector<Variable> params_;
+  float lr_, beta1_, beta2_, eps_;
   std::size_t t_ = 0;
   std::vector<float> m_;              // first-moment slab
   std::vector<float> v_;              // second-moment slab

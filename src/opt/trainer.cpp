@@ -88,7 +88,7 @@ void restore(nn::Module& model,
 
 TrainHistory fit(nn::Module& model, const ForwardFn& forward,
                  const TrainData& train, const TrainData& valid,
-                 Optimizer& optimizer, const TrainOptions& options) {
+                 Adam& optimizer, const TrainOptions& options) {
   RPTCN_CHECK(train.samples() > 0, "empty training set");
   RPTCN_CHECK(valid.samples() > 0, "empty validation set");
   RPTCN_CHECK(options.batch_size > 0, "batch_size must be positive");
@@ -105,7 +105,6 @@ TrainHistory fit(nn::Module& model, const ForwardFn& forward,
   EarlyStopping stopper(options.patience);
   TrainHistory history;
   std::vector<std::pair<std::string, Tensor>> best_snapshot;
-  const float base_lr = optimizer.lr();
   auto params = model.parameters();
 
   // Planned training step (ISSUE 8): when the factory produces an executor,
@@ -117,13 +116,9 @@ TrainHistory fit(nn::Module& model, const ForwardFn& forward,
 
   for (std::size_t epoch = 0; epoch < options.max_epochs; ++epoch) {
     Stopwatch epoch_watch;
-    if (options.schedule != nullptr)
-      optimizer.set_lr(options.schedule->lr_at(epoch, base_lr));
-
     model.set_training(true);
-    std::vector<std::size_t> order(train.samples());
-    for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-    if (options.shuffle) order = shuffle_rng.permutation(train.samples());
+    const std::vector<std::size_t> order =
+        shuffle_rng.permutation(train.samples());
 
     double epoch_loss = 0.0;
     std::size_t seen = 0;
@@ -170,7 +165,7 @@ TrainHistory fit(nn::Module& model, const ForwardFn& forward,
     history.valid_loss.push_back(vloss);
 
     const bool improved = stopper.update(vloss);
-    if (improved && options.restore_best) best_snapshot = snapshot(model);
+    if (improved) best_snapshot = snapshot(model);
     if (!observers.empty()) {
       EpochEvent event;
       event.epoch = epoch + 1;
@@ -203,9 +198,7 @@ TrainHistory fit(nn::Module& model, const ForwardFn& forward,
     event.fit_seconds = fit_watch.elapsed_seconds();
     for (EpochObserver* observer : observers) observer->on_train_end(event);
   }
-  if (options.restore_best && !best_snapshot.empty())
-    restore(model, best_snapshot);
-  optimizer.set_lr(base_lr);
+  if (!best_snapshot.empty()) restore(model, best_snapshot);
   model.set_training(false);
   return history;
 }

@@ -12,7 +12,6 @@
 #include "opt/early_stopping.h"
 #include "opt/observer.h"
 #include "opt/optimizer.h"
-#include "opt/schedule.h"
 
 namespace rptcn::opt {
 
@@ -49,9 +48,10 @@ class PlannedStep {
 };
 
 /// Builds the PlannedStep for one fit() call, or nullptr to train eagerly
-/// (e.g. when the optimizer is not Adam or planning is disabled).
+/// (e.g. when planning is disabled or the optimizer does not hold exactly
+/// the model's parameters).
 using PlannedStepFactory = std::function<std::shared_ptr<PlannedStep>(
-    nn::Module& model, const ForwardFn& forward, Optimizer& optimizer,
+    nn::Module& model, const ForwardFn& forward, Adam& optimizer,
     const TrainOptions& options)>;
 
 struct TrainOptions {
@@ -60,11 +60,8 @@ struct TrainOptions {
   std::size_t batch_size = 32;
   std::size_t max_epochs = 40;
   std::size_t patience = 10;       ///< EarlyStopping patience (paper value 10)
-  bool restore_best = true;        ///< roll back to the best-validation epoch
-  bool shuffle = true;
   float clip_norm = 0.0f;          ///< 0 disables gradient clipping
   std::uint64_t seed = 7;          ///< batch-shuffle stream
-  const LrSchedule* schedule = nullptr;  ///< optional; nullptr = constant
   /// Per-epoch callbacks (borrowed; must outlive fit()). Add a
   /// LoggingObserver for the historical `verbose` output. While
   /// obs::enabled(), fit() additionally notifies the shared MetricsObserver
@@ -105,9 +102,11 @@ double evaluate_loss(const ForwardFn& forward, const TrainData& data,
                      std::size_t batch_size, Loss loss,
                      float pinball_tau = 0.9f);
 
-/// Train `model` on `train`, early-stopping on `valid`. Uses MSE loss.
+/// Train `model` on `train`, early-stopping on `valid`: every epoch visits
+/// the training windows in a fresh shuffled order, and the weights of the
+/// best-validation epoch are restored at the end.
 TrainHistory fit(nn::Module& model, const ForwardFn& forward,
                  const TrainData& train, const TrainData& valid,
-                 Optimizer& optimizer, const TrainOptions& options);
+                 Adam& optimizer, const TrainOptions& options);
 
 }  // namespace rptcn::opt

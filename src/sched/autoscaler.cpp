@@ -12,8 +12,8 @@ void AutoscalerOptions::validate() const {
               "AutoscalerOptions floors must be >= 0");
   RPTCN_CHECK(cpu_cap > 0.0 && cpu_cap >= cpu_floor,
               "AutoscalerOptions.cpu_cap must be > 0 and >= cpu_floor");
-  RPTCN_CHECK(mem_cap > 0.0 && mem_cap >= mem_floor,
-              "AutoscalerOptions.mem_cap must be > 0 and >= mem_floor");
+  RPTCN_CHECK(mem_floor <= 1.0,
+              "AutoscalerOptions.mem_floor must be <= 1 (one machine)");
   RPTCN_CHECK(down_deadband >= 0.0 && down_deadband < 1.0,
               "AutoscalerOptions.down_deadband must be in [0, 1)");
 }
@@ -44,7 +44,7 @@ Allocation Autoscaler::decide(const std::string& entity,
             options_.cpu_floor, options_.cpu_cap);
   const double target_mem =
       clamp(std::max(demand_fraction.mem, 0.0) * options_.headroom,
-            options_.mem_floor, options_.mem_cap);
+            options_.mem_floor, 1.0);
 
   const auto it = current_.find(entity);
   Allocation next;

@@ -25,9 +25,9 @@ struct AutoscalerOptions {
   /// entity keeps a sliver so it restarts without a cold allocation.
   double cpu_floor = 0.02;
   double mem_floor = 0.02;
-  /// Maximum allocation: one machine (entities do not shard).
+  /// Maximum CPU allocation; memory is capped at one machine (entities do
+  /// not shard).
   double cpu_cap = 1.0;
-  double mem_cap = 1.0;
   /// Shrink only when the target falls below current * (1 - down_deadband).
   double down_deadband = 0.10;
 

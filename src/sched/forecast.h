@@ -2,7 +2,7 @@
 //
 // A ForecastSource maps trailing raw history (a Table-I frame, newest row
 // last) to next-tick resource demand in raw trace units (utilisation
-// percent). Three families:
+// percent). Two families:
 //
 //  * Naive baselines — last value, max over a trailing window. These are
 //    the frontier's lower bound and, because last-value tracks regime
@@ -12,8 +12,9 @@
 //    (stream::fit_generation_gated under a frozen min-max normalizer) and
 //    served through serve::InferenceSession. refit() re-fits on fresh
 //    history — the adaptive mode the drift benches compare against frozen.
-//  * FleetForecastSource (sched/fleet_source.h) — pulls the newest
-//    forecast the fleet layer already produced for an entity.
+//
+// A fleet's own forecasts need no source: an allocator reads them in bulk
+// through fleet::FleetManager::latest_forecasts().
 //
 // CPU is the forecast target (the paper's); every source forecasts memory
 // naively as the last observed value, so frontier differences between

@@ -41,10 +41,10 @@ void PageHinkley::reset() {
 // ---------------------------------------------------------------------------
 
 WindowedErrorMonitor::WindowedErrorMonitor(WindowedErrorOptions options)
-    : options_(options), errors_(std::max<std::size_t>(options.long_window, 1)) {
+    : options_(options), errors_(kLongWindow) {
   RPTCN_CHECK(options_.short_window > 0 &&
-                  options_.long_window >= options_.short_window,
-              "WindowedErrorMonitor needs 0 < short_window <= long_window");
+                  options_.short_window <= kLongWindow,
+              "WindowedErrorMonitor needs 0 < short_window <= " << kLongWindow);
   RPTCN_CHECK(options_.ratio_threshold > 1.0,
               "ratio_threshold must exceed 1");
 }
@@ -61,7 +61,7 @@ bool WindowedErrorMonitor::update(double abs_error) {
     fire = true;
     level = true;
   } else if (errors_.total() >= options_.min_samples &&
-             errors_.size() >= options_.long_window &&
+             errors_.size() >= kLongWindow &&
              current_ratio > options_.ratio_threshold) {
     fire = true;
   }
@@ -83,7 +83,7 @@ double WindowedErrorMonitor::short_mean() const {
 }
 
 double WindowedErrorMonitor::ratio() const {
-  if (errors_.size() < options_.long_window) return 0.0;
+  if (errors_.size() < kLongWindow) return 0.0;
   double long_sum = 0.0;
   for (std::size_t i = 0; i < errors_.size(); ++i) long_sum += errors_[i];
   double short_sum = 0.0;
@@ -113,8 +113,9 @@ void DriftOptions::validate() const {
   RPTCN_CHECK(input_ph.lambda > 0.0,
               "DriftOptions.input_ph.lambda must be positive");
   RPTCN_CHECK(windowed.short_window > 0 &&
-                  windowed.long_window >= windowed.short_window,
-              "DriftOptions.windowed needs 0 < short_window <= long_window");
+                  windowed.short_window <= WindowedErrorMonitor::kLongWindow,
+              "DriftOptions.windowed.short_window must be in [1, "
+                  << WindowedErrorMonitor::kLongWindow << "]");
   RPTCN_CHECK(windowed.ratio_threshold > 1.0,
               "DriftOptions.windowed.ratio_threshold must exceed 1");
   RPTCN_CHECK(tenant.find_first_of("{}=") == std::string::npos,

@@ -58,8 +58,8 @@ class PageHinkley {
 };
 
 struct WindowedErrorOptions {
-  std::size_t short_window = 32;   ///< trailing window under test
-  std::size_t long_window = 128;   ///< reference window (>= short_window)
+  /// Trailing window under test (<= WindowedErrorMonitor::kLongWindow).
+  std::size_t short_window = 32;
   double ratio_threshold = 2.0;    ///< fire when short/long exceeds this
   /// Absolute trigger: fire when the short-window mean error exceeds this,
   /// regardless of the ratio (0 disables). The ratio test is blind to a
@@ -75,6 +75,9 @@ struct WindowedErrorOptions {
 
 class WindowedErrorMonitor {
  public:
+  /// Reference window: the trailing errors the short window is compared to.
+  static constexpr std::size_t kLongWindow = 128;
+
   explicit WindowedErrorMonitor(WindowedErrorOptions options = {});
 
   /// Fold one absolute error; true when the ratio or level test fires (the

@@ -12,10 +12,6 @@ namespace rptcn::stream {
 void RetrainOptions::validate() const {
   RPTCN_CHECK(history > window.window + window.horizon,
               "RetrainOptions.history must exceed window + horizon");
-  RPTCN_CHECK(train_frac > 0.0 && valid_frac >= 0.0 &&
-                  train_frac + valid_frac <= 1.0,
-              "RetrainOptions.train_frac/valid_frac must satisfy "
-              "0 < train_frac, 0 <= valid_frac, train_frac + valid_frac <= 1");
   RPTCN_CHECK(fit_attempts >= 1, "RetrainOptions.fit_attempts must be >= 1");
 }
 
@@ -27,8 +23,10 @@ models::ForecastDataset build_dataset(const data::TimeSeriesFrame& frame,
   const std::string& target = frame.name(0);
 
   const auto all = data::make_windows(normalized, target, options.window);
+  // A retrain fits on recent history, so it spends more of it on training
+  // than the paper's 6:2:2 batch split.
   auto split =
-      data::chrono_split(all, options.train_frac, options.valid_frac);
+      data::chrono_split(all, /*train_frac=*/0.7, /*valid_frac=*/0.25);
 
   models::ForecastDataset ds;
   ds.train = std::move(split.train);

@@ -32,8 +32,6 @@ struct RetrainOptions {
   models::ModelConfig model;         ///< architecture + training recipe
   std::size_t history = 512;         ///< trailing ticks to fit on
   data::WindowOptions window;        ///< supervised window/horizon/stride
-  double train_frac = 0.7;           ///< chronological split of the windows
-  double valid_frac = 0.25;          ///< (remainder is an unused test tail)
   std::size_t min_ticks_between = 64;  ///< cooldown between triggers
   std::string checkpoint_dir;        ///< per-generation weights ("" = none)
   /// Quality gate: a fit whose best validation loss (normalised units)
@@ -83,7 +81,8 @@ void save_checkpoint(FittedGeneration& g, const RetrainOptions& options,
 
 /// The fit's dataset recipe, exposed so tests can reproduce bit-for-bit what
 /// a generation was trained on: transform `frame` (target = column 0) with
-/// `normalizer`, window it, split chronologically. Also the shape donor for
+/// `normalizer`, window it, split the windows chronologically 70/25/5 (the
+/// 5 % tail is an unused test split). Also the shape donor for
 /// Forecaster::restore.
 models::ForecastDataset build_dataset(const data::TimeSeriesFrame& frame,
                                       const OnlineNormalizer& normalizer,

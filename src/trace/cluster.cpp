@@ -26,19 +26,13 @@ WorkloadClass sample_class(Rng& rng) {
 ClusterSimulator::ClusterSimulator(const TraceConfig& config)
     : config_(config) {
   RPTCN_CHECK(config.num_machines > 0, "need at least one machine");
-  RPTCN_CHECK(config.min_containers_per_machine >= 1 &&
-                  config.max_containers_per_machine >=
-                      config.min_containers_per_machine,
-              "bad container count range");
   RPTCN_CHECK(config.duration_steps > 1, "duration too short");
 
   Rng rng(config.seed);
   machine_containers_.resize(config.num_machines);
   std::size_t next_id = 0;
   for (std::size_t m = 0; m < config.num_machines; ++m) {
-    const auto count = static_cast<std::size_t>(rng.uniform_int(
-        static_cast<std::int64_t>(config.min_containers_per_machine),
-        static_cast<std::int64_t>(config.max_containers_per_machine)));
+    const auto count = static_cast<std::size_t>(rng.uniform_int(2, 5));
     // Raw shares, rescaled so the machine's total allocatable share lands in
     // [0.5, 0.85] — mirroring overcommit-averse production placement.
     std::vector<double> raw(count);
@@ -157,7 +151,7 @@ void ClusterSimulator::run() {
 
       Rng& mrng = machine_noise[m];
       const double machine_cpu =
-          clamp01(config_.os_baseline + cpu_sum + mrng.normal(0.0, 0.01));
+          clamp01(0.05 + cpu_sum + mrng.normal(0.0, 0.01));  // + OS floor
       machine_cpu_prev[m] = machine_cpu;
 
       auto& out = mbuf[m];

@@ -20,14 +20,12 @@
 
 namespace rptcn::trace {
 
+/// Each machine hosts 2-5 containers (uniform) and adds a 5 % OS CPU floor.
 struct TraceConfig {
   std::size_t num_machines = 32;
-  std::size_t min_containers_per_machine = 2;
-  std::size_t max_containers_per_machine = 5;
   std::size_t duration_steps = 3000;
   double interval_seconds = 10.0;       ///< the paper uses 10 s sampling
   std::size_t steps_per_day = 8640;     ///< for the diurnal component
-  double os_baseline = 0.05;            ///< machine CPU floor from the OS
   std::uint64_t seed = 2018;
 };
 

@@ -6,7 +6,7 @@
 
 #include <cmath>
 
-#include "autograd/gradcheck.h"
+#include "gradcheck.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "tensor/tensor_ops.h"

@@ -4,7 +4,7 @@
 
 #include <cmath>
 
-#include "autograd/gradcheck.h"
+#include "gradcheck.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "nn/rptcn_net.h"

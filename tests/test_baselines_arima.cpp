@@ -4,7 +4,6 @@
 
 #include "baselines/arima.h"
 #include "baselines/linreg.h"
-#include "baselines/naive.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "core/metrics.h"
@@ -122,9 +121,10 @@ TEST(Arima, DifferencedModelTracksRandomWalk) {
   Arima model(opt);
   model.fit({series.data(), 1500});
   const auto preds = model.one_step_predictions(series, 1500);
-  const auto naive = last_value_predictions(series, 1500);
+  // Persistence, yhat_t = y_{t-1}: the optimum for a random walk.
+  const std::vector<double> naive(series.begin() + 1499, series.end() - 1);
   const std::vector<double> truth(series.begin() + 1500, series.end());
-  // Within 10% of the naive predictor's MSE (the optimum for a random walk).
+  // Within 10% of the naive predictor's MSE.
   EXPECT_LT(core::mse(truth, preds), 1.1 * core::mse(truth, naive));
 }
 
@@ -232,32 +232,22 @@ TEST(Arima, OneStepPredictionsAlignWithForecast) {
   EXPECT_NEAR(rolling[0], direct[0], 1e-9);
 }
 
-// --- naive predictors --------------------------------------------------------
-
-TEST(Naive, LastValue) {
-  const std::vector<double> s = {1, 2, 3, 4};
-  const auto p = last_value_predictions(s, 2);
-  ASSERT_EQ(p.size(), 2u);
-  EXPECT_DOUBLE_EQ(p[0], 2.0);
-  EXPECT_DOUBLE_EQ(p[1], 3.0);
-  EXPECT_THROW(last_value_predictions(s, 0), CheckError);
-}
-
-TEST(Naive, SeasonalNaive) {
-  const std::vector<double> s = {10, 20, 30, 40, 50, 60};
-  const auto p = seasonal_naive_predictions(s, 3, 3);
-  ASSERT_EQ(p.size(), 3u);
-  EXPECT_DOUBLE_EQ(p[0], 10.0);
-  EXPECT_DOUBLE_EQ(p[2], 30.0);
-}
-
-TEST(Naive, MovingAverage) {
-  const std::vector<double> s = {1, 2, 3, 4, 5};
-  const auto p = moving_average_predictions(s, 2, 2);
-  ASSERT_EQ(p.size(), 3u);
-  EXPECT_DOUBLE_EQ(p[0], 1.5);
-  EXPECT_DOUBLE_EQ(p[1], 2.5);
-  EXPECT_DOUBLE_EQ(p[2], 3.5);
+TEST(Arima, ConstantSeriesFitsThroughTheRidge) {
+  // A flat series differences to all zeros, so every lag column of both
+  // OLS stages is zero and the plain normal equations are singular. The
+  // ridge term keeps them positive definite: the fit succeeds with zero
+  // coefficients and forecasts the level exactly.
+  const std::vector<double> flat(200, 5.0);
+  Arima model;
+  ASSERT_NO_THROW(model.fit(flat));
+  for (const double c : model.ar_coefficients()) EXPECT_EQ(c, 0.0);
+  for (const double c : model.ma_coefficients()) EXPECT_EQ(c, 0.0);
+  for (const double v : model.forecast(flat, 3)) EXPECT_EQ(v, 5.0);
+  const std::vector<double> zeros(10, 0.0);
+  std::vector<double> design(10 * 2, 0.0);
+  for (std::size_t r = 0; r < 10; ++r) design[r * 2] = 1.0;
+  EXPECT_THROW(least_squares(design, 10, 2, zeros, /*ridge=*/0.0), CheckError)
+      << "without the ridge the zero lag column is singular";
 }
 
 }  // namespace

@@ -13,7 +13,7 @@
 #include <cstring>
 #include <vector>
 
-#include "autograd/gradcheck.h"
+#include "gradcheck.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "tensor/tensor_ops.h"

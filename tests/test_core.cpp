@@ -7,7 +7,6 @@
 #include "core/metrics.h"
 #include "core/pipeline.h"
 #include "core/scenario.h"
-#include "core/walk_forward.h"
 #include "trace/cluster.h"
 
 namespace rptcn::core {
@@ -212,44 +211,6 @@ TEST(Scenario, WeightedExpansionVariesCopies) {
   // unless every kept indicator has |PCC| ~ 1.
   EXPECT_LE(prep.features.indicators(), 16u);
   EXPECT_GE(prep.features.indicators(), 5u);
-}
-
-TEST(WalkForward, EvaluatesAcrossFolds) {
-  WalkForwardOptions wf;
-  wf.folds = 2;
-  wf.initial_frac = 0.6;
-  auto model = small_model();
-  model.gbt.n_rounds = 20;
-  const auto result = walk_forward_evaluate(
-      container_frame(), "cpu_util_percent", "XGBoost", Scenario::kMul,
-      small_prepare(), model, wf);
-  ASSERT_EQ(result.folds.size(), 2u);
-  for (const auto& fold : result.folds) {
-    EXPECT_GT(fold.test_samples, 0u);
-    EXPECT_TRUE(std::isfinite(fold.accuracy.mse));
-  }
-  EXPECT_GT(result.overall.mse, 0.0);
-  // Overall is a weighted mean, so it lies within the fold extremes.
-  const double lo =
-      std::min(result.folds[0].accuracy.mse, result.folds[1].accuracy.mse);
-  const double hi =
-      std::max(result.folds[0].accuracy.mse, result.folds[1].accuracy.mse);
-  EXPECT_GE(result.overall.mse, lo - 1e-12);
-  EXPECT_LE(result.overall.mse, hi + 1e-12);
-}
-
-TEST(WalkForward, RejectsDegenerateConfig) {
-  WalkForwardOptions wf;
-  wf.folds = 0;
-  EXPECT_THROW(walk_forward_evaluate(container_frame(), "cpu_util_percent",
-                                     "XGBoost", Scenario::kUni,
-                                     small_prepare(), small_model(), wf),
-               CheckError);
-  wf.folds = 50;  // folds shorter than a window
-  EXPECT_THROW(walk_forward_evaluate(container_frame(), "cpu_util_percent",
-                                     "XGBoost", Scenario::kUni,
-                                     small_prepare(), small_model(), wf),
-               CheckError);
 }
 
 TEST(Pipeline, CheckpointRoundTrip) {

@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "autograd/gradcheck.h"
+#include "gradcheck.h"
 #include "autograd/ops.h"
 #include "common/flags.h"
 #include "common/rng.h"

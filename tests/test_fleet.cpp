@@ -1,11 +1,12 @@
 // Fleet-layer tests: deterministic sharding, snapshot dedup across a
 // cohort (and the splinter onto a private generation under live ingest),
-// non-finite tick dropping, cohort forecasts sharing engine forwards, no
-// entity lock held across an in-flight forward, per-entity checkpoint
-// names, retrain-scheduler priority / dedup / budget / queue bounds and
-// fit slots counted as active jobs, admission backpressure, and the
-// typed-options construction API (named validation errors, FleetBuilder,
-// registry ForecasterSpec).
+// a failed retrain leaving the incumbent serving, non-finite and
+// wrong-arity ticks, cohort forecasts sharing engine forwards, no entity
+// lock held across an in-flight forward, the observation reads, per-entity
+// checkpoint names, retrain-scheduler priority / dedup / budget / queue
+// bounds and fit slots counted as active jobs, admission backpressure, and
+// the typed-options construction API (named validation errors,
+// FleetBuilder, registry ForecasterSpec).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -103,6 +104,17 @@ void ingest_blocking(FleetManager& fleet, const std::string& id,
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   }
+}
+
+/// The message of the CheckError `fn` throws; empty if it throws none.
+template <typename Fn>
+std::string check_error_of(Fn&& fn) {
+  try {
+    fn();
+  } catch (const CheckError& e) {
+    return e.what();
+  }
+  return "";
 }
 
 // ---------------------------------------------------------------------------
@@ -269,6 +281,60 @@ TEST(FleetCohort, ForecastStraddlingAnInstallIsNotScored) {
       << "scored generation 1's forecast against generation 2's detectors";
 }
 
+TEST(FleetCohort, FailedRetrainKeepsTheIncumbentServing) {
+  // A retrain whose fit throws is contained: the entity keeps its
+  // generation and its cohort session, the failure is counted, and
+  // forecasting carries on. Without seeded history the retrain below fits
+  // on 18 ticks, two 16+1 windows: too few for a validation split, so the
+  // fit's dataset recipe throws.
+  FleetOptions o = tiny_fleet_options("failed-fit");
+  o.retrain_on_drift = false;  // only the request below retrains
+  auto fleet = FleetBuilder()
+                   .options(o)
+                   .add_cohort("web", arima_spec(), 2, "web-")
+                   .build();
+  const stream::RetrainOutcome boot = fleet->bootstrap_cohort(
+      "web", regime_trace(regime_a(), 240, 45), /*seed_history=*/false);
+  ASSERT_TRUE(boot.error.empty()) << boot.error;
+  const auto live = regime_trace(regime_a(), 30, 46);
+  ingest_blocking(*fleet, "web-0", live, 0, 18);
+  fleet->drain();
+  const EntityStats before = fleet->entity_stats("web-0");
+  ASSERT_EQ(before.ticks, 18u);
+
+  ASSERT_TRUE(fleet->scheduler().request({"web-0", 1.0, "forced"}));
+  fleet->scheduler().wait_idle();
+
+  const EntityStats after = fleet->entity_stats("web-0");
+  EXPECT_EQ(after.generation, 1u);
+  EXPECT_TRUE(after.shares_cohort_session);
+  EXPECT_EQ(after.retrains, 0u);
+  const FleetStats stats = fleet->stats();
+  EXPECT_EQ(stats.retrains_failed, 1u);
+  EXPECT_EQ(stats.retrains_completed, 0u);
+  EXPECT_EQ(stats.unique_snapshots, 1u);
+
+  ingest_blocking(*fleet, "web-0", live, 18, 30);
+  fleet->drain();
+  EXPECT_EQ(fleet->entity_stats("web-0").forecasts, before.forecasts + 12);
+  EXPECT_EQ(fleet->stats().forecast_failures, 0u);
+}
+
+TEST(FleetCohort, BootstrapOfAnEmptyCohortThrows) {
+  FleetManager fleet(tiny_fleet_options("empty-cohort"));
+  EntitySpec spec;
+  spec.id = "web-0";
+  spec.cohort = "web";
+  spec.model = arima_spec();
+  fleet.add_entity(spec);
+  const std::string err = check_error_of([&] {
+    fleet.bootstrap_cohort("ghost", regime_trace(regime_a(), 240, 47));
+  });
+  EXPECT_NE(err.find("\"ghost\""), std::string::npos) << err;
+  EXPECT_EQ(fleet.stats().retrains_failed, 0u) << "no fit was attempted";
+  EXPECT_EQ(fleet.entity_stats("web-0").generation, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Ingest, forecasting, latency recording
 // ---------------------------------------------------------------------------
@@ -352,6 +418,28 @@ TEST(FleetIngest, UnknownEntityIsRejectedByName) {
   EXPECT_STREQ(admission_name(Admission::kBacklogFull), "backlog_full");
   EXPECT_STREQ(admission_name(Admission::kUnknownEntity), "unknown_entity");
   EXPECT_STREQ(admission_name(Admission::kStopped), "stopped");
+}
+
+TEST(FleetIngest, WrongArityRowIsRejectedBeforeAdmission) {
+  // A row carries one value per fleet feature. A short or long row is a
+  // caller bug: it throws by name and never reaches a mailbox.
+  FleetManager fleet(tiny_fleet_options("arity"));
+  EntitySpec spec;
+  spec.id = "web-0";
+  spec.model = arima_spec();
+  fleet.add_entity(spec);
+  EXPECT_NE(check_error_of([&] { fleet.ingest("web-0", {0.1}); })
+                .find("carries 1 values, fleet has 2 features"),
+            std::string::npos);
+  EXPECT_THROW(fleet.ingest("web-0", {0.1, 0.2, 0.3}), CheckError);
+  FleetStats stats = fleet.stats();
+  EXPECT_EQ(stats.ticks_accepted, 0u);
+  EXPECT_EQ(stats.ticks_rejected, 0u);
+  EXPECT_EQ(stats.queued_ticks, 0u);
+
+  EXPECT_EQ(fleet.ingest("web-0", {0.1, 0.2}), Admission::kAccepted);
+  fleet.drain();
+  EXPECT_EQ(fleet.stats().ticks_accepted, 1u);
 }
 
 TEST(FleetIngest, BackpressureShedsInsteadOfBuffering) {
@@ -470,6 +558,45 @@ TEST(FleetIngest, ReadersDoNotWaitOnAnInFlightForward) {
 
   fleet->drain();
   EXPECT_EQ(fleet->entity_stats("web-0").forecasts, 1u);
+}
+
+TEST(FleetObserve, EntityStatsNamesAnUnknownEntity) {
+  FleetManager fleet(tiny_fleet_options("observe-unknown"));
+  EXPECT_NE(check_error_of([&] { fleet.entity_stats("nope"); })
+                .find("no such entity: nope"),
+            std::string::npos);
+}
+
+TEST(FleetObserve, LatestForecastsListOnlyEntitiesThatHaveForecast) {
+  // The allocator's bulk read: an entity appears once its first forecast
+  // is delivered, and the list stays sorted by id.
+  FleetOptions o = tiny_fleet_options("observe-latest");
+  auto fleet = FleetBuilder()
+                   .options(o)
+                   .add_cohort("web", arima_spec(), 3, "web-")
+                   .build();
+  EXPECT_TRUE(fleet->latest_forecasts().empty());
+  fleet->bootstrap_cohort("web", regime_trace(regime_a(), 240, 43));
+  EXPECT_TRUE(fleet->latest_forecasts().empty())
+      << "bootstrap delivers no forecast";
+
+  const auto live = regime_trace(regime_a(), 1, 44);
+  ingest_blocking(*fleet, "web-2", live, 0, 1);
+  fleet->drain();
+  std::vector<EntityForecast> latest = fleet->latest_forecasts();
+  ASSERT_EQ(latest.size(), 1u);
+  EXPECT_EQ(latest[0].entity, "web-2");
+  EXPECT_FALSE(fleet->entity_stats("web-0").has_forecast);
+
+  ingest_blocking(*fleet, "web-0", live, 0, 1);
+  fleet->drain();
+  latest = fleet->latest_forecasts();
+  ASSERT_EQ(latest.size(), 2u);
+  EXPECT_EQ(latest[0].entity, "web-0");
+  EXPECT_EQ(latest[1].entity, "web-2");
+  // Same snapshot, same seeded history, same row: the same bits.
+  EXPECT_EQ(latest[0].tick, latest[1].tick);
+  EXPECT_EQ(latest[0].predicted_norm, latest[1].predicted_norm);
 }
 
 // ---------------------------------------------------------------------------
@@ -780,16 +907,6 @@ TEST(FleetScheduler, BudgetExhaustionFilesHighSeverityAndRunsItFirst) {
 // Construction API: named validation errors, builder, registry specs
 // ---------------------------------------------------------------------------
 
-template <typename Fn>
-std::string check_error_of(Fn&& fn) {
-  try {
-    fn();
-  } catch (const CheckError& e) {
-    return e.what();
-  }
-  return "";
-}
-
 TEST(FleetOptionsApi, ValidationNamesTheOffendingField) {
   EXPECT_NE(check_error_of([] {
               FleetOptions o;
@@ -866,7 +983,9 @@ TEST(FleetOptionsApi, EntitySpecValidatesIdAndModel) {
 }
 
 TEST(FleetOptionsApi, BuilderValidatesBeforeStartingAnything) {
-  EXPECT_THROW(FleetBuilder().shards(0).build(), CheckError);
+  FleetOptions no_shards;
+  no_shards.shards = 0;
+  EXPECT_THROW(FleetBuilder().options(no_shards).build(), CheckError);
   EXPECT_THROW(FleetBuilder()
                    .add_entity([] {
                      EntitySpec s;
@@ -880,15 +999,12 @@ TEST(FleetOptionsApi, BuilderValidatesBeforeStartingAnything) {
 
 TEST(FleetOptionsApi, BuilderSingleEntityIsTheNEqualsOneCase) {
   FleetOptions o = tiny_fleet_options("solo");
+  o.shards = 1;
+  o.workers = 1;
   EntitySpec solo;
   solo.id = "solo-0";
   solo.model = arima_spec();
-  auto fleet = FleetBuilder()
-                   .options(o)
-                   .shards(1)
-                   .workers(1)
-                   .add_entity(solo)
-                   .build();
+  auto fleet = FleetBuilder().options(o).add_entity(solo).build();
   EXPECT_EQ(fleet->entity_count(), 1u);
   // An id-only entity is a private cohort of one: bootstrap by cohort = id.
   fleet->bootstrap_cohort("solo-0", regime_trace(regime_a(), 240, 21));
@@ -897,6 +1013,35 @@ TEST(FleetOptionsApi, BuilderSingleEntityIsTheNEqualsOneCase) {
   fleet->drain();
   EXPECT_EQ(fleet->entity_stats("solo-0").forecasts, 20u);
   EXPECT_EQ(fleet->stats().unique_snapshots, 1u);
+}
+
+TEST(FleetOptionsApi, OneBuilderBuildsIndependentFleets) {
+  // build() copies the recipe: each call starts its own manager with the
+  // same entities, and bootstrapping one leaves the other cold.
+  FleetBuilder builder;
+  builder.options(tiny_fleet_options("recipe"))
+      .add_cohort("web", arima_spec(), 2, "web-");
+  auto a = builder.build();
+  auto b = builder.build();
+  EXPECT_EQ(a->entity_ids(), b->entity_ids());
+  a->bootstrap_cohort("web", regime_trace(regime_a(), 240, 48));
+  EXPECT_EQ(a->entity_stats("web-0").generation, 1u);
+  EXPECT_EQ(b->entity_stats("web-0").generation, 0u);
+  EXPECT_EQ(b->stats().unique_snapshots, 0u);
+}
+
+TEST(FleetOptionsApi, BuilderRejectsEmptyCohortsAndDuplicateIds) {
+  EXPECT_THROW(FleetBuilder().add_cohort("web", arima_spec(), 0, "web-"),
+               CheckError);
+  // add_cohort names members "<prefix><i>": two cohorts sharing a prefix
+  // collide on ids, and build() says which one.
+  FleetBuilder clash;
+  clash.options(tiny_fleet_options("clash"))
+      .add_cohort("web", arima_spec(), 2, "node-")
+      .add_cohort("api", arima_spec(), 1, "node-");
+  EXPECT_NE(check_error_of([&] { clash.build(); })
+                .find("duplicate entity id: node-0"),
+            std::string::npos);
 }
 
 TEST(FleetRegistry, ListForecastersMirrorsTheFactoryNames) {

@@ -287,7 +287,7 @@ TEST(GraphTrainStep, WeightsVersionBumpDropsCachedPrograms) {
   EXPECT_EQ(captures() - c0, 2u) << "version bump did not drop the program";
 }
 
-TEST(GraphTrainStep, FactoryDeclinesWhenPlanningDisabledOrNotAdam) {
+TEST(GraphTrainStep, FactoryDeclinesWhenPlanningDisabled) {
   nn::LstmNetOptions opt;
   opt.input_features = 2;
   opt.hidden = 4;
@@ -295,14 +295,41 @@ TEST(GraphTrainStep, FactoryDeclinesWhenPlanningDisabledOrNotAdam) {
   opt::TrainOptions options;
   const opt::ForwardFn fwd = [&](const Variable& v) { return net.forward(v); };
 
-  opt::Sgd sgd(net.parameters(), 1e-2f);
-  EXPECT_EQ(make_planned_step(net, fwd, sgd, options), nullptr)
-      << "only Adam has the slab layout the planned step fuses against";
-
   PlanningGuard guard;
   set_planning_enabled(false);
   opt::Adam adam(net.parameters(), 1e-3f);
   EXPECT_EQ(make_planned_step(net, fwd, adam, options), nullptr);
+}
+
+TEST(GraphTrainStep, FactoryDeclinesAnAdamOverOtherParameters) {
+  // The gradient slab and the clip reduction follow Adam's parameter order,
+  // so the step is planned only when that list is the model's own.
+  nn::LstmNetOptions opt;
+  opt.input_features = 2;
+  opt.hidden = 4;
+  nn::LstmNet net(opt);
+  nn::LstmNet twin(opt);
+  opt::TrainOptions options;
+  const opt::ForwardFn fwd = [&](const Variable& v) { return net.forward(v); };
+  PlanningGuard guard;
+  set_planning_enabled(true);
+
+  opt::Adam own(net.parameters(), 1e-3f);
+  EXPECT_NE(make_planned_step(net, fwd, own, options), nullptr);
+
+  opt::Adam foreign(twin.parameters(), 1e-3f);
+  EXPECT_EQ(make_planned_step(net, fwd, foreign, options), nullptr)
+      << "same shapes, but another net's parameters";
+
+  std::vector<Variable> partial = net.parameters();
+  partial.pop_back();
+  opt::Adam subset(partial, 1e-3f);
+  EXPECT_EQ(make_planned_step(net, fwd, subset, options), nullptr);
+
+  std::vector<Variable> reordered = net.parameters();
+  std::reverse(reordered.begin(), reordered.end());
+  opt::Adam permuted(reordered, 1e-3f);
+  EXPECT_EQ(make_planned_step(net, fwd, permuted, options), nullptr);
 }
 
 // -- whole-fit parity for every registry net ----------------------------------

@@ -217,6 +217,16 @@ INSTANTIATE_TEST_SUITE_P(AllModels, ForecasterContract,
                                            "XGBoost", "RPTCN", "TCN",
                                            "BiLSTM"));
 
+TEST(NnForecasters, SaveBeforeFitThrows) {
+  // A neural forecaster has no weights to write until it is fitted; the
+  // closed-form models have no weight checkpoints at all.
+  auto net = make_forecaster("RPTCN", fast_config());
+  EXPECT_THROW(net->save(checkpoint_path("unfitted")), CheckError);
+  auto arima = make_forecaster("ARIMA", fast_config());
+  EXPECT_EQ(arima->save(checkpoint_path("unfitted_arima")),
+            CheckpointStatus::kUnsupported);
+}
+
 TEST(NnForecasters, CurvesRecorded) {
   const auto ds = make_dataset();
   auto model = make_forecaster("RPTCN", fast_config());

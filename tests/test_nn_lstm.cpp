@@ -2,7 +2,7 @@
 
 #include <cmath>
 
-#include "autograd/gradcheck.h"
+#include "gradcheck.h"
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "nn/cnn_lstm.h"

@@ -20,7 +20,6 @@
 #include "fleet/options.h"
 #include "sched/autoscaler.h"
 #include "sched/cluster.h"
-#include "sched/fleet_source.h"
 #include "sched/forecast.h"
 #include "sched/loop.h"
 #include "sched/replay.h"
@@ -247,6 +246,23 @@ TEST(SchedAutoscaler, OptionsValidateNamedFields) {
   o = AutoscalerOptions{};
   o.cpu_cap = 0.01;
   EXPECT_THROW(o.validate(), CheckError);
+}
+
+TEST(SchedAutoscaler, MemFloorMayNotExceedOneMachine) {
+  // Memory allocations are capped at one machine, so a floor above it
+  // could never be met.
+  AutoscalerOptions o;
+  o.mem_floor = 1.0;
+  EXPECT_NO_THROW(o.validate());
+  o.mem_floor = 1.5;
+  try {
+    o.validate();
+    FAIL() << "mem_floor 1.5 accepted";
+  } catch (const CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("mem_floor"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_THROW(Autoscaler{o}, CheckError);
 }
 
 // ---------------------------------------------------------------------------
@@ -517,37 +533,12 @@ TEST(SchedFleetIntegration, FleetForecastMatchesMirroredServeBitExactly) {
   EXPECT_EQ(stats.last_forecast_raw,
             mirror.normalizer().denormalize(0, expected_norm));
 
-  // The bulk read and the adapter expose the same bits.
+  // The bulk read the allocator consumes exposes the same bits.
   const std::vector<fleet::EntityForecast> all = manager.latest_forecasts();
   ASSERT_EQ(all.size(), 1u);
   EXPECT_EQ(all[0].entity, "svc-0");
   EXPECT_EQ(all[0].predicted_norm, expected_norm);
   EXPECT_EQ(all[0].predicted_raw, stats.last_forecast_raw);
-
-  FleetForecastSource source(manager, "svc-0");
-  const ResourceForecast f = source.forecast(live);
-  EXPECT_EQ(f.cpu, stats.last_forecast_raw);
-  EXPECT_DOUBLE_EQ(f.mem, live.column("mem_util_percent").back());
-}
-
-TEST(SchedFleetIntegration, AdapterRejectsUnknownEntityAndEmptyForecast) {
-  fleet::FleetOptions o;
-  o.features = kFeatures;
-  o.shards = 1;
-  o.workers = 1;
-  o.retrain.model_name = "ARIMA";
-  o.tenant = "sched-fleet-err";
-  fleet::FleetManager manager(o);
-  fleet::EntitySpec spec;
-  spec.id = "svc-0";
-  spec.model.name = "ARIMA";
-  manager.add_entity(spec);
-
-  EXPECT_THROW(FleetForecastSource(manager, "nope"), CheckError);
-  FleetForecastSource source(manager, "svc-0");
-  const data::TimeSeriesFrame history = regime_trace(regime_a(), 8, 3);
-  EXPECT_THROW(source.forecast(history), CheckError)
-      << "no forecast delivered yet";
 }
 
 }  // namespace

@@ -11,6 +11,8 @@
 #include <cmath>
 #include <cstring>
 #include <future>
+#include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -576,6 +578,79 @@ TEST(ServeEngine, DestructorDrainsQueuedRequests) {
     ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
               std::future_status::ready);
     expect_row_matches(*session, windows[i], futures[i].get());
+  }
+}
+
+/// A delegated (non-net) forecaster whose predict() blocks until
+/// release(): it holds a batch inside the engine for as long as a test
+/// needs. Row i forecasts the last value of window i's first feature.
+class LatchedForecaster final : public models::Forecaster {
+ public:
+  std::string name() const override { return "latched"; }
+  void fit(const models::ForecastDataset&) override {}
+  Tensor predict(const Tensor& inputs) override {
+    if (!entered_flag_.exchange(true)) entered_.set_value();
+    released_.wait();
+    const std::size_t t = inputs.dim(2);
+    Tensor out({inputs.dim(0), 1});
+    for (std::size_t i = 0; i < inputs.dim(0); ++i)
+      out.at(i, 0) = inputs.at(i, 0, t - 1);
+    return out;
+  }
+  /// Blocks until the first predict() call has started.
+  void wait_entered() { entered_future_.wait(); }
+  void release() { release_.set_value(); }
+
+ private:
+  std::atomic<bool> entered_flag_{false};
+  std::promise<void> entered_;
+  std::future<void> entered_future_ = entered_.get_future();
+  std::promise<void> release_;
+  std::shared_future<void> released_ = release_.get_future().share();
+};
+
+TEST(ServeEngine, TeardownMidBatchDeliversEveryFuture) {
+  // Shutdown while a coalesced batch is inside its forward: the destructor
+  // waits for that batch, drains the requests queued behind it, and every
+  // future completes with its own row.
+  auto model = std::make_shared<LatchedForecaster>();
+  auto session = std::make_shared<InferenceSession>(
+      std::shared_ptr<models::Forecaster>(model));
+  auto engine = std::make_unique<BatchingEngine>(
+      EngineOptions{/*max_batch=*/4, /*max_delay_us=*/2'000'000,
+                    /*workers=*/1});
+
+  Rng rng(12);
+  std::vector<Tensor> windows;
+  std::vector<std::future<Tensor>> futures;
+  const auto submit = [&] {
+    windows.push_back(random_window(rng));
+    futures.push_back(engine->submit(windows.back(), session));
+  };
+  for (std::size_t i = 0; i < 4; ++i) submit();  // a full batch fires at once
+  model->wait_entered();
+  for (std::size_t i = 0; i < 2; ++i) submit();  // queued behind it
+  const EngineStats held = engine->stats();
+  EXPECT_EQ(held.in_flight, 4u);
+  EXPECT_EQ(held.queued, 2u);
+
+  std::thread teardown([&engine] { engine.reset(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  for (auto& fut : futures)
+    EXPECT_EQ(fut.wait_for(std::chrono::seconds(0)),
+              std::future_status::timeout)
+        << "a future completed while its batch was held";
+  model->release();
+  teardown.join();
+
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(0)),
+              std::future_status::ready)
+        << "request " << i;
+    const Tensor row = futures[i].get();
+    ASSERT_EQ(row.size(), 1u);
+    EXPECT_EQ(row.raw()[0], windows[i].at(0, windows[i].dim(1) - 1))
+        << "request " << i;
   }
 }
 

@@ -271,6 +271,44 @@ TEST(StreamDrift, WindowedMonitorFiresWhenShortWindowBlowsUp) {
   EXPECT_TRUE(fired);
 }
 
+TEST(StreamDrift, RatioWaitsForAFullReferenceWindow) {
+  // The ratio compares the trailing short window with the last 128 errors.
+  // It reads 0 until all 128 are in, then slides with the stream.
+  WindowedErrorMonitor monitor;
+  for (int i = 0; i < 127; ++i) ASSERT_FALSE(monitor.update(0.01));
+  EXPECT_EQ(monitor.ratio(), 0.0);
+  EXPECT_GT(monitor.short_mean(), 0.0) << "the short window is long full";
+  ASSERT_FALSE(monitor.update(0.01));
+  EXPECT_NEAR(monitor.ratio(), 1.0, 1e-12);
+
+  // Doubling the error stays under the 2x threshold throughout. One old
+  // error still lowers the reference mean after 127 doubled ones; after
+  // the 128th the old level has left the reference window.
+  for (int i = 0; i < 127; ++i) ASSERT_FALSE(monitor.update(0.02));
+  EXPECT_GT(monitor.ratio(), 1.0 + 1e-3);
+  ASSERT_FALSE(monitor.update(0.02));
+  EXPECT_NEAR(monitor.ratio(), 1.0, 1e-12);
+}
+
+TEST(StreamDrift, ShortWindowMayNotExceedTheReferenceWindow) {
+  DriftOptions o;
+  o.windowed.short_window = 128;
+  EXPECT_NO_THROW(o.validate());
+  EXPECT_NO_THROW(WindowedErrorMonitor{o.windowed});
+  o.windowed.short_window = 129;
+  std::string err;
+  try {
+    o.validate();
+  } catch (const CheckError& e) {
+    err = e.what();
+  }
+  EXPECT_NE(err.find("DriftOptions.windowed.short_window"), std::string::npos)
+      << err;
+  EXPECT_THROW(WindowedErrorMonitor{o.windowed}, CheckError);
+  o.windowed.short_window = 0;
+  EXPECT_THROW(o.validate(), CheckError);
+}
+
 TEST(StreamDrift, MonitorAggregatesResidualDetectorsAndResets) {
   DriftOptions opts;
   opts.monitor_inputs = false;
@@ -431,6 +469,29 @@ void stream_rest(fleet::FleetManager& fleet, const std::string& id,
     send(fleet, id, trace, t);
     fleet.drain();
   }
+}
+
+TEST(StreamRetrain, BuildDatasetSplitsSeventyTwentyFiveFive) {
+  // A retrain splits the windows of its trailing history 70/25/5 in time
+  // order: 117 ticks at window 16 + horizon 1 give 101 windows, floor(70.7)
+  // = 70 to train, floor(25.25) = 25 to validate and a 6-window tail.
+  const IngestChannel channel = replayed(single_regime_trace(117, 49));
+  const data::TimeSeriesFrame history = channel.history(117);
+  const models::ForecastDataset ds =
+      build_dataset(history, channel.normalizer(), tiny_retrain(117));
+  EXPECT_EQ(ds.train.samples(), 70u);
+  EXPECT_EQ(ds.valid.samples(), 25u);
+  EXPECT_EQ(ds.test.samples(), 6u);
+  EXPECT_EQ(ds.train_len, 86u);
+  EXPECT_EQ(ds.valid_len, 25u);
+
+  const data::TimeSeriesFrame normalized =
+      channel.normalizer().transform(history);
+  const std::vector<double>& cpu = normalized.column(0);
+  EXPECT_EQ(ds.train.targets.at(69, 0), static_cast<float>(cpu[85]));
+  EXPECT_EQ(ds.valid.inputs.at(0, 0, 0), static_cast<float>(cpu[70]));
+  EXPECT_EQ(ds.valid.targets.at(0, 0), static_cast<float>(cpu[86]));
+  EXPECT_EQ(ds.test.targets.at(5, 0), static_cast<float>(cpu[116]));
 }
 
 TEST(StreamRetrain, QualityGateRetriesAndRefusesBadFits) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "common/check.h"
 #include "data/correlation.h"
@@ -157,6 +158,46 @@ TEST(Cluster, ShareBudgetsKeepMachinesUnderProvisioned) {
         total_share += sim.container_info(c).cpu_share;
     EXPECT_GT(total_share, 0.5);
     EXPECT_LT(total_share, 0.96);
+  }
+}
+
+TEST(Cluster, EachMachineHostsTwoToFiveContainers) {
+  // Placement happens at construction; a large cluster draws every count
+  // in the range and none outside it.
+  TraceConfig cfg = small_config();
+  cfg.num_machines = 200;
+  const ClusterSimulator sim(cfg);
+  std::vector<std::size_t> hosted(sim.num_machines(), 0);
+  for (std::size_t c = 0; c < sim.num_containers(); ++c)
+    ++hosted[sim.container_info(c).machine];
+  std::vector<std::size_t> machines_with(6, 0);
+  for (const std::size_t n : hosted) {
+    ASSERT_GE(n, 2u);
+    ASSERT_LE(n, 5u);
+    ++machines_with[n];
+  }
+  for (std::size_t n = 2; n <= 5; ++n)
+    EXPECT_GT(machines_with[n], 0u) << n << " containers";
+}
+
+TEST(Cluster, MachineCpuIsItsContainersPlusAnOsFloor) {
+  // Machine CPU = the share-weighted sum of its containers' CPU plus a
+  // 5 % OS floor and N(0, 1 pp) noise.
+  const auto& sim = shared_sim();
+  for (std::size_t m = 0; m < sim.num_machines(); ++m) {
+    const auto& machine = sim.machine_trace(m).column("cpu_util_percent");
+    std::vector<double> residual(machine.begin(), machine.end());
+    for (std::size_t c = 0; c < sim.num_containers(); ++c) {
+      if (sim.container_info(c).machine != m) continue;
+      const double share = sim.container_info(c).cpu_share;
+      const auto& cpu = sim.container_trace(c).column("cpu_util_percent");
+      for (std::size_t t = 0; t < residual.size(); ++t)
+        residual[t] -= share * cpu[t];
+    }
+    double sum = 0.0;
+    for (const double v : residual) sum += v;
+    EXPECT_NEAR(sum / static_cast<double>(residual.size()), 5.0, 0.15)
+        << sim.machine_id(m);
   }
 }
 

@@ -195,7 +195,6 @@ fleet::FleetOptions fleet_options(const BenchConfig& cfg) {
   o.drift.windowed.level_threshold = 0.0;
   o.drift.windowed.short_window = 16;
   o.engine.max_batch = 64;
-  o.engine.max_delay_us = 200;
   o.tenant = "fleet";
   return o;
 }

@@ -110,8 +110,6 @@ fleet::FleetOptions fleet_options(bool adaptive) {
   opt.shards = 1;
   opt.workers = 1;
   opt.retrain_workers = 1;
-  // A lone stream has no peers to coalesce with.
-  opt.engine.max_delay_us = 0;
   opt.channel.capacity = 2048;
   // Trailing history long enough to span several segments of the workload's
   // endogenous regime chain (dwell times 30-600 ticks): a fit that sees

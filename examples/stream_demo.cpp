@@ -70,7 +70,6 @@ int run(int argc, char** argv) {
   opt.shards = 1;
   opt.workers = 1;
   opt.retrain_workers = 1;
-  opt.engine.max_delay_us = 0;  // a lone stream has no peers to coalesce with
   opt.channel.capacity = 2048;
   opt.retrain.history = 512;
   opt.retrain.window.window = 24;

@@ -212,11 +212,6 @@ stream::RetrainOutcome FleetManager::bootstrap_cohort(
   return g.outcome;
 }
 
-std::size_t FleetManager::entity_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entities_.size();
-}
-
 std::vector<std::string> FleetManager::entity_ids() const {
   std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::string> ids;
@@ -311,16 +306,18 @@ void FleetManager::worker_loop() {
       queue_depth_gauge_.set(static_cast<double>(queued_ticks_));
       processing_ += claim.size();
     }
-    // Wave k submits the k-th tick of every claimed mailbox, then waits for
-    // all of their forecasts: each entity's tick k is delivered before its
-    // tick k + 1 is ingested, so per-entity order is what it was with one
-    // tick at a time. One state_mutex at a time, none while waiting.
+    // Wave k ingests the k-th tick of every claimed mailbox, hands their
+    // forecasts to the engines, then waits for all of them: each entity's
+    // tick k is delivered before its tick k + 1 is ingested, so per-entity
+    // order is what it was with one tick at a time. One state_mutex at a
+    // time, none while waiting.
     for (std::size_t k = 0; k < waves; ++k) {
       wave.clear();
       for (auto& [e, ticks] : claim)
         if (k < ticks.size())
-          if (std::optional<InFlightTick> t = submit_tick(*e, ticks[k]))
+          if (std::optional<InFlightTick> t = prepare_tick(*e, ticks[k]))
             wave.push_back(std::move(*t));
+      submit_wave(wave);
       for (InFlightTick& t : wave) deliver_tick(t);
     }
     {
@@ -342,7 +339,7 @@ void FleetManager::worker_loop() {
   }
 }
 
-std::optional<FleetManager::InFlightTick> FleetManager::submit_tick(
+std::optional<FleetManager::InFlightTick> FleetManager::prepare_tick(
     Entity& e, const QueuedTick& tick) {
   std::lock_guard<std::mutex> state(e.state_mutex);
   if (!e.channel.ingest(tick.row)) {
@@ -370,16 +367,36 @@ std::optional<FleetManager::InFlightTick> FleetManager::submit_tick(
     t.generation = e.generation;
     t.tick = e.channel.ticks();
     t.due_provider_tick = e.channel.ticks() + e.channel.dropped() + 1;
-    try {
-      t.forecast =
-          engines_[e.shard]->submit(e.channel.latest_window(window), e.session);
-    } catch (const std::exception&) {
-      // This entity's tick simply has no forecast.
-      forecast_failures_.fetch_add(1, std::memory_order_relaxed);
-      forecast_failures_counter_.add(1);
-    }
+    t.request.window = e.channel.latest_window(window);
+    t.request.session = e.session;
   }
   return t;
+}
+
+void FleetManager::submit_wave(std::vector<InFlightTick>& wave) {
+  std::vector<serve::WaveRequest> requests;
+  std::vector<InFlightTick*> owners;
+  for (std::size_t shard = 0; shard < engines_.size(); ++shard) {
+    requests.clear();
+    owners.clear();
+    for (InFlightTick& t : wave)
+      if (t.request.session != nullptr && t.entity->shard == shard) {
+        requests.push_back(std::move(t.request));
+        owners.push_back(&t);
+      }
+    if (owners.empty()) continue;
+    try {
+      std::vector<std::future<Tensor>> futures =
+          engines_[shard]->submit_wave(std::move(requests));
+      for (std::size_t i = 0; i < owners.size(); ++i)
+        owners[i]->forecast = std::move(futures[i]);
+    } catch (const std::exception&) {
+      // The engine enqueued none of them: these ticks simply have no
+      // forecast.
+      forecast_failures_.fetch_add(owners.size(), std::memory_order_relaxed);
+      forecast_failures_counter_.add(owners.size());
+    }
+  }
 }
 
 void FleetManager::deliver_tick(InFlightTick& t) {

@@ -24,13 +24,15 @@
 //    processing is serial (tick order preserved) while distinct entities
 //    proceed in parallel.
 //  * Claims and waves: a worker claims up to engine.max_batch ready
-//    mailboxes and runs their ticks in waves — wave k submits the k-th
-//    tick's forecast of every claimed entity, then waits for all of them —
-//    so a claim's forecasts reach the engines together and coalesce. A
-//    worker holds one entity's state_mutex at a time and none while a
-//    forecast is in flight; readers never wait on a forward. A retrain
-//    that installs while a forecast is in flight leaves that forecast
-//    counted under the generation that made it, but unscored.
+//    mailboxes and runs their ticks in waves — wave k builds the k-th
+//    tick's forecast request of every claimed entity, hands each shard's
+//    share to that shard's engine in one submit_wave() call, then waits
+//    for all of them — so a claim's forecasts reach the engines together,
+//    coalesce, and run at once: no engine holds a wave for peers. A worker
+//    holds one entity's state_mutex at a time and none while a forecast
+//    is in flight; readers never wait on a forward. A retrain that
+//    installs while a forecast is in flight leaves that forecast counted
+//    under the generation that made it, but unscored.
 //  * Elastic retraining: drift severity (detector statistic over its
 //    threshold) becomes the priority of a RetrainScheduler request; at
 //    most retrain_workers fits run fleet-wide, worst drift first. With
@@ -152,7 +154,6 @@ class FleetManager {
                                           const data::TimeSeriesFrame& frame,
                                           bool seed_history = true);
 
-  std::size_t entity_count() const;
   std::vector<std::string> entity_ids() const;
 
   // -- Ingest ---------------------------------------------------------------
@@ -253,14 +254,18 @@ class FleetManager {
            const FleetOptions& options);
   };
 
-  /// One accepted tick between its submit and its delivery: what the
-  /// worker captured under the entity's state_mutex when it submitted the
-  /// forecast, so delivery needs no state from the submit side.
+  /// One accepted tick between its ingest and its delivery: what the
+  /// worker captured under the entity's state_mutex when it built the
+  /// forecast request, so hand-over and delivery need no entity state.
   struct InFlightTick {
     Entity* entity = nullptr;
     std::chrono::steady_clock::time_point accepted_at;
-    /// The pinned forecast; not valid() when the tick submitted none (no
-    /// session yet, window not full, or the submit failed).
+    /// The forecast request (window + pinned session); its session is null
+    /// when the tick asks for none (no session yet, window not full).
+    /// Moved into the engine at hand-over.
+    serve::WaveRequest request;
+    /// The pinned forecast; not valid() when the tick asked for none or
+    /// its hand-over failed.
     std::future<Tensor> forecast;
     std::uint64_t generation = 0;       ///< generation that made it
     std::uint64_t tick = 0;             ///< channel tick it was made at
@@ -270,9 +275,13 @@ class FleetManager {
   void worker_loop();
   /// First half of a tick: ingest, score the due forecast, watch the inputs
   /// (a fire is counted and latched here, against the detectors that
-  /// fired) and submit the next forecast to e's shard. Takes e.state_mutex;
+  /// fired) and build the next forecast's request. Takes e.state_mutex;
   /// the caller holds no lock. nullopt when the channel dropped the tick.
-  std::optional<InFlightTick> submit_tick(Entity& e, const QueuedTick& tick);
+  std::optional<InFlightTick> prepare_tick(Entity& e, const QueuedTick& tick);
+  /// Hand each shard's share of the wave's requests to that shard's engine
+  /// in one call. A hand-over that throws leaves its ticks without a
+  /// forecast and counts one forecast failure per tick. No lock held.
+  void submit_wave(std::vector<InFlightTick>& wave);
   /// Second half: wait for the forecast with no lock held, then under the
   /// entity's state_mutex record it and file any owed retrain.
   void deliver_tick(InFlightTick& t);

@@ -48,7 +48,10 @@ struct FleetOptions {
   /// Per-shard engine template. The tenant field is overwritten per shard
   /// ("<tenant>/shard<k>") so N shards never collide on serve/* metrics.
   /// max_batch also bounds an ingest worker's claim: the mailboxes whose
-  /// forecasts it submits together before waiting on any of them.
+  /// forecasts it hands over together before waiting on any of them.
+  /// max_delay_us governs nothing here: every fleet forecast reaches its
+  /// engine in a wave (BatchingEngine::submit_wave), and waves are never
+  /// held for peers.
   serve::EngineOptions engine;
 
   /// Ingest worker pool multiplexing the per-entity mailboxes.

@@ -33,12 +33,6 @@ void Adam::zero_grad() {
   for (auto& p : params_) p.zero_grad();
 }
 
-std::size_t Adam::parameter_count() const {
-  std::size_t n = 0;
-  for (const auto& p : params_) n += p.size();
-  return n;
-}
-
 void Adam::update_param(std::size_t i, const float* g, float bc1, float bc2) {
   auto value = params_[i].mutable_value().data();
   float* m = m_.data() + offsets_[i];

@@ -38,7 +38,6 @@ class Adam {
   /// Clear gradients of all managed parameters.
   void zero_grad();
 
-  std::size_t parameter_count() const;
   const std::vector<Variable>& params() const { return params_; }
 
   /// Slab offset of each parameter, parameter order; back() is total floats.

@@ -44,26 +44,50 @@ BatchingEngine::~BatchingEngine() {
 
 std::future<Tensor> BatchingEngine::submit(
     Tensor window, std::shared_ptr<const InferenceSession> session) {
-  RPTCN_CHECK(session != nullptr,
-              "BatchingEngine::submit(window, session) needs a session");
-  RPTCN_CHECK(window.rank() == 2,
-              "BatchingEngine::submit expects one window [F,T], got "
-                  << window.shape_string());
-  Pending p;
-  p.window = std::move(window);
-  p.enqueued = std::chrono::steady_clock::now();
-  p.session = std::move(session);
-  std::future<Tensor> fut = p.promise.get_future();
+  std::vector<WaveRequest> one;
+  one.push_back({std::move(window), std::move(session)});
+  return std::move(enqueue(std::move(one), /*held=*/true).front());
+}
+
+std::vector<std::future<Tensor>> BatchingEngine::submit_wave(
+    std::vector<WaveRequest> wave) {
+  return enqueue(std::move(wave), /*held=*/false);
+}
+
+std::vector<std::future<Tensor>> BatchingEngine::enqueue(
+    std::vector<WaveRequest> requests, bool held) {
+  for (const WaveRequest& r : requests) {
+    RPTCN_CHECK(r.session != nullptr,
+                "BatchingEngine: every request needs a session");
+    RPTCN_CHECK(r.window.rank() == 2,
+                "BatchingEngine expects one window [F,T] per request, got "
+                    << r.window.shape_string());
+  }
+  const auto now = std::chrono::steady_clock::now();
+  std::vector<std::future<Tensor>> futures;
+  futures.reserve(requests.size());
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    RPTCN_CHECK(!stop_, "BatchingEngine::submit after shutdown began");
-    queue_.push_back(std::move(p));
-    ++submitted_;
+    RPTCN_CHECK(!stop_, "BatchingEngine: submit after shutdown began");
+    for (WaveRequest& r : requests) {
+      Pending& p = queue_.emplace_back();
+      p.window = std::move(r.window);
+      p.enqueued = now;
+      p.session = std::move(r.session);
+      p.held = held;
+      futures.push_back(p.promise.get_future());
+    }
+    submitted_ += requests.size();
     queue_depth_.set(static_cast<double>(queue_.size()));
   }
-  requests_.add(1);
-  cv_.notify_one();
-  return fut;
+  requests_.add(requests.size());
+  // A wave may span sessions, and each session's batch can go to its own
+  // worker.
+  if (requests.size() == 1)
+    cv_.notify_one();
+  else
+    cv_.notify_all();
+  return futures;
 }
 
 EngineStats BatchingEngine::stats() const {
@@ -85,8 +109,10 @@ void BatchingEngine::worker_loop() {
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       // Drain-on-shutdown: exit only once the queue is empty.
       if (queue_.empty()) return;
-      if (!stop_ && queue_.size() < options_.max_batch) {
-        // Hold the head request up to max_delay_us while peers arrive.
+      if (!stop_ && queue_.front().held &&
+          queue_.size() < options_.max_batch) {
+        // Hold a submit() head up to max_delay_us while peers arrive; a
+        // wave's caller already sent every peer it has.
         const auto deadline =
             queue_.front().enqueued +
             std::chrono::microseconds(options_.max_delay_us);

@@ -199,7 +199,8 @@ Tensor sum_cols(const Tensor& a) {
 //     packed once into column panels of width kt.nr (k-major);
 //   * rows are split into kMC blocks (OpenMP over row blocks — this is the
 //     only parallel axis, so every C element is written by exactly one
-//     thread and results are bit-identical for any thread count);
+//     thread and results are bit-identical for any thread count; a product
+//     with a single row block never forks a team);
 //   * each row block packs its A panel [mc x kc] into row panels of height
 //     kt.mr (k-major) and runs the kt.mr x kt.nr micro-kernel.
 //
@@ -225,6 +226,14 @@ constexpr std::size_t kMaxTileElems = 16 * 16;
 constexpr std::size_t kSmallGemmFlops = 1u << 13;
 // OpenMP fan-out threshold for the blocked path.
 constexpr std::size_t kParallelGemmFlops = 1u << 16;
+
+/// Whether a blocked GEMM forks an OpenMP team over its row blocks. A
+/// product with one kMC row block would give the team one iteration, so it
+/// runs on the calling thread, the same code thread 0 would have run.
+bool gemm_fans_out(std::size_t m, std::size_t n, std::size_t k) {
+  return m > kMC && m * n * k > kParallelGemmFlops &&
+         kernel_parallelism_allowed();
+}
 
 /// Registry handles for the GEMM counters, resolved once. Accounting is
 /// computed analytically before the blocked loops so the hot path (and the
@@ -303,8 +312,7 @@ void gemm(std::size_t m, std::size_t n, std::size_t k, const float* a,
   if (metrics_on) count_packed_bytes(kt, m, n, k, /*b_side=*/true);
   pool::Scratch bpack(kKC * n_panels * kt.nr);
   const std::size_t row_blocks = (m + kMC - 1) / kMC;
-  const bool fan_out =
-      m * n * k > kParallelGemmFlops && kernel_parallelism_allowed();
+  const bool fan_out = gemm_fans_out(m, n, k);
   for (std::size_t p0 = 0; p0 < k; p0 += kKC) {
     const std::size_t kc = std::min(kKC, k - p0);
     kt.pack_b(b, ldb, tb, p0, kc, n, bpack.data());
@@ -373,8 +381,7 @@ void gemm_accumulate_packed_b(std::size_t m, std::size_t n, std::size_t k,
     count_packed_bytes(kt, m, n, k, /*b_side=*/false);
   }
   const std::size_t row_blocks = (m + kMC - 1) / kMC;
-  const bool fan_out =
-      m * n * k > kParallelGemmFlops && kernel_parallelism_allowed();
+  const bool fan_out = gemm_fans_out(m, n, k);
   std::size_t pi = 0;
   for (std::size_t p0 = 0; p0 < k; p0 += kKC, ++pi) {
     const std::size_t kc = std::min(kKC, k - p0);

@@ -26,6 +26,7 @@
 #include "fleet/manager.h"
 #include "fleet/options.h"
 #include "fleet/scheduler.h"
+#include "latched_forecaster.h"
 #include "models/registry.h"
 #include "serve/session.h"
 #include "stream/channel.h"
@@ -106,6 +107,30 @@ void ingest_blocking(FleetManager& fleet, const std::string& id,
   }
 }
 
+/// Parks one shard engine's single worker inside a latched forward: every
+/// fleet forecast handed to that shard queues behind it, in flight, until
+/// release(). Declared after the fleet, it releases before the fleet's
+/// teardown drains the engines, on every exit path.
+class ParkedShard {
+ public:
+  ParkedShard(FleetManager& fleet, std::size_t shard) {
+    fleet.shard_engine(shard).submit(Tensor({1, 1}), session_);
+    model_->wait_entered();
+  }
+  ~ParkedShard() { release(); }
+  ParkedShard(const ParkedShard&) = delete;
+  ParkedShard& operator=(const ParkedShard&) = delete;
+
+  void release() { model_->release(); }
+
+ private:
+  std::shared_ptr<test_util::LatchedForecaster> model_ =
+      std::make_shared<test_util::LatchedForecaster>();
+  std::shared_ptr<const serve::InferenceSession> session_ =
+      std::make_shared<serve::InferenceSession>(
+          std::shared_ptr<models::Forecaster>(model_));
+};
+
 /// The message of the CheckError `fn` throws; empty if it throws none.
 template <typename Fn>
 std::string check_error_of(Fn&& fn) {
@@ -166,7 +191,7 @@ TEST(FleetCohort, BootstrapSharesOneSnapshotAcrossMembers) {
                    .options(o)
                    .add_cohort("web", arima_spec(), 6, "web-")
                    .build();
-  EXPECT_EQ(fleet->entity_count(), 6u);
+  EXPECT_EQ(fleet->entity_ids().size(), 6u);
 
   const auto frame = regime_trace(regime_a(), 240, 11);
   const stream::RetrainOutcome out = fleet->bootstrap_cohort("web", frame);
@@ -250,7 +275,6 @@ TEST(FleetCohort, ForecastStraddlingAnInstallIsNotScored) {
   FleetOptions o = tiny_fleet_options("straddle");
   o.workers = 1;
   o.retrain_on_drift = false;  // only the request below retrains
-  o.engine.max_delay_us = 2'000'000;  // a lone request waits 2 s for peers
   auto fleet = FleetBuilder()
                    .options(o)
                    .add_cohort("web", arima_spec(), 1, "web-")
@@ -259,6 +283,9 @@ TEST(FleetCohort, ForecastStraddlingAnInstallIsNotScored) {
   const std::uint64_t seeded = fleet->entity_stats("web-0").ticks;
   const auto live = regime_trace(regime_a(), 2, 36);
 
+  // The tick's forecast queues behind a parked forward until the install
+  // has landed.
+  ParkedShard park(*fleet, fleet->shard_of("web-0"));
   ingest_blocking(*fleet, "web-0", live, 0, 1);
   while (fleet->entity_stats("web-0").ticks == seeded)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -266,6 +293,9 @@ TEST(FleetCohort, ForecastStraddlingAnInstallIsNotScored) {
   fleet->scheduler().wait_idle();
   ASSERT_EQ(fleet->entity_stats("web-0").generation, 2u)
       << "no install for the forecast to straddle";
+  ASSERT_EQ(fleet->entity_stats("web-0").forecasts, 0u)
+      << "the forecast landed before the install";
+  park.release();
 
   fleet->drain();
   const std::vector<EntityForecast> latest = fleet->latest_forecasts();
@@ -447,14 +477,14 @@ TEST(FleetIngest, BackpressureShedsInsteadOfBuffering) {
   o.workers = 1;
   o.max_queued_ticks = 64;
   o.max_entity_backlog = 4;
-  // Each forecast waits out the coalescing delay, pinning worker throughput
-  // far below the tight ingest loop below.
-  o.engine.max_delay_us = 5000;
   auto fleet = FleetBuilder()
                    .options(o)
                    .add_cohort("web", arima_spec(), 1, "web-")
                    .build();
   fleet->bootstrap_cohort("web", regime_trace(regime_a(), 240, 17));
+  // The worker's first forecast queues behind a parked forward, so the
+  // worker takes nothing more off the mailbox during the loop below.
+  ParkedShard park(*fleet, fleet->shard_of("web-0"));
 
   const auto live = regime_trace(regime_a(), 200, 18);
   const auto& cpu = live.column("cpu_util_percent");
@@ -472,6 +502,7 @@ TEST(FleetIngest, BackpressureShedsInsteadOfBuffering) {
   EXPECT_EQ(accepted + backlog_full, 200u);
   EXPECT_EQ(fleet->stats().ticks_rejected, backlog_full);
   EXPECT_EQ(fleet->entity_stats("web-0").rejected, backlog_full);
+  park.release();
   fleet->drain();
   EXPECT_EQ(fleet->stats().queued_ticks, 0u);
 }
@@ -481,12 +512,15 @@ TEST(FleetIngest, GlobalQueueBoundShedsAcrossEntities) {
   o.workers = 1;
   o.max_queued_ticks = 2;
   o.max_entity_backlog = 8;
-  o.engine.max_delay_us = 5000;
   auto fleet = FleetBuilder()
                    .options(o)
                    .add_cohort("web", arima_spec(), 4, "web-")
                    .build();
   fleet->bootstrap_cohort("web", regime_trace(regime_a(), 240, 19));
+  // Every shard parked: the worker's first wave stays in flight, so the
+  // loop below outruns it by construction.
+  ParkedShard park0(*fleet, 0);
+  ParkedShard park1(*fleet, 1);
 
   const auto live = regime_trace(regime_a(), 40, 20);
   const auto& cpu = live.column("cpu_util_percent");
@@ -497,18 +531,19 @@ TEST(FleetIngest, GlobalQueueBoundShedsAcrossEntities) {
       if (fleet->ingest(id, {cpu[t], mem[t]}) == Admission::kQueueFull)
         ++queue_full;
   EXPECT_GT(queue_full, 0u);
+  park0.release();
+  park1.release();
   fleet->drain();
 }
 
 TEST(FleetIngest, CohortTicksShareForwards) {
-  // One shard, one worker: the worker claims every ready mailbox and
-  // submits all of their forecasts before it waits, so a cohort's ticks
-  // share forwards instead of each waiting out the 500 ms window alone.
+  // One shard, one worker: the worker claims every ready mailbox and hands
+  // all of their forecasts to the engine in one wave before it waits, so a
+  // cohort's ticks share one forward instead of one each.
   FleetOptions o = tiny_fleet_options("cohort-forwards");
   o.shards = 1;
   o.workers = 1;
   o.engine.max_batch = 8;
-  o.engine.max_delay_us = 500'000;
   auto fleet = FleetBuilder()
                    .options(o)
                    .add_cohort("web", arima_spec(), 8, "web-")
@@ -516,13 +551,27 @@ TEST(FleetIngest, CohortTicksShareForwards) {
   fleet->bootstrap_cohort("web", regime_trace(regime_a(), 240, 37));
 
   const auto live = regime_trace(regime_a(), 1, 38);
-  for (const std::string& id : fleet->entity_ids())
-    ingest_blocking(*fleet, id, live, 0, 1);
+  const std::vector<std::string> ids = fleet->entity_ids();
+  serve::BatchingEngine& engine = fleet->shard_engine(0);
+  {
+    // The worker parks on the first member's forecast while the other
+    // seven ticks queue in their mailboxes; once released it claims all
+    // seven together.
+    ParkedShard park(*fleet, 0);
+    ingest_blocking(*fleet, ids[0], live, 0, 1);
+    while (engine.stats().queued == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    for (std::size_t i = 1; i < ids.size(); ++i)
+      ingest_blocking(*fleet, ids[i], live, 0, 1);
+  }
   fleet->drain();
+  // The worker bumps its counters just after it delivers a batch.
+  while (engine.stats().completed < 1 + ids.size())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
 
-  // The worker may wake on the first mailbox before the others are ready;
-  // every later one joins the next forward.
-  EXPECT_LE(fleet->shard_engine(0).stats().batches, 2u);
+  // The parked forward, then exactly two fleet forwards: the first member
+  // alone, the other seven together.
+  EXPECT_EQ(engine.stats().batches, 1u + 2u);
   EXPECT_EQ(fleet->stats().forecasts, 8u);
   const std::vector<EntityForecast> latest = fleet->latest_forecasts();
   ASSERT_EQ(latest.size(), 8u);
@@ -536,13 +585,15 @@ TEST(FleetIngest, ReadersDoNotWaitOnAnInFlightForward) {
   // delivered instead of blocking until the forward completes.
   FleetOptions o = tiny_fleet_options("readers");
   o.workers = 1;
-  o.engine.max_delay_us = 2'000'000;  // a lone request waits 2 s for peers
   auto fleet = FleetBuilder()
                    .options(o)
                    .add_cohort("web", arima_spec(), 1, "web-")
                    .build();
   fleet->bootstrap_cohort("web", regime_trace(regime_a(), 240, 39));
   const std::uint64_t seeded = fleet->entity_stats("web-0").ticks;
+  // The tick's forecast queues behind a parked forward until the reads
+  // below are done.
+  ParkedShard park(*fleet, fleet->shard_of("web-0"));
 
   ingest_blocking(*fleet, "web-0", regime_trace(regime_a(), 1, 40), 0, 1);
   EntityStats mid = fleet->entity_stats("web-0");
@@ -556,6 +607,7 @@ TEST(FleetIngest, ReadersDoNotWaitOnAnInFlightForward) {
   EXPECT_TRUE(fleet->latest_forecasts().empty());
   EXPECT_EQ(fleet->stats().forecasts, 0u);
 
+  park.release();
   fleet->drain();
   EXPECT_EQ(fleet->entity_stats("web-0").forecasts, 1u);
 }
@@ -1005,7 +1057,7 @@ TEST(FleetOptionsApi, BuilderSingleEntityIsTheNEqualsOneCase) {
   solo.id = "solo-0";
   solo.model = arima_spec();
   auto fleet = FleetBuilder().options(o).add_entity(solo).build();
-  EXPECT_EQ(fleet->entity_count(), 1u);
+  EXPECT_EQ(fleet->entity_ids().size(), 1u);
   // An id-only entity is a private cohort of one: bootstrap by cohort = id.
   fleet->bootstrap_cohort("solo-0", regime_trace(regime_a(), 240, 21));
   const auto live = regime_trace(regime_a(), 20, 22);

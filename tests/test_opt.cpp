@@ -78,13 +78,6 @@ TEST(Optimizer, StepPlannedMatchesStepBitForBit) {
   EXPECT_NE(a2.value()[0], a0[0]) << "the updates never moved the weights";
 }
 
-TEST(Optimizer, ParameterCount) {
-  Variable a(Tensor({2, 3}), true);
-  Variable b(Tensor({4}), true);
-  opt::Adam adam({a, b}, 0.1f);
-  EXPECT_EQ(adam.parameter_count(), 10u);
-}
-
 TEST(Optimizer, ClipGradNormScalesDown) {
   Variable x(Tensor::from({2}, {0.0f, 0.0f}), true);
   x.node()->accumulate(Tensor::from({2}, {3.0f, 4.0f}));  // norm 5

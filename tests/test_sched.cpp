@@ -517,7 +517,7 @@ TEST(SchedFleetIntegration, FleetForecastMatchesMirroredServeBitExactly) {
   ASSERT_NE(g.session, nullptr) << g.outcome.error;
 
   // Mirror the entity's channel: bootstrap seed + live rows, then serve
-  // the trailing window exactly as FleetManager::submit_tick does.
+  // the trailing window exactly as FleetManager::prepare_tick does.
   stream::IngestChannel mirror(kFeatures, o.channel);
   mirror.replay(bootstrap);
   if (o.freeze_normalizer_at_bootstrap) mirror.freeze_normalizer();

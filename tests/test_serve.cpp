@@ -1,8 +1,9 @@
 // Serving engine tests: inference/training parity (batched planned and
 // eager serving bit-identical to the unbatched autograd forward for every
 // registry forecaster), InferenceSession contract checks, and
-// BatchingEngine behaviour (coalescing, future delivery, failure fan-out,
-// drain-on-shutdown, concurrent submitters, interleaved sessions).
+// BatchingEngine behaviour (coalescing, unheld waves, future delivery,
+// failure fan-out, drain-on-shutdown, concurrent submitters, interleaved
+// sessions).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,6 +21,7 @@
 #include "autograd/ops.h"
 #include "common/rng.h"
 #include "graph/plan.h"
+#include "latched_forecaster.h"
 #include "models/net_forecaster.h"
 #include "models/registry.h"
 #include "obs/metrics.h"
@@ -557,6 +559,62 @@ TEST(ServeEngine, SubmitValidatesRank) {
   EXPECT_THROW(engine.submit(Tensor({3, 16}), nullptr), CheckError);
 }
 
+TEST(ServeEngine, WaveRunsAtOnceAsOneBatch) {
+  // A wave is never held for peers: with a 2 s max_delay_us, three
+  // same-session requests are ready well inside it, as one batch, each row
+  // its window's N=1 forward. A lone submit() is still held; the size
+  // trigger in CoalescesIntoOneBatchAndCountsIt relies on that hold.
+  nn::RptcnNet net(engine_net_options());
+  auto session = std::make_shared<InferenceSession>(net);
+  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/2'000'000,
+                         /*workers=*/1});
+
+  Rng rng(13);
+  std::vector<Tensor> windows;
+  std::vector<WaveRequest> wave;
+  for (std::size_t i = 0; i < 3; ++i) {
+    windows.push_back(random_window(rng));
+    wave.push_back({windows.back(), session});
+  }
+  // Compile the N=3 program first, so the bound below times the hold, not
+  // a compile.
+  Tensor three({3, windows[0].dim(0), windows[0].dim(1)});
+  session->run(three);
+  std::vector<std::future<Tensor>> futures = engine.submit_wave(wave);
+  ASSERT_EQ(futures.size(), 3u);
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(std::chrono::seconds(1)),
+              std::future_status::ready)
+        << "request " << i << " was held for peers";
+    expect_row_matches(*session, windows[i], futures[i].get());
+  }
+  // The worker bumps its counters just after it delivers a batch.
+  while (engine.stats().completed < 3)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(engine.stats().batches, 1u);
+}
+
+TEST(ServeEngine, WaveValidatesEveryRequestBeforeEnqueuingAny) {
+  nn::RptcnNet net(engine_net_options());
+  auto session = std::make_shared<InferenceSession>(net);
+  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/2'000'000,
+                         /*workers=*/1});
+  Rng rng(14);
+  // The bad request comes last, after two good ones.
+  std::vector<WaveRequest> null_session = {{random_window(rng), session},
+                                           {random_window(rng), session},
+                                           {random_window(rng), nullptr}};
+  EXPECT_THROW(engine.submit_wave(null_session), CheckError);
+  std::vector<WaveRequest> rank3 = {{random_window(rng), session},
+                                    {random_window(rng), session},
+                                    {Tensor({1, 3, 16}), session}};
+  EXPECT_THROW(engine.submit_wave(rank3), CheckError);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.submitted, 0u);
+  EXPECT_EQ(stats.queued, 0u);
+  EXPECT_EQ(stats.in_flight, 0u);
+}
+
 TEST(ServeEngine, DestructorDrainsQueuedRequests) {
   nn::RptcnNet net(engine_net_options());
   auto session = std::make_shared<InferenceSession>(net);
@@ -581,33 +639,7 @@ TEST(ServeEngine, DestructorDrainsQueuedRequests) {
   }
 }
 
-/// A delegated (non-net) forecaster whose predict() blocks until
-/// release(): it holds a batch inside the engine for as long as a test
-/// needs. Row i forecasts the last value of window i's first feature.
-class LatchedForecaster final : public models::Forecaster {
- public:
-  std::string name() const override { return "latched"; }
-  void fit(const models::ForecastDataset&) override {}
-  Tensor predict(const Tensor& inputs) override {
-    if (!entered_flag_.exchange(true)) entered_.set_value();
-    released_.wait();
-    const std::size_t t = inputs.dim(2);
-    Tensor out({inputs.dim(0), 1});
-    for (std::size_t i = 0; i < inputs.dim(0); ++i)
-      out.at(i, 0) = inputs.at(i, 0, t - 1);
-    return out;
-  }
-  /// Blocks until the first predict() call has started.
-  void wait_entered() { entered_future_.wait(); }
-  void release() { release_.set_value(); }
-
- private:
-  std::atomic<bool> entered_flag_{false};
-  std::promise<void> entered_;
-  std::future<void> entered_future_ = entered_.get_future();
-  std::promise<void> release_;
-  std::shared_future<void> released_ = release_.get_future().share();
-};
+using test_util::LatchedForecaster;
 
 TEST(ServeEngine, TeardownMidBatchDeliversEveryFuture) {
   // Shutdown while a coalesced batch is inside its forward: the destructor

@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -462,6 +464,14 @@ void send(fleet::FleetManager& fleet, const std::string& id,
       << fleet::admission_name(verdict);
 }
 
+/// Waits until the retrain scheduler has handed every queued request to a
+/// fit slot, so a fit that a tick asked for has started before the next
+/// tick is sent, however fast ticks are served.
+void wait_until_dispatched(const fleet::FleetManager& fleet) {
+  while (fleet.scheduler().stats().queued > 0)
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+}
+
 /// Every live row of `trace`, one tick at a time (ingest + drain).
 void stream_rest(fleet::FleetManager& fleet, const std::string& id,
                  const data::TimeSeriesFrame& trace) {
@@ -607,6 +617,7 @@ TEST(StreamPipeline, DetectsDriftRetrainsInBackgroundAndHotSwaps) {
     if (fleet->scheduler().stats().inflight > 0 && now > forecasts)
       ++advanced_while_fitting;
     forecasts = now;
+    wait_until_dispatched(*fleet);
   }
   fleet->scheduler().wait_idle();
 
@@ -723,16 +734,20 @@ TEST(StreamPipeline, DelegatedModelSurvivesTeardownWithPendingForecast) {
       make_mutating_trace(regime_a(), regime_b(), 320, 400, 43).frame;
   const std::string id = "stream-teardown";
   fleet::FleetOptions o = stream_options(id);
-  o.retrain.model_name = "ARIMA";
+  // XGBoost, not ARIMA: an ARIMA refit of this history takes ~50 us, less
+  // than the thread wake-ups between two looks at the fit slot, while an
+  // XGBoost refit takes tens of milliseconds.
+  o.retrain.model_name = "XGBoost";
   o.retrain.min_ticks_between = 0;
   bool caught_inflight = false;
   {
-    auto fleet = bootstrapped_stream(o, id, trace, "ARIMA");
+    auto fleet = bootstrapped_stream(o, id, trace, "XGBoost");
     // Run until a delegated-model refit is in flight, queue more ticks
     // behind it, then destroy the fleet: teardown drains the queued ticks
-    // (each a forecast through a session that co-owns its ARIMA) and waits
-    // out the fit, which installs into the entity while it still exists —
-    // ASan would flag a use-after-free on any member-ordering accident.
+    // (each a forecast through a session that co-owns its XGBoost model)
+    // and waits out the fit, which installs into the entity while it still
+    // exists — ASan would flag a use-after-free on any member-ordering
+    // accident.
     for (std::size_t t = kWarmup; t < trace.length() && !caught_inflight;
          ++t) {
       send(*fleet, id, trace, t);
@@ -745,7 +760,7 @@ TEST(StreamPipeline, DelegatedModelSurvivesTeardownWithPendingForecast) {
     }
     EXPECT_GT(fleet->entity_stats(id).drift_events, 0u);
   }
-  EXPECT_TRUE(caught_inflight) << "no ARIMA refit was ever in flight";
+  EXPECT_TRUE(caught_inflight) << "no XGBoost refit was ever in flight";
 }
 
 TEST(StreamPipeline, StaticBaselineNeverSwaps) {

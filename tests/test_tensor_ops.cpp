@@ -3,10 +3,20 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <iterator>
+#include <string>
 #include <vector>
+
+#ifdef _OPENMP
+#include <omp.h>
+#endif
 
 #include "common/check.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "tensor/dispatch.h"
 #include "tensor/tensor_ops.h"
 
@@ -403,6 +413,56 @@ TEST(TensorOps, PackedBGemmRejectsSmallShapesAndMismatchedPacks) {
   EXPECT_THROW(gemm_accumulate_packed_b(64, 64, 64, big.raw(), 64, false, pb,
                                         cb.raw()),
                CheckError);
+}
+
+// ---------------------------------------------------------------------------
+// OpenMP fan-out: a blocked GEMM forks a team only when it has more than
+// one kMC (64) row block for the team to share.
+// ---------------------------------------------------------------------------
+
+std::size_t thread_count() {
+  const std::filesystem::directory_iterator tasks("/proc/self/task");
+  return static_cast<std::size_t>(std::distance(begin(tasks), end(tasks)));
+}
+
+/// Runs a one-row-block GEMM through both blocked entry points and exits
+/// with 0 iff the process has as many threads after them as before.
+[[noreturn]] void exit_with_threads_forked_by_one_row_block_gemm() {
+  // The fleet's batch-10 conv: [16, 48] x [48, 240].
+  constexpr std::size_t m = 16, n = 240, k = 48;
+  Rng rng(17);
+  const Tensor a = Tensor::randn({m, k}, rng);
+  const Tensor b = Tensor::randn({k, n}, rng);
+  Tensor c({m, n});
+  const std::size_t before = thread_count();
+  gemm_accumulate(m, n, k, a.raw(), k, false, b.raw(), n, false, c.raw());
+  const PackedB pb = gemm_pack_b(b.raw(), n, false, k, n);
+  gemm_accumulate_packed_b(m, n, k, a.raw(), k, false, pb, c.raw());
+  const std::size_t after = thread_count();
+  std::fprintf(stderr, "threads: %zu before, %zu after\n", before, after);
+  std::_Exit(after == before ? 0 : 1);
+}
+
+TEST(TensorOps, OneRowBlockGemmForksNoOpenMpTeam) {
+#ifndef _OPENMP
+  GTEST_SKIP() << "built without OpenMP";
+#else
+  if (omp_get_max_threads() == 1) GTEST_SKIP() << "OpenMP allows one thread";
+  if (!std::filesystem::is_directory("/proc/self/task"))
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  ASSERT_TRUE(kernel_parallelism_allowed());
+  // 184,320 multiply-adds: past the 2^16 fan-out threshold, inside one row
+  // block.
+  ASSERT_TRUE(gemm_uses_blocked(16, 240, 48));
+  // libgomp keeps a forked team's threads for the next region, so count in
+  // a fresh process that has run no GEMM yet.
+  std::string& style = ::testing::GTEST_FLAG(death_test_style);
+  const std::string saved = style;
+  style = "threadsafe";
+  EXPECT_EXIT(exit_with_threads_forked_by_one_row_block_gemm(),
+              ::testing::ExitedWithCode(0), "");
+  style = saved;
+#endif
 }
 
 }  // namespace

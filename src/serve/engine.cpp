@@ -81,12 +81,7 @@ std::vector<std::future<Tensor>> BatchingEngine::enqueue(
     queue_depth_.set(static_cast<double>(queue_.size()));
   }
   requests_.add(requests.size());
-  // A wave may span sessions, and each session's batch can go to its own
-  // worker.
-  if (requests.size() == 1)
-    cv_.notify_one();
-  else
-    cv_.notify_all();
+  cv_.notify_all();
   return futures;
 }
 

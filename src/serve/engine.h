@@ -14,7 +14,8 @@
 // such a request at the head of the queue for up to max_delay_us while
 // peers arrive. submit_wave() enqueues a group of requests under one lock
 // and one notify, from a caller that has already gathered every peer it
-// will send (a fleet worker's wave); a worker never holds a wave request.
+// will send (a fleet worker's wave); a batch headed by a wave request is
+// never held.
 //
 // Threading model: both entry points may be called from any thread.
 // `workers` engine threads pop coalesced batches under one mutex; a batch
@@ -59,7 +60,8 @@ namespace rptcn::serve {
 struct EngineOptions {
   std::size_t max_batch = 32;     ///< largest coalesced batch
   /// How long a worker holds a submit() request at the head of the queue
-  /// while peers arrive. Wave requests (submit_wave) are never held.
+  /// while peers arrive. A batch headed by a wave request (submit_wave) is
+  /// never held.
   std::size_t max_delay_us = 200;
   std::size_t workers = 1;        ///< engine threads (>= 1; 0 clamps to 1)
   /// Metrics tenant label: serve/* metrics register as
@@ -105,10 +107,11 @@ class BatchingEngine {
   std::future<Tensor> submit(Tensor window,
                              std::shared_ptr<const InferenceSession> session);
 
-  /// Enqueue every request of `wave` under one lock, never held for peers;
-  /// futures[i] delivers wave[i]'s forecast. Validates every request before
-  /// it enqueues any: throws, enqueuing nothing, if the engine is stopping
-  /// or any request has a null session or a window that is not rank 2.
+  /// Enqueue every request of `wave` under one lock; a batch headed by one
+  /// of them is never held for peers. futures[i] delivers wave[i]'s
+  /// forecast. Validates every request before it enqueues any: throws,
+  /// enqueuing nothing, if the engine is stopping or any request has a null
+  /// session or a window that is not rank 2.
   std::vector<std::future<Tensor>> submit_wave(std::vector<WaveRequest> wave);
 
   /// Queue depth, in-flight count and totals.

@@ -734,9 +734,13 @@ TEST(StreamPipeline, DelegatedModelSurvivesTeardownWithPendingForecast) {
       make_mutating_trace(regime_a(), regime_b(), 320, 400, 43).frame;
   const std::string id = "stream-teardown";
   fleet::FleetOptions o = stream_options(id);
-  // XGBoost, not ARIMA: an ARIMA refit of this history takes ~50 us, less
-  // than the thread wake-ups between two looks at the fit slot, while an
-  // XGBoost refit takes tens of milliseconds.
+  // This test relies on refit duration: the loop below looks at the fit
+  // slot once per served tick, so it sees a refit in flight only if the
+  // refit outlasts a tick. Hence XGBoost, not ARIMA: an ARIMA refit of this
+  // history takes ~50 us, less than the thread wake-ups between two looks,
+  // while an XGBoost refit takes tens of milliseconds. Both are delegated
+  // models behind the same co-owning session. A deterministic hold needs
+  // stream-time retrains (ROADMAP item 6).
   o.retrain.model_name = "XGBoost";
   o.retrain.min_ticks_between = 0;
   bool caught_inflight = false;

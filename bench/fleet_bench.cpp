@@ -509,7 +509,6 @@ int run(int argc, char** argv) {
       << ", \"retrains_completed\": " << stats.retrains_completed
       << ", \"retrains_failed\": " << stats.retrains_failed
       << ", \"retrain_queue_rejected\": " << sched.rejected_full
-      << ", \"reprioritized\": " << sched.reprioritized
       << ", \"splintered_entities\": " << splintered
       << ", \"off_storm_splinters\": " << off_storm_splintered
       << ", \"storm_cohort_size\": " << cohort_ids[storm_cohort].size()

@@ -31,6 +31,13 @@
 // coalescing in the queue, forward_ms is the model itself. Histogram
 // percentiles are log-2 bucket upper bounds (conservative).
 //
+// One batched run takes well under a second, so a single tape run against
+// a single planned run compares two samples of host noise as much as two
+// executors. Each model's batched profile therefore runs kBatchedRepeats
+// tape/planned pairs, alternating which executor goes first. Each executor
+// reports its median-throughput run, and the batched planned-vs-tape
+// speedup is the median of the per-pair throughput ratios.
+//
 // Emits BENCH_serving.json (override with --out <path>).
 #include <algorithm>
 #include <cmath>
@@ -60,6 +67,7 @@ constexpr std::size_t kSingleWarmup = 20;
 constexpr std::size_t kSingleRequests = 400;
 constexpr std::size_t kSubmitters = 4;
 constexpr std::size_t kRequestsPerSubmitter = 800;
+constexpr std::size_t kBatchedRepeats = 7;
 
 struct LatencyStats {
   double throughput_rps = 0.0;
@@ -155,21 +163,30 @@ LatencyStats bench_single_stream(const serve::InferenceSession& session) {
   return summarize(latencies, wall.elapsed_seconds());
 }
 
-LatencyStats bench_batched(
-    std::shared_ptr<const serve::InferenceSession> session,
-    double* avg_batch_size, HistStats* queue_wait, HistStats* forward) {
+/// One batched run under the executor the planning switch selects.
+struct BatchedRun {
+  LatencyStats latency;
+  HistStats queue_wait;  ///< time coalescing in the queue
+  HistStats forward;     ///< per-batch model forward
+  double avg_batch_size = 0.0;
+};
+
+BatchedRun bench_batched(
+    const std::shared_ptr<const serve::InferenceSession>& session) {
   serve::EngineOptions opt;
   opt.max_batch = 32;
   opt.max_delay_us = 200;
-  opt.workers = 1;
-  serve::BatchingEngine engine(opt);
+  auto engine = std::make_unique<serve::BatchingEngine>(opt);
 
   // Warmup: one full coalesced batch.
   {
     const auto windows = make_windows(opt.max_batch, 13);
     std::vector<std::future<Tensor>> futs;
-    for (const Tensor& w : windows) futs.push_back(engine.submit(w, session));
+    for (const Tensor& w : windows) futs.push_back(engine->submit(w, session));
     for (auto& f : futs) f.get();
+    // The worker counts a batch just after it delivers the batch's rows.
+    while (engine->stats().completed < windows.size())
+      std::this_thread::yield();
   }
 
   const std::uint64_t req0 = obs::metrics().counter("serve/requests").value();
@@ -200,7 +217,7 @@ LatencyStats bench_batched(
       issued[c].reserve(kRequestsPerSubmitter);
       for (std::size_t i = 0; i < kRequestsPerSubmitter; ++i)
         issued[c].push_back(
-            {engine.submit(windows[i % windows.size()], session),
+            {engine->submit(windows[i % windows.size()], session),
              Clock::now()});
     });
   for (auto& t : submitters) t.join();
@@ -215,26 +232,26 @@ LatencyStats bench_batched(
               .count());
     }
   const double wall_s = wall.elapsed_seconds();
+  engine.reset();  // joining the worker puts its last batch in the counters
 
   const std::uint64_t requests =
       obs::metrics().counter("serve/requests").value() - req0;
   const std::uint64_t batches =
       obs::metrics().counter("serve/batches").value() - bat0;
-  *avg_batch_size = batches > 0 ? static_cast<double>(requests) /
-                                      static_cast<double>(batches)
-                                : 0.0;
-  *queue_wait = hist_delta_ms(queue0, queue_hist.snapshot());
-  *forward = hist_delta_ms(forward0, forward_hist.snapshot());
-  return summarize(all, wall_s);
+  BatchedRun run;
+  run.latency = summarize(all, wall_s);
+  run.queue_wait = hist_delta_ms(queue0, queue_hist.snapshot());
+  run.forward = hist_delta_ms(forward0, forward_hist.snapshot());
+  run.avg_batch_size = batches > 0 ? static_cast<double>(requests) /
+                                         static_cast<double>(batches)
+                                   : 0.0;
+  return run;
 }
 
 /// One model under one executor (tape or planned).
 struct ExecReport {
   LatencyStats single;
-  LatencyStats batched;
-  HistStats queue_wait;  ///< batched only: time coalescing in the queue
-  HistStats forward;     ///< batched only: per-batch model forward
-  double avg_batch_size = 0.0;
+  BatchedRun batched;  ///< the median-throughput batched run
   double speedup_batched_vs_single = 0.0;
 };
 
@@ -243,47 +260,69 @@ struct ModelReport {
   ExecReport tape;
   ExecReport planned;
   double speedup_single = 0.0;   ///< planned vs tape, single-stream
-  double speedup_batched = 0.0;  ///< planned vs tape, batched
+  double speedup_batched = 0.0;  ///< planned vs tape, batched: median ratio
+  std::vector<double> batched_ratios;  ///< planned / tape, per repeat
 };
 
 double ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
 
-ExecReport bench_exec(std::shared_ptr<const serve::InferenceSession> session,
-                      bool planned) {
-  graph::set_planning_enabled(planned);
-  ExecReport r;
-  r.single = bench_single_stream(*session);
-  r.batched = bench_batched(std::move(session), &r.avg_batch_size,
-                            &r.queue_wait, &r.forward);
-  r.speedup_batched_vs_single =
-      ratio(r.batched.throughput_rps, r.single.throughput_rps);
-  return r;
+/// The run of median throughput (runs.size() is odd).
+BatchedRun median_run(std::vector<BatchedRun> runs) {
+  std::sort(runs.begin(), runs.end(),
+            [](const BatchedRun& a, const BatchedRun& b) {
+              return a.latency.throughput_rps < b.latency.throughput_rps;
+            });
+  return runs[runs.size() / 2];
 }
 
 ModelReport bench_model(const char* name,
                         std::shared_ptr<const serve::InferenceSession> session) {
   ModelReport r;
   r.name = name;
-  r.tape = bench_exec(session, /*planned=*/false);
-  r.planned = bench_exec(std::move(session), /*planned=*/true);
+  graph::set_planning_enabled(false);
+  r.tape.single = bench_single_stream(*session);
+  graph::set_planning_enabled(true);
+  r.planned.single = bench_single_stream(*session);
+
+  std::vector<BatchedRun> tape_runs;
+  std::vector<BatchedRun> planned_runs;
+  for (std::size_t rep = 0; rep < kBatchedRepeats; ++rep) {
+    // Alternate which executor goes first, so host drift favours neither.
+    for (const bool planned : {rep % 2 == 1, rep % 2 == 0}) {
+      graph::set_planning_enabled(planned);
+      (planned ? planned_runs : tape_runs).push_back(bench_batched(session));
+    }
+    r.batched_ratios.push_back(
+        ratio(planned_runs.back().latency.throughput_rps,
+              tape_runs.back().latency.throughput_rps));
+  }
   graph::set_planning_enabled(true);  // restore the process default
+  r.tape.batched = median_run(tape_runs);
+  r.planned.batched = median_run(planned_runs);
+
+  for (ExecReport* e : {&r.tape, &r.planned})
+    e->speedup_batched_vs_single = ratio(e->batched.latency.throughput_rps,
+                                         e->single.throughput_rps);
   r.speedup_single =
       ratio(r.planned.single.throughput_rps, r.tape.single.throughput_rps);
-  r.speedup_batched =
-      ratio(r.planned.batched.throughput_rps, r.tape.batched.throughput_rps);
+  std::vector<double> sorted = r.batched_ratios;
+  std::sort(sorted.begin(), sorted.end());
+  r.speedup_batched = sorted[sorted.size() / 2];
   const auto print_exec = [](const char* label, const ExecReport& e) {
     std::cout << "    " << label << " single: " << e.single.throughput_rps
               << " req/s p50 " << e.single.p50_ms << " ms | batched: "
-              << e.batched.throughput_rps << " req/s p50 " << e.batched.p50_ms
-              << " ms (queue p50 " << e.queue_wait.p50_ms << " ms, forward p50 "
-              << e.forward.p50_ms << " ms, avg batch " << e.avg_batch_size
-              << ")\n";
+              << e.batched.latency.throughput_rps << " req/s p50 "
+              << e.batched.latency.p50_ms << " ms (queue p50 "
+              << e.batched.queue_wait.p50_ms << " ms, forward p50 "
+              << e.batched.forward.p50_ms << " ms, avg batch "
+              << e.batched.avg_batch_size << ")\n";
   };
   std::cout << "  " << name << ":\n";
   print_exec("tape   ", r.tape);
   print_exec("planned", r.planned);
   std::cout << "    planned vs tape: single " << r.speedup_single
-            << "x, batched " << r.speedup_batched << "x\n";
+            << "x, batched " << r.speedup_batched << "x (median of "
+            << kBatchedRepeats << " alternating pairs)\n";
   return r;
 }
 
@@ -314,18 +353,23 @@ void emit_model(std::ofstream& out, const ModelReport& r, bool last) {
   out << "      },\n"
       << "      \"batched\": {\n";
   for (std::size_t e = 0; e < 2; ++e) {
+    const BatchedRun& b = execs[e]->batched;
     out << "        \"" << exec_names[e] << "\": {\n";
-    emit_stats(out, execs[e]->batched, "          ");
+    emit_stats(out, b.latency, "          ");
     out << ",\n";
-    emit_hist(out, "queue_wait_ms", execs[e]->queue_wait, "          ");
+    emit_hist(out, "queue_wait_ms", b.queue_wait, "          ");
     out << ",\n";
-    emit_hist(out, "forward_ms", execs[e]->forward, "          ");
-    out << ",\n          \"avg_batch_size\": " << execs[e]->avg_batch_size
+    emit_hist(out, "forward_ms", b.forward, "          ");
+    out << ",\n          \"avg_batch_size\": " << b.avg_batch_size
         << "\n        }" << (e == 0 ? "," : "") << "\n";
   }
   out << "      },\n"
       << "      \"speedup_planned_vs_tape\": {\"single_stream\": "
-      << r.speedup_single << ", \"batched\": " << r.speedup_batched << "},\n"
+      << r.speedup_single << ", \"batched\": " << r.speedup_batched
+      << ", \"batched_per_repeat\": [";
+  for (std::size_t i = 0; i < r.batched_ratios.size(); ++i)
+    out << (i == 0 ? "" : ", ") << r.batched_ratios[i];
+  out << "]},\n"
       << "      \"speedup_batched_vs_single\": {\"tape\": "
       << r.tape.speedup_batched_vs_single << ", \"planned\": "
       << r.planned.speedup_batched_vs_single << "}\n"
@@ -342,7 +386,8 @@ int run(int argc, char** argv) {
 
   std::cout << "=== RPTCN serving bench ===\n"
             << "features " << kFeatures << ", window " << kWindow << ", "
-            << kSubmitters << " open-loop submitters, max_batch 32\n\n";
+            << kSubmitters << " open-loop submitters, max_batch 32, "
+            << kBatchedRepeats << " alternating tape/planned batched pairs\n\n";
 
   nn::RptcnOptions ropt;
   ropt.input_features = kFeatures;
@@ -382,10 +427,10 @@ int run(int argc, char** argv) {
       << "  \"shape\": {\"features\": " << kFeatures
       << ", \"window\": " << kWindow << "},\n"
       << "  \"engine\": {\"max_batch\": 32, \"max_delay_us\": 200, "
-         "\"workers\": 1, \"submitters\": "
-      << kSubmitters << "},\n"
+      << "\"submitters\": " << kSubmitters << "},\n"
       << "  \"requests\": {\"single_stream\": " << kSingleRequests
-      << ", \"batched\": " << kSubmitters * kRequestsPerSubmitter << "},\n"
+      << ", \"batched\": " << kSubmitters * kRequestsPerSubmitter
+      << ", \"batched_repeats\": " << kBatchedRepeats << "},\n"
       << "  \"models\": {\n";
   emit_model(out, rptcn, /*last=*/false);
   emit_model(out, lstm, /*last=*/true);

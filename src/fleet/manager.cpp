@@ -102,6 +102,7 @@ FleetManager::FleetManager(FleetOptions options)
   for (std::size_t k = 0; k < options_.shards; ++k) {
     serve::EngineOptions eo = options_.engine;
     eo.tenant = shard_tenant_label(options_.tenant, k);
+    eo.max_delay_us = 0;  // workers send whole waves; nothing to wait for
     engines_.push_back(std::make_unique<serve::BatchingEngine>(eo));
   }
   SchedulerOptions so;
@@ -352,7 +353,7 @@ std::optional<FleetManager::InFlightTick> FleetManager::prepare_tick(
 
   bool drift_fired = harvest_due(e);
 
-  if (e.session != nullptr && options_.drift.monitor_inputs) {
+  if (e.session != nullptr) {
     for (std::size_t f = 0; f < e.norm_row.size(); ++f)
       e.norm_row[f] = e.channel.latest_norm(f);
     if (e.drift.observe_inputs(e.norm_row)) drift_fired = true;

@@ -49,9 +49,9 @@ struct FleetOptions {
   /// ("<tenant>/shard<k>") so N shards never collide on serve/* metrics.
   /// max_batch also bounds an ingest worker's claim: the mailboxes whose
   /// forecasts it hands over together before waiting on any of them.
-  /// max_delay_us governs nothing here: every fleet forecast reaches its
-  /// engine in a wave (BatchingEngine::submit_wave), and waves are never
-  /// held for peers.
+  /// max_delay_us is overwritten with 0 on every shard: every fleet
+  /// forecast reaches its engine in a wave (BatchingEngine::submit_wave)
+  /// whose sender has no peers left to wait for.
   serve::EngineOptions engine;
 
   /// Ingest worker pool multiplexing the per-entity mailboxes.
@@ -87,7 +87,7 @@ struct FleetOptions {
   bool retrain_on_drift = true;
   /// Global concurrent-retrain budget: the elastic scheduler runs at most
   /// this many fits at once no matter how many entities drift together.
-  /// Pending requests queue up to SchedulerOptions::max_queue (256).
+  /// Pending requests queue up to RetrainScheduler::kMaxQueue (256).
   std::size_t retrain_workers = 2;
 
   /// Metrics namespace for the whole fleet: fleet/* series label as

@@ -20,7 +20,6 @@ const SchedulerOptions& validated(const SchedulerOptions& options) {
 
 void SchedulerOptions::validate() const {
   RPTCN_CHECK(workers >= 1, "SchedulerOptions.workers must be >= 1");
-  RPTCN_CHECK(max_queue >= 1, "SchedulerOptions.max_queue must be >= 1");
   RPTCN_CHECK(tenant.find_first_of("{}=") == std::string::npos,
               "SchedulerOptions.tenant must not contain '{', '}' or '=': \""
                   << tenant << "\"");
@@ -50,7 +49,6 @@ RetrainScheduler::~RetrainScheduler() {
     // Queued-but-not-started requests are abandoned: on shutdown the fleet
     // is going away with them, and a fit nobody will serve is pure waste.
     heap_.clear();
-    queued_.clear();
     queue_depth_.set(0.0);
   }
   cv_.notify_all();
@@ -61,52 +59,22 @@ bool RetrainScheduler::request(RetrainRequest r) {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     if (stop_) return false;
-    auto it = queued_.find(r.entity);
-    if (it != queued_.end()) {
-      // Already queued: raise the live priority in place. The old heap
-      // entry goes stale and pop_best skips it.
-      if (r.priority > it->second) {
-        it->second = r.priority;
-        heap_.push_back(HeapEntry{r.priority, next_seq_++,
-                                  std::move(r.entity), std::move(r.reason)});
-        std::push_heap(heap_.begin(), heap_.end(), heap_less);
-        ++reprioritized_;
-      }
-      return true;
-    }
-    if (queued_.size() >= options_.max_queue) {
+    // One slot per entity: the queued entry already covers this request.
+    for (const Queued& q : heap_)
+      if (q.request.entity == r.entity) return true;
+    if (heap_.size() >= kMaxQueue) {
       ++rejected_full_;
       rejected_counter_.add(1);
       return false;
     }
-    queued_.emplace(r.entity, r.priority);
-    heap_.push_back(HeapEntry{r.priority, next_seq_++, std::move(r.entity),
-                              std::move(r.reason)});
+    heap_.push_back(Queued{std::move(r), next_seq_++});
     std::push_heap(heap_.begin(), heap_.end(), heap_less);
     ++accepted_;
     scheduled_counter_.add(1);
-    queue_depth_.set(static_cast<double>(queued_.size()));
+    queue_depth_.set(static_cast<double>(heap_.size()));
   }
   cv_.notify_one();
   return true;
-}
-
-bool RetrainScheduler::pop_best(RetrainRequest& out) {
-  while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), heap_less);
-    HeapEntry e = std::move(heap_.back());
-    heap_.pop_back();
-    auto it = queued_.find(e.entity);
-    // Stale entry: the entity was reprioritized (a fresher entry carries
-    // the live priority) or already dispatched.
-    if (it == queued_.end() || it->second != e.priority) continue;
-    queued_.erase(it);
-    out.entity = std::move(e.entity);
-    out.priority = e.priority;
-    out.reason = std::move(e.reason);
-    return true;
-  }
-  return false;
 }
 
 void RetrainScheduler::worker_loop() {
@@ -116,9 +84,11 @@ void RetrainScheduler::worker_loop() {
       std::unique_lock<std::mutex> lock(mutex_);
       cv_.wait(lock, [this] { return stop_ || !heap_.empty(); });
       if (stop_) return;
-      if (!pop_best(r)) continue;
+      std::pop_heap(heap_.begin(), heap_.end(), heap_less);
+      r = std::move(heap_.back().request);
+      heap_.pop_back();
       ++inflight_;
-      queue_depth_.set(static_cast<double>(queued_.size()));
+      queue_depth_.set(static_cast<double>(heap_.size()));
       inflight_gauge_.set(static_cast<double>(inflight_));
     }
     try {
@@ -142,24 +112,23 @@ void RetrainScheduler::worker_loop() {
 
 void RetrainScheduler::wait_idle() {
   std::unique_lock<std::mutex> lock(mutex_);
-  idle_cv_.wait(lock,
-                [this] { return queued_.empty() && inflight_ == 0; });
+  idle_cv_.wait(lock, [this] { return heap_.empty() && inflight_ == 0; });
 }
 
 SchedulerStats RetrainScheduler::stats() const {
   std::lock_guard<std::mutex> lock(mutex_);
   SchedulerStats s;
-  s.queued = queued_.size();
+  s.queued = heap_.size();
   s.inflight = inflight_;
   s.accepted = accepted_;
   s.completed = completed_;
   s.rejected_full = rejected_full_;
-  s.reprioritized = reprioritized_;
   return s;
 }
 
-bool RetrainScheduler::heap_less(const HeapEntry& a, const HeapEntry& b) {
-  if (a.priority != b.priority) return a.priority < b.priority;
+bool RetrainScheduler::heap_less(const Queued& a, const Queued& b) {
+  if (a.request.priority != b.request.priority)
+    return a.request.priority < b.request.priority;
   return a.seq > b.seq;
 }
 

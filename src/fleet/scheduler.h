@@ -7,13 +7,16 @@
 //  * request() files (entity, priority, reason); priority is the drift
 //    severity the manager computes from the detector statistics, so the
 //    worst-drifted entities are retrained first and stable ones starve —
-//    by design, the budget goes where the drift is.
+//    by design, the budget goes where the drift is. Equal priorities run
+//    in request order.
 //  * At most `workers` fits run concurrently — the global retrain budget.
 //    A drift storm over 500 entities queues 500 requests and trickles
 //    them through K fit slots instead of forking 500 trainers.
-//  * One queue slot per entity: a re-request while queued raises the
-//    priority in place (max), it never duplicates work.
-//  * The queue is bounded (max_queue); beyond it requests are rejected
+//  * One queue slot per entity: a re-request while queued changes nothing,
+//    it never duplicates work. (The FleetManager files none: it holds an
+//    entity's next request until its fit ends, raising the entity's
+//    latched severity instead.)
+//  * The queue is bounded (kMaxQueue); beyond it requests are rejected
 //    and the caller's drift detectors simply re-trigger later.
 //  * Each fit runs inside an ActiveJobScope, like a ThreadPool task, so
 //    two concurrent fits (or a fit beside a serving batch) keep their
@@ -27,7 +30,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -38,9 +40,8 @@
 namespace rptcn::fleet {
 
 struct SchedulerOptions {
-  std::size_t workers = 2;      ///< concurrent-fit budget (>= 1)
-  std::size_t max_queue = 256;  ///< pending requests bound (>= 1)
-  std::string tenant;           ///< fleet/retrain_* metrics label
+  std::size_t workers = 2;  ///< concurrent-fit budget (>= 1)
+  std::string tenant;       ///< fleet/retrain_* metrics label
 
   /// Throws common::CheckError naming the offending field.
   void validate() const;
@@ -57,8 +58,7 @@ struct SchedulerStats {
   std::size_t inflight = 0;         ///< fits running right now
   std::uint64_t accepted = 0;       ///< requests ever queued
   std::uint64_t completed = 0;      ///< fits finished (success or failure)
-  std::uint64_t rejected_full = 0;  ///< requests bounced off max_queue
-  std::uint64_t reprioritized = 0;  ///< re-requests that raised a priority
+  std::uint64_t rejected_full = 0;  ///< requests bounced off kMaxQueue
 };
 
 class RetrainScheduler {
@@ -66,6 +66,8 @@ class RetrainScheduler {
   /// `fit` runs on a scheduler worker thread, one call per dispatched
   /// request; it must not throw (a throwing fit is counted and swallowed).
   using FitFn = std::function<void(const RetrainRequest&)>;
+  /// Pending requests bound.
+  static constexpr std::size_t kMaxQueue = 256;
 
   RetrainScheduler(SchedulerOptions options, FitFn fit);
   /// Stops intake, abandons queued requests, waits for in-flight fits.
@@ -74,9 +76,8 @@ class RetrainScheduler {
   RetrainScheduler& operator=(const RetrainScheduler&) = delete;
 
   /// File a request. Returns false when the queue is full or the scheduler
-  /// is stopping. A request for an already-queued entity raises that
-  /// entry's priority to max(old, new) and returns true without consuming
-  /// a second slot.
+  /// is stopping. A request for an already-queued entity returns true and
+  /// leaves that entry, priority included, as it is.
   bool request(RetrainRequest r);
 
   /// Block until the queue is empty and no fit is in flight.
@@ -86,20 +87,15 @@ class RetrainScheduler {
   const SchedulerOptions& options() const { return options_; }
 
  private:
-  struct HeapEntry {
-    double priority = 0.0;
+  struct Queued {
+    RetrainRequest request;
     std::uint64_t seq = 0;  ///< FIFO tiebreak among equal priorities
-    std::string entity;
-    std::string reason;
   };
 
   void worker_loop();
-  /// Highest-priority live entry, skipping stale (reprioritized) ones.
-  /// Caller holds mutex_; returns false when the queue is empty.
-  bool pop_best(RetrainRequest& out);
   /// std::push_heap "less" ordering: max priority at the front, FIFO
   /// (lower seq) among equals.
-  static bool heap_less(const HeapEntry& a, const HeapEntry& b);
+  static bool heap_less(const Queued& a, const Queued& b);
 
   SchedulerOptions options_;
   FitFn fit_;
@@ -112,16 +108,12 @@ class RetrainScheduler {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   std::condition_variable idle_cv_;
-  /// entity -> live priority; the dedup index. A heap entry whose priority
-  /// no longer matches is stale and skipped on pop (lazy invalidation).
-  std::map<std::string, double> queued_;
-  std::vector<HeapEntry> heap_;  ///< max-heap via std::push/pop_heap
+  std::vector<Queued> heap_;  ///< max-heap via std::push/pop_heap
   std::uint64_t next_seq_ = 0;
   std::size_t inflight_ = 0;
   std::uint64_t accepted_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t rejected_full_ = 0;
-  std::uint64_t reprioritized_ = 0;
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

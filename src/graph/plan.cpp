@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 
@@ -15,13 +14,8 @@ namespace rptcn::graph {
 
 namespace {
 
-bool env_disabled() {
-  const char* v = std::getenv("RPTCN_DISABLE_PLAN");
-  return v != nullptr && v[0] == '1' && v[1] == '\0';
-}
-
 std::atomic<bool>& planning_flag() {
-  static std::atomic<bool> flag{!env_disabled()};
+  static std::atomic<bool> flag{true};
   return flag;
 }
 

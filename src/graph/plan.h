@@ -21,8 +21,8 @@
 // tests/test_graph.cpp, tests/test_graph_train.cpp and tests/test_op_table.cpp
 // gate this.
 //
-// Escape hatch: RPTCN_DISABLE_PLAN=1 (or set_planning_enabled(false)) makes
-// every plan-aware caller run the eager forward.
+// set_planning_enabled(false) makes every plan-aware caller run the eager
+// forward.
 #pragma once
 
 #include <array>
@@ -38,7 +38,7 @@
 
 namespace rptcn::graph {
 
-/// Global planning switch. Defaults to on unless RPTCN_DISABLE_PLAN=1.
+/// Global planning switch, on by default.
 bool planning_enabled();
 void set_planning_enabled(bool on);
 

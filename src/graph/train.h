@@ -24,11 +24,10 @@
 // The program writes parameter gradients into the Adam optimizer's
 // contiguous slab; clip_grad_slab + Adam::step_planned finish the step.
 // Verification also rewinds the dropout RNG streams and compares every
-// parameter gradient. nn::Module::weights_version() is recorded at capture
-// and checked every step: out-of-plan mutations (checkpoint restore,
-// best-epoch rollback, hot-swap loads) drop every cached program. In-plan
-// Adam updates do not bump it; weight prepacks are refreshed at the top of
-// every replay instead.
+// parameter gradient. A training program reads each parameter through its
+// node and re-packs weight panels at every replay, so Adam's updates and
+// any other write to the weights reach the next replay without a
+// recompile.
 //
 // Serving (compile_forward): only the forward records are emitted, with the
 // traced result as the program output. The caller's leaves are frozen (a
@@ -36,8 +35,8 @@
 // net), so ops whose operands are all leaves — weight_norm — fold to their
 // probe values, and weight prepacks happen once at compile time.
 //
-// Escape hatch: RPTCN_DISABLE_PLAN=1 (or set_planning_enabled(false))
-// makes every caller run the eager forward / step.
+// set_planning_enabled(false) makes every caller run the eager forward /
+// step.
 #pragma once
 
 #include <memory>

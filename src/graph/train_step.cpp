@@ -2,7 +2,6 @@
 // through graph/compile.h, verify bit-for-bit, then replay each later batch
 // of the same shape and finish it through Adam's gradient slab.
 #include <array>
-#include <cstdint>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -33,35 +32,26 @@ TrainMetrics& train_metrics() {
 }
 
 /// The PlannedStep implementation behind make_planned_step. One instance per
-/// fit() call; shape-keyed program cache with weights_version invalidation.
-/// Replay is single-threaded (the trainer's batch loop): the pack registry
-/// and any captured dropout RNG streams are mutated in place.
+/// fit() call; shape-keyed program cache. A program reads every parameter
+/// through its node and re-packs weight panels at each replay, so weights
+/// written outside the plan are picked up without recompiling. Replay is
+/// single-threaded (the trainer's batch loop): the pack registry and any
+/// captured dropout RNG streams are mutated in place.
 class TrainStep final : public opt::PlannedStep {
  public:
-  TrainStep(nn::Module& model, opt::ForwardFn forward, opt::Adam& adam,
+  TrainStep(opt::ForwardFn forward, opt::Adam& adam,
             const opt::TrainOptions& options)
-      : model_(model),
-        forward_(std::move(forward)),
+      : forward_(std::move(forward)),
         adam_(adam),
         params_(adam.params()),
         loss_(options.loss),
         tau_(options.pinball_tau),
         clip_norm_(options.clip_norm),
-        version_(model.weights_version()),
         slab_(adam.slab_floats(), 0.0f) {}
 
   bool step(Tensor x, const Tensor& y, float* loss_out) override {
     if (!planning_enabled()) return false;
     if (x.rank() != 3) return false;
-    // One invalidation mechanism for every out-of-plan weight mutation:
-    // best-epoch restore, checkpoint load and hot-swap all bump the model's
-    // weights version, which drops every cached program (and with it the
-    // prepacked operands and the captured RNG stream structure).
-    const std::uint64_t v = model_.weights_version();
-    if (v != version_) {
-      programs_.clear();
-      version_ = v;
-    }
     const std::array<std::size_t, 3> key{x.dim(0), x.dim(1), x.dim(2)};
     auto it = programs_.find(key);
     if (it != programs_.end()) {
@@ -172,14 +162,12 @@ class TrainStep final : public opt::PlannedStep {
     return true;
   }
 
-  nn::Module& model_;
   opt::ForwardFn forward_;
   opt::Adam& adam_;
   std::vector<Variable> params_;
   opt::Loss loss_;
   float tau_;
   float clip_norm_;
-  std::uint64_t version_;
   std::map<std::array<std::size_t, 3>, std::shared_ptr<const Executable>>
       programs_;
   std::vector<float> slab_;
@@ -199,7 +187,7 @@ std::shared_ptr<opt::PlannedStep> make_planned_step(
   if (model_params.size() != opt_params.size()) return nullptr;
   for (std::size_t i = 0; i < model_params.size(); ++i)
     if (model_params[i].node() != opt_params[i].node()) return nullptr;
-  return std::make_shared<TrainStep>(model, forward, optimizer, options);
+  return std::make_shared<TrainStep>(forward, optimizer, options);
 }
 
 }  // namespace rptcn::graph

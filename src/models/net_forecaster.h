@@ -57,7 +57,7 @@ class NetForecaster final : public Forecaster {
   std::string name() const override { return name_; }
   /// Builds a fresh net (seeded with the training seed) and trains it; each
   /// batch runs through the planned training step unless planning is off
-  /// (graph::set_planning_enabled, RPTCN_DISABLE_PLAN=1).
+  /// (graph::set_planning_enabled).
   void fit(const ForecastDataset& dataset) override;
   Tensor predict(const Tensor& inputs) override;
   CheckpointStatus save(const std::string& path) const override;

@@ -56,13 +56,6 @@ void Module::load(const std::string& path) {
                 "checkpoint shape mismatch for " << items[i].first);
     params[i].second.mutable_value() = items[i].second;
   }
-  bump_weights_version();
-}
-
-std::uint64_t Module::weights_version() const {
-  std::uint64_t v = weights_version_;
-  for (const auto& [name, child] : children_) v += child->weights_version();
-  return v;
 }
 
 Variable Module::register_parameter(std::string name, Tensor value) {

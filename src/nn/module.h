@@ -6,7 +6,6 @@
 // activation shape. Whole forecasting nets share one: ForecastNet below.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -42,16 +41,6 @@ class Module {
   void save(const std::string& path) const;
   void load(const std::string& path);
 
-  /// Monotonic counter over out-of-plan parameter mutations (checkpoint
-  /// restore, best-epoch rollback, hot-swap loads), summed over children.
-  /// Anything that bakes parameter-derived state (prepacked GEMM panels,
-  /// captured training plans) records this at capture and re-validates at
-  /// replay — one invalidation mechanism for every mutation path.
-  /// In-plan optimizer updates intentionally do NOT bump it.
-  std::uint64_t weights_version() const;
-  /// Record an out-of-plan mutation of this module's parameters.
-  void bump_weights_version() { ++weights_version_; }
-
  protected:
   /// Create and register a trainable parameter.
   Variable register_parameter(std::string name, Tensor value);
@@ -62,7 +51,6 @@ class Module {
   std::vector<std::pair<std::string, Variable>> params_;
   std::vector<std::pair<std::string, Module*>> children_;
   bool training_ = true;
-  std::uint64_t weights_version_ = 0;
 };
 
 /// The contract every forecasting net meets (RptcnNet, LstmNet, BiLstmNet,

@@ -81,7 +81,6 @@ void restore(nn::Module& model,
   RPTCN_CHECK(params.size() == snap.size(), "snapshot size mismatch");
   for (std::size_t i = 0; i < params.size(); ++i)
     params[i].second.mutable_value() = snap[i].second;
-  model.bump_weights_version();
 }
 
 }  // namespace

@@ -27,10 +27,7 @@ BatchingEngine::BatchingEngine(EngineOptions options)
       forward_time_(
           obs::metrics().histogram("serve/forward_seconds", options_.tenant)) {
   options_.validate();
-  if (options_.workers == 0) options_.workers = 1;
-  workers_.reserve(options_.workers);
-  for (std::size_t i = 0; i < options_.workers; ++i)
-    workers_.emplace_back([this] { worker_loop(); });
+  worker_ = std::thread([this] { worker_loop(); });
 }
 
 BatchingEngine::~BatchingEngine() {
@@ -39,24 +36,19 @@ BatchingEngine::~BatchingEngine() {
     stop_ = true;
   }
   cv_.notify_all();
-  for (auto& w : workers_) w.join();
+  worker_.join();
 }
 
 std::future<Tensor> BatchingEngine::submit(
     Tensor window, std::shared_ptr<const InferenceSession> session) {
   std::vector<WaveRequest> one;
   one.push_back({std::move(window), std::move(session)});
-  return std::move(enqueue(std::move(one), /*held=*/true).front());
+  return std::move(submit_wave(std::move(one)).front());
 }
 
 std::vector<std::future<Tensor>> BatchingEngine::submit_wave(
     std::vector<WaveRequest> wave) {
-  return enqueue(std::move(wave), /*held=*/false);
-}
-
-std::vector<std::future<Tensor>> BatchingEngine::enqueue(
-    std::vector<WaveRequest> requests, bool held) {
-  for (const WaveRequest& r : requests) {
+  for (const WaveRequest& r : wave) {
     RPTCN_CHECK(r.session != nullptr,
                 "BatchingEngine: every request needs a session");
     RPTCN_CHECK(r.window.rank() == 2,
@@ -65,22 +57,21 @@ std::vector<std::future<Tensor>> BatchingEngine::enqueue(
   }
   const auto now = std::chrono::steady_clock::now();
   std::vector<std::future<Tensor>> futures;
-  futures.reserve(requests.size());
+  futures.reserve(wave.size());
   {
     std::lock_guard<std::mutex> lock(mutex_);
     RPTCN_CHECK(!stop_, "BatchingEngine: submit after shutdown began");
-    for (WaveRequest& r : requests) {
+    for (WaveRequest& r : wave) {
       Pending& p = queue_.emplace_back();
       p.window = std::move(r.window);
       p.enqueued = now;
       p.session = std::move(r.session);
-      p.held = held;
       futures.push_back(p.promise.get_future());
     }
-    submitted_ += requests.size();
+    submitted_ += wave.size();
     queue_depth_.set(static_cast<double>(queue_.size()));
   }
-  requests_.add(requests.size());
+  requests_.add(wave.size());
   cv_.notify_all();
   return futures;
 }
@@ -104,17 +95,15 @@ void BatchingEngine::worker_loop() {
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
       // Drain-on-shutdown: exit only once the queue is empty.
       if (queue_.empty()) return;
-      if (!stop_ && queue_.front().held &&
+      if (!stop_ && options_.max_delay_us > 0 &&
           queue_.size() < options_.max_batch) {
-        // Hold a submit() head up to max_delay_us while peers arrive; a
-        // wave's caller already sent every peer it has.
+        // Hold the head up to max_delay_us while peers arrive.
         const auto deadline =
             queue_.front().enqueued +
             std::chrono::microseconds(options_.max_delay_us);
         cv_.wait_until(lock, deadline, [this] {
           return stop_ || queue_.size() >= options_.max_batch;
         });
-        if (queue_.empty()) continue;  // another worker took everything
       }
       // Coalesce every queued request that shares the head's session and
       // shape, in queue order: one shard's queue interleaves every cohort

@@ -9,27 +9,25 @@
 // session's forward runs sums each output in an order that does not depend
 // on the batch size (serve/session.h).
 //
-// Two entry points, one queue. submit() enqueues one request from an
-// open-loop caller that cannot know whether peers follow; a worker holds
-// such a request at the head of the queue for up to max_delay_us while
-// peers arrive. submit_wave() enqueues a group of requests under one lock
-// and one notify, from a caller that has already gathered every peer it
-// will send (a fleet worker's wave); a batch headed by a wave request is
-// never held.
+// One hold rule. The worker holds the request at the head of the queue for
+// up to max_delay_us while peers arrive, and fires it early once max_batch
+// requests are queued; with max_delay_us = 0 it never waits. submit()
+// enqueues one request; submit_wave() enqueues a group under one lock and
+// one notify, from a caller that has already gathered every peer it will
+// send. A fleet sets max_delay_us = 0 on every shard's engine, since its
+// workers send whole waves.
 //
-// Threading model: both entry points may be called from any thread.
-// `workers` engine threads pop coalesced batches under one mutex; a batch
-// is every queued request (up to max_batch, in queue order) that shares
-// the head request's session and window shape, so one engine multiplexes
-// any number of models and requests sharing a session batch together even
-// when other sessions' requests sit between them in the queue. A batch
-// fires at once when its head came from a wave; a submit() head fires when
-// the queue holds max_batch requests or the head has waited max_delay_us.
-// Each batch forward runs inside an ActiveJobScope so concurrent batches
-// gate nested OpenMP exactly like ThreadPool jobs do. A batch failure (e.g.
-// a feature-count mismatch) is delivered to every future of that batch;
-// other batches are unaffected. The destructor stops intake, drains every
-// queued request, then joins.
+// Threading model: both entry points may be called from any thread. One
+// engine thread pops coalesced batches under one mutex; a batch is every
+// queued request (up to max_batch, in queue order) that shares the head
+// request's session and window shape, so one engine multiplexes any number
+// of models and requests sharing a session batch together even when other
+// sessions' requests sit between them in the queue. Each batch forward
+// runs inside an ActiveJobScope so a batch beside a fit or a pool task
+// gates nested OpenMP exactly like ThreadPool jobs do. A batch failure
+// (e.g. a feature-count mismatch) is delivered to every future of that
+// batch; other batches are unaffected. The destructor stops intake, drains
+// every queued request, then joins.
 //
 // Installing a new model is the caller's business: requests carry their
 // session by shared_ptr, so a caller that replaces its session pointer has
@@ -59,11 +57,9 @@ namespace rptcn::serve {
 
 struct EngineOptions {
   std::size_t max_batch = 32;     ///< largest coalesced batch
-  /// How long a worker holds a submit() request at the head of the queue
-  /// while peers arrive. A batch headed by a wave request (submit_wave) is
-  /// never held.
+  /// How long the worker holds the head of the queue while peers arrive;
+  /// 0 runs every batch as soon as the worker is free.
   std::size_t max_delay_us = 200;
-  std::size_t workers = 1;        ///< engine threads (>= 1; 0 clamps to 1)
   /// Metrics tenant label: serve/* metrics register as
   /// "serve/<metric>{tenant=<tenant>}" so N engines (fleet shards) never sum
   /// or clobber each other. Empty keeps the historical unlabeled names —
@@ -78,7 +74,7 @@ struct EngineOptions {
 /// Point-in-time engine state, for backpressure observation without
 /// scraping metrics JSON.
 struct EngineStats {
-  std::size_t queued = 0;         ///< requests waiting for a worker
+  std::size_t queued = 0;         ///< requests waiting for the worker
   std::size_t in_flight = 0;      ///< requests inside a running batch
   std::uint64_t submitted = 0;    ///< requests ever accepted
   std::uint64_t completed = 0;    ///< requests delivered (value or error)
@@ -94,24 +90,23 @@ struct WaveRequest {
 class BatchingEngine {
  public:
   explicit BatchingEngine(EngineOptions options = {});
-  /// Stops intake, drains every queued request, joins the workers. Futures
+  /// Stops intake, drains every queued request, joins the worker. Futures
   /// obtained from submit() or submit_wave() always complete.
   ~BatchingEngine();
   BatchingEngine(const BatchingEngine&) = delete;
   BatchingEngine& operator=(const BatchingEngine&) = delete;
 
-  /// Enqueue one window [F, T] served by `session`; a worker may hold it up
-  /// to max_delay_us for peers. The future delivers the forecast [horizon]
-  /// or rethrows the batch's failure. Throws if the engine is stopping,
-  /// `session` is null or the window is not rank 2.
+  /// Enqueue one window [F, T] served by `session`: the one-request wave.
+  /// The future delivers the forecast [horizon] or rethrows the batch's
+  /// failure. Throws if the engine is stopping, `session` is null or the
+  /// window is not rank 2.
   std::future<Tensor> submit(Tensor window,
                              std::shared_ptr<const InferenceSession> session);
 
-  /// Enqueue every request of `wave` under one lock; a batch headed by one
-  /// of them is never held for peers. futures[i] delivers wave[i]'s
-  /// forecast. Validates every request before it enqueues any: throws,
-  /// enqueuing nothing, if the engine is stopping or any request has a null
-  /// session or a window that is not rank 2.
+  /// Enqueue every request of `wave` under one lock. futures[i] delivers
+  /// wave[i]'s forecast. Validates every request before it enqueues any:
+  /// throws, enqueuing nothing, if the engine is stopping or any request
+  /// has a null session or a window that is not rank 2.
   std::vector<std::future<Tensor>> submit_wave(std::vector<WaveRequest> wave);
 
   /// Queue depth, in-flight count and totals.
@@ -125,12 +120,8 @@ class BatchingEngine {
     std::promise<Tensor> promise;
     std::chrono::steady_clock::time_point enqueued;
     std::shared_ptr<const InferenceSession> session;
-    bool held = false;  ///< from submit(): may wait max_delay_us at the head
   };
 
-  /// Both entry points: validate all, then enqueue all under one lock.
-  std::vector<std::future<Tensor>> enqueue(std::vector<WaveRequest> requests,
-                                           bool held);
   void worker_loop();
   /// Runs one coalesced batch on the session its requests share.
   void run_batch(std::vector<Pending>& batch);
@@ -153,7 +144,7 @@ class BatchingEngine {
   std::uint64_t completed_ = 0;    ///< guarded by mutex_
   std::uint64_t batches_run_ = 0;  ///< guarded by mutex_
   bool stop_ = false;
-  std::vector<std::thread> workers_;
+  std::thread worker_;
 };
 
 }  // namespace rptcn::serve

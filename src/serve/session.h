@@ -11,9 +11,9 @@
 // recorded on the first request of each shape, compiled, verified
 // bit-for-bit against that eager forward, and cached. A shape whose program
 // fails to compile or verify, and every run while planning is disabled
-// (RPTCN_DISABLE_PLAN=1), runs the copy's eager forward instead, serialised
-// by a mutex because a net's forward may write state (RPTCN records its
-// attention weights).
+// (graph::set_planning_enabled(false)), runs the copy's eager forward
+// instead, serialised by a mutex because a net's forward may write state
+// (RPTCN records its attention weights).
 //
 // Batch invariance holds by construction: every kernel a net's forward runs
 // sums each output in an order that does not depend on the batch size (the

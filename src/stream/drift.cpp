@@ -145,7 +145,6 @@ DriftMonitor::DriftMonitor(std::vector<std::string> features,
 }
 
 bool DriftMonitor::observe_inputs(const std::vector<double>& row) {
-  if (!options_.monitor_inputs) return false;
   RPTCN_CHECK(row.size() == features_.size(),
               "DriftMonitor::observe_inputs got " << row.size()
                                                   << " values for "

@@ -107,7 +107,6 @@ struct DriftOptions {
   PageHinkleyOptions residual_ph;   ///< over one-step absolute residuals
   WindowedErrorOptions windowed;    ///< over the same residuals
   PageHinkleyOptions input_ph;      ///< per input indicator, over values
-  bool monitor_inputs = true;
   /// Metrics tenant label for the stream/drift_* series; without it N
   /// monitors (one per fleet entity) would sum their event counters and
   /// clobber each other's statistic gauges. Empty keeps the historical

@@ -1,8 +1,9 @@
 // Fleet-layer tests: deterministic sharding, snapshot dedup across a
 // cohort (and the splinter onto a private generation under live ingest),
 // a failed retrain leaving the incumbent serving, non-finite and
-// wrong-arity ticks, cohort forecasts sharing engine forwards, no entity
-// lock held across an in-flight forward, the observation reads, per-entity
+// wrong-arity ticks, cohort forecasts sharing engine forwards, shard
+// engines that never hold a forecast for peers, no entity lock held
+// across an in-flight forward, the observation reads, per-entity
 // checkpoint names, retrain-scheduler priority / dedup / budget / queue
 // bounds and fit slots counted as active jobs, admission backpressure, and
 // the typed-options construction API (named validation errors,
@@ -612,6 +613,26 @@ TEST(FleetIngest, ReadersDoNotWaitOnAnInFlightForward) {
   EXPECT_EQ(fleet->entity_stats("web-0").forecasts, 1u);
 }
 
+TEST(FleetIngest, ShardEnginesNeverHold) {
+  // Every fleet forecast reaches its engine in a wave whose sender has no
+  // peers left to wait for, so the fleet overwrites max_delay_us with 0 on
+  // each shard: a lone tick is answered at once, not after the template's
+  // 2 s hold.
+  FleetOptions o = tiny_fleet_options("never-hold");
+  o.engine.max_delay_us = 2'000'000;
+  auto fleet = FleetBuilder()
+                   .options(o)
+                   .add_cohort("web", arima_spec(), 1, "web-")
+                   .build();
+  fleet->bootstrap_cohort("web", regime_trace(regime_a(), 240, 41));
+
+  const auto start = std::chrono::steady_clock::now();
+  ingest_blocking(*fleet, "web-0", regime_trace(regime_a(), 1, 42), 0, 1);
+  fleet->drain();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(fleet->entity_stats("web-0").forecasts, 1u);
+}
+
 TEST(FleetObserve, EntityStatsNamesAnUnknownEntity) {
   FleetManager fleet(tiny_fleet_options("observe-unknown"));
   EXPECT_NE(check_error_of([&] { fleet.entity_stats("nope"); })
@@ -768,10 +789,9 @@ TEST(FleetCheckpoint, RetrainWhoseCheckpointCannotBeWrittenIsNotInstalled) {
 // RetrainScheduler
 // ---------------------------------------------------------------------------
 
-TEST(FleetScheduler, DispatchesByPriorityWithDedupRaise) {
+TEST(FleetScheduler, DispatchesByPriorityWithOneSlotPerEntity) {
   SchedulerOptions so;
   so.workers = 1;
-  so.max_queue = 16;
   so.tenant = "sched-prio";
   std::mutex order_mutex;
   std::vector<std::string> order;
@@ -790,26 +810,25 @@ TEST(FleetScheduler, DispatchesByPriorityWithDedupRaise) {
   ASSERT_TRUE(sched.request({"low-a", 1.0, "t"}));
   ASSERT_TRUE(sched.request({"low-b", 1.0, "t"}));
   ASSERT_TRUE(sched.request({"high", 5.0, "t"}));
-  // Re-request raises low-a's priority in place — no duplicate slot.
+  // A louder re-request of a queued entity takes no slot and leaves its
+  // priority as it is.
   ASSERT_TRUE(sched.request({"low-a", 7.0, "t"}));
   EXPECT_EQ(sched.stats().queued, 3u);
   gate.set_value();
   sched.wait_idle();
 
-  const std::vector<std::string> expected = {"blocker", "low-a", "high",
+  const std::vector<std::string> expected = {"blocker", "high", "low-a",
                                              "low-b"};
   EXPECT_EQ(order, expected);
   const SchedulerStats stats = sched.stats();
   EXPECT_EQ(stats.accepted, 4u);
   EXPECT_EQ(stats.completed, 4u);
-  EXPECT_EQ(stats.reprioritized, 1u);
   EXPECT_EQ(stats.rejected_full, 0u);
 }
 
 TEST(FleetScheduler, BoundedQueueRejectsOverflow) {
   SchedulerOptions so;
   so.workers = 1;
-  so.max_queue = 2;
   so.tenant = "sched-bound";
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
@@ -818,21 +837,21 @@ TEST(FleetScheduler, BoundedQueueRejectsOverflow) {
   ASSERT_TRUE(sched.request({"inflight", 1.0, "t"}));
   while (sched.stats().inflight == 0)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  EXPECT_TRUE(sched.request({"q1", 1.0, "t"}));
-  EXPECT_TRUE(sched.request({"q2", 1.0, "t"}));
-  EXPECT_FALSE(sched.request({"q3", 1.0, "t"}));
+  for (std::size_t i = 0; i < RetrainScheduler::kMaxQueue; ++i)
+    ASSERT_TRUE(sched.request({"q" + std::to_string(i), 1.0, "t"})) << i;
+  EXPECT_EQ(sched.stats().queued, RetrainScheduler::kMaxQueue);
+  EXPECT_FALSE(sched.request({"overflow", 1.0, "t"}));
   // A queued entity re-request is a dedup hit, never a rejection.
   EXPECT_TRUE(sched.request({"q1", 2.0, "t"}));
   EXPECT_EQ(sched.stats().rejected_full, 1u);
   gate.set_value();
   sched.wait_idle();
-  EXPECT_EQ(sched.stats().completed, 3u);
+  EXPECT_EQ(sched.stats().completed, 1 + RetrainScheduler::kMaxQueue);
 }
 
 TEST(FleetScheduler, ConcurrencyNeverExceedsBudget) {
   SchedulerOptions so;
   so.workers = 3;
-  so.max_queue = 32;
   so.tenant = "sched-budget";
   std::atomic<int> running{0};
   std::atomic<int> peak{0};
@@ -858,7 +877,6 @@ TEST(FleetScheduler, FitsCountAsActiveJobs) {
   // kernels on one thread each, while a lone fit may still fan out.
   SchedulerOptions so;
   so.workers = 2;
-  so.max_queue = 4;
   so.tenant = "sched-jobs";
   struct Seen {
     std::string entity;
@@ -908,7 +926,6 @@ TEST(FleetScheduler, BudgetExhaustionFilesHighSeverityAndRunsItFirst) {
   // lower-severity requests the moment a slot frees.
   SchedulerOptions so;
   so.workers = 2;
-  so.max_queue = 16;
   so.tenant = "sched-exhaust";
   std::mutex order_mutex;
   std::vector<std::string> order;

@@ -5,8 +5,8 @@
 // plan.h), weight folding in serving plans, compile determinism and shape
 // checks, PlanCache behaviour
 // (capture-once, hit/miss counters, eviction, pinned shapes), and
-// InferenceSession integration including the RPTCN_DISABLE_PLAN-style
-// fallback and shape-error messages. The "Graph" prefix is matched by the
+// InferenceSession integration including the planning-disabled fallback
+// and shape-error messages. The "Graph" prefix is matched by the
 // TSAN CI job's -R filter.
 #include <gtest/gtest.h>
 

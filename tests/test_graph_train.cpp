@@ -1,8 +1,8 @@
 // Tests for the planned training step (src/graph/train.*): bitwise parity
 // of the captured forward+backward+Adam program against the eager tape loop
 // — per-step parameter updates, whole-fit loss curves and final predictions
-// for every registry net — plus WeightsVersion invalidation of cached
-// programs, the planning-disabled and non-Adam factory declines, the
+// for every registry net — plus replays that read weights written outside
+// the plan, the planning-disabled and non-Adam factory declines, the
 // capture/replay/fallback metrics, and the stream retrain path (a planned-
 // trained generation served through the engine must be bit-identical to a
 // tape-trained one). The "Graph" prefix is matched by the TSAN CI job's -R
@@ -252,16 +252,23 @@ TEST(GraphTrainStep, UntracedInputDerivedOpFallsBackInsteadOfBakingTheProbe) {
             0);
 }
 
-// -- invalidation and escape hatches ------------------------------------------
+// -- out-of-plan weights and escape hatches -----------------------------------
 
-TEST(GraphTrainStep, WeightsVersionBumpDropsCachedPrograms) {
+TEST(GraphTrainStep, ReplayReadsWeightsWrittenOutOfPlan) {
+  // A program reads each parameter through its node and re-packs weight
+  // panels at every replay, so a write outside the plan (a checkpoint
+  // load, a best-epoch restore) reaches the next replay without a
+  // recompile. Dropout 0: the eager twin draws no masks to keep in step.
   ObsGuard obs_on;
   nn::LstmNetOptions opt;
   opt.input_features = 2;
   opt.hidden = 5;
+  opt.dropout = 0.0f;
   opt.seed = 79;
   nn::LstmNet net(opt);
+  nn::LstmNet twin(opt);
   net.set_training(true);
+  twin.set_training(true);
   opt::TrainOptions options;
   opt::Adam adam(net.parameters(), 1e-3f);
   const opt::ForwardFn fwd = [&](const Variable& v) { return net.forward(v); };
@@ -271,6 +278,9 @@ TEST(GraphTrainStep, WeightsVersionBumpDropsCachedPrograms) {
   const auto captures = [&] {
     return obs::metrics().counter("graph/train_captures").value();
   };
+  const auto replays = [&] {
+    return obs::metrics().counter("graph/train_replays").value();
+  };
   const Tensor x = random_tensor({2, 2, 8}, 700);
   const Tensor y = random_tensor({2, 1}, 701);
   const std::uint64_t c0 = captures();
@@ -279,12 +289,30 @@ TEST(GraphTrainStep, WeightsVersionBumpDropsCachedPrograms) {
   ASSERT_TRUE(step->step(x, y, &loss));  // replay
   EXPECT_EQ(captures() - c0, 1u);
 
-  // An out-of-plan weight mutation (checkpoint restore, hot-swap, rollback)
-  // bumps the version; the next step must re-capture, not replay stale
-  // prepacked operands.
-  net.bump_weights_version();
-  ASSERT_TRUE(step->step(x, y, &loss));
-  EXPECT_EQ(captures() - c0, 2u) << "version bump did not drop the program";
+  // Overwrite every parameter out of plan; the twin gets the same values.
+  const auto params = net.named_parameters();
+  const auto twin_params = twin.named_parameters();
+  ASSERT_EQ(params.size(), twin_params.size());
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    Variable p = params[i].second;
+    Variable q = twin_params[i].second;
+    const Tensor w = random_tensor(p.shape(), 710 + i);
+    p.mutable_value() = w;
+    q.mutable_value() = w;
+  }
+  const std::uint64_t r0 = replays();
+  float replayed = 0.0f;
+  ASSERT_TRUE(step->step(x, y, &replayed));
+  EXPECT_EQ(captures() - c0, 1u) << "the out-of-plan write forced a capture";
+  EXPECT_EQ(replays() - r0, 1u);
+
+  const Variable pred = twin.forward(Variable(x));
+  const Variable eager_loss =
+      opt::apply_loss(pred, y, options.loss, options.pinball_tau);
+  const float eager = eager_loss.value().item();
+  EXPECT_NE(replayed, loss) << "the new weights left the loss unchanged";
+  EXPECT_EQ(std::memcmp(&replayed, &eager, sizeof(float)), 0)
+      << "replayed " << replayed << ", eager twin " << eager;
 }
 
 TEST(GraphTrainStep, FactoryDeclinesWhenPlanningDisabled) {

@@ -1,7 +1,7 @@
 // Serving engine tests: inference/training parity (batched planned and
 // eager serving bit-identical to the unbatched autograd forward for every
 // registry forecaster), InferenceSession contract checks, and
-// BatchingEngine behaviour (coalescing, unheld waves, future delivery,
+// BatchingEngine behaviour (coalescing, the one hold rule, future delivery,
 // failure fan-out, drain-on-shutdown, concurrent submitters, interleaved
 // sessions).
 #include <gtest/gtest.h>
@@ -170,8 +170,8 @@ TEST_P(ServeParity, HoldsWithBufferPoolDisabled) {
 }
 
 TEST_P(ServeParity, HoldsWithPlanningDisabled) {
-  // RPTCN_DISABLE_PLAN=1 serves every request through the session's eager
-  // copy of the net (or the delegate); those rows must match too.
+  // With planning disabled the session serves every request through its
+  // eager copy of the net (or the delegate); those rows must match too.
   const auto ds = make_dataset();
   auto model = models::make_forecaster(GetParam(), tiny_config());
   model->fit(ds);
@@ -453,8 +453,7 @@ void expect_row_matches(const InferenceSession& session, const Tensor& window,
 TEST(ServeEngine, DeliversBitIdenticalRows) {
   nn::RptcnNet net(engine_net_options());
   auto session = std::make_shared<InferenceSession>(net);
-  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/2000,
-                         /*workers=*/2});
+  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/2000});
 
   Rng rng(5);
   std::vector<Tensor> windows;
@@ -486,8 +485,7 @@ TEST(ServeEngine, CoalescesIntoOneBatchAndCountsIt) {
     // assemble exactly one full batch (the size trigger fires long before
     // the deadline). Counters are read after the destructor joins the
     // worker, so they are quiescent.
-    BatchingEngine engine({/*max_batch=*/4, /*max_delay_us=*/2'000'000,
-                           /*workers=*/1});
+    BatchingEngine engine({/*max_batch=*/4, /*max_delay_us=*/2'000'000});
     for (std::size_t i = 0; i < 4; ++i) {
       windows.push_back(random_window(rng));
       futures.push_back(engine.submit(windows.back(), session));
@@ -509,8 +507,7 @@ TEST(ServeEngine, CoalescesIntoOneBatchAndCountsIt) {
 TEST(ServeEngine, ServesMixedWindowLengths) {
   nn::RptcnNet net(engine_net_options());
   auto session = std::make_shared<InferenceSession>(net);
-  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/500,
-                         /*workers=*/1});
+  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/500});
 
   Rng rng(8);
   std::vector<Tensor> windows;
@@ -526,8 +523,7 @@ TEST(ServeEngine, ServesMixedWindowLengths) {
 TEST(ServeEngine, BatchFailureReachesEveryFuture) {
   nn::RptcnNet net(engine_net_options());
   auto session = std::make_shared<InferenceSession>(net);
-  BatchingEngine engine({/*max_batch=*/3, /*max_delay_us=*/2'000'000,
-                         /*workers=*/1});
+  BatchingEngine engine({/*max_batch=*/3, /*max_delay_us=*/2'000'000});
 
   // Wrong feature count passes the rank check at submit() and fails inside
   // the batched forward; the failure must fan out to every request of the
@@ -560,14 +556,13 @@ TEST(ServeEngine, SubmitValidatesRank) {
 }
 
 TEST(ServeEngine, WaveRunsAtOnceAsOneBatch) {
-  // A wave is never held for peers: with a 2 s max_delay_us, three
-  // same-session requests are ready well inside it, as one batch, each row
-  // its window's N=1 forward. A lone submit() is still held; the size
-  // trigger in CoalescesIntoOneBatchAndCountsIt relies on that hold.
+  // On an engine built as a fleet builds its shards (max_delay_us = 0), a
+  // wave runs at once: its three same-session requests, enqueued under one
+  // lock, are ready well inside 1 s as one batch, each row its window's N=1
+  // forward.
   nn::RptcnNet net(engine_net_options());
   auto session = std::make_shared<InferenceSession>(net);
-  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/2'000'000,
-                         /*workers=*/1});
+  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/0});
 
   Rng rng(13);
   std::vector<Tensor> windows;
@@ -594,11 +589,36 @@ TEST(ServeEngine, WaveRunsAtOnceAsOneBatch) {
   EXPECT_EQ(engine.stats().batches, 1u);
 }
 
+TEST(ServeEngine, WaveHeadIsHeldForPeersLikeAnyHead) {
+  // One hold rule: with max_delay_us > 0 the worker holds a wave's head
+  // for peers exactly as it holds a submit(). Two waves of two fill
+  // max_batch 4 long before the 2 s deadline and run as one batch.
+  nn::RptcnNet net(engine_net_options());
+  auto session = std::make_shared<InferenceSession>(net);
+  BatchingEngine engine({/*max_batch=*/4, /*max_delay_us=*/2'000'000});
+  Rng rng(15);
+  std::vector<Tensor> windows;
+  std::vector<std::future<Tensor>> futures;
+  for (std::size_t w = 0; w < 2; ++w) {
+    std::vector<WaveRequest> wave;
+    for (std::size_t i = 0; i < 2; ++i) {
+      windows.push_back(random_window(rng));
+      wave.push_back({windows.back(), session});
+    }
+    for (auto& f : engine.submit_wave(wave)) futures.push_back(std::move(f));
+  }
+  for (std::size_t i = 0; i < futures.size(); ++i)
+    expect_row_matches(*session, windows[i], futures[i].get());
+  // The worker bumps its counters just after it delivers a batch.
+  while (engine.stats().completed < 4)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(engine.stats().batches, 1u);
+}
+
 TEST(ServeEngine, WaveValidatesEveryRequestBeforeEnqueuingAny) {
   nn::RptcnNet net(engine_net_options());
   auto session = std::make_shared<InferenceSession>(net);
-  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/2'000'000,
-                         /*workers=*/1});
+  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/2'000'000});
   Rng rng(14);
   // The bad request comes last, after two good ones.
   std::vector<WaveRequest> null_session = {{random_window(rng), session},
@@ -625,8 +645,7 @@ TEST(ServeEngine, DestructorDrainsQueuedRequests) {
   {
     // Long delay: most of these are still queued when the engine is
     // destroyed, and shutdown must drain them, not drop them.
-    BatchingEngine engine({/*max_batch=*/2, /*max_delay_us=*/2'000'000,
-                           /*workers=*/1});
+    BatchingEngine engine({/*max_batch=*/2, /*max_delay_us=*/2'000'000});
     for (std::size_t i = 0; i < 6; ++i) {
       windows.push_back(random_window(rng));
       futures.push_back(engine.submit(windows.back(), session));
@@ -649,8 +668,7 @@ TEST(ServeEngine, TeardownMidBatchDeliversEveryFuture) {
   auto session = std::make_shared<InferenceSession>(
       std::shared_ptr<models::Forecaster>(model));
   auto engine = std::make_unique<BatchingEngine>(
-      EngineOptions{/*max_batch=*/4, /*max_delay_us=*/2'000'000,
-                    /*workers=*/1});
+      EngineOptions{/*max_batch=*/4, /*max_delay_us=*/2'000'000});
 
   Rng rng(12);
   std::vector<Tensor> windows;
@@ -692,8 +710,7 @@ TEST(ServeEngine, StatsTrackSubmissionsBatchesAndGeneration) {
 
   nn::RptcnNet net(engine_net_options());
   auto session = std::make_shared<InferenceSession>(net);
-  BatchingEngine engine({/*max_batch=*/4, /*max_delay_us=*/500,
-                         /*workers=*/1});
+  BatchingEngine engine({/*max_batch=*/4, /*max_delay_us=*/500});
   {
     const EngineStats fresh = engine.stats();
     EXPECT_EQ(fresh.submitted, 0u);
@@ -761,8 +778,7 @@ TEST(ServeEngine, InterleavedSessionsEachGetTheirOwnRows) {
   };
   const auto uses_b = [](std::size_t i) { return i % 2 == 1; };
 
-  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/200,
-                         /*workers=*/2});
+  BatchingEngine engine({/*max_batch=*/8, /*max_delay_us=*/200});
   std::vector<std::vector<std::future<Tensor>>> futures(kThreads);
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < kThreads; ++c)
@@ -807,8 +823,7 @@ TEST(ServeEngine, CoalescesEachSessionAcrossAnInterleavedQueue) {
   // max_batch == request count: the size trigger fires once all six are
   // queued; the three b requests left behind then wait out their head's
   // 2 s deadline as one batch.
-  BatchingEngine engine({/*max_batch=*/6, /*max_delay_us=*/2'000'000,
-                         /*workers=*/1});
+  BatchingEngine engine({/*max_batch=*/6, /*max_delay_us=*/2'000'000});
   Rng rng(21);
   std::vector<Tensor> windows;
   std::vector<std::future<Tensor>> futures;
@@ -827,8 +842,7 @@ TEST(ServeEngine, CoalescesEachSessionAcrossAnInterleavedQueue) {
 TEST(ServeEngine, ConcurrentSubmittersAllGetTheirOwnRow) {
   nn::RptcnNet net(engine_net_options());
   auto session = std::make_shared<InferenceSession>(net);
-  BatchingEngine engine({/*max_batch=*/16, /*max_delay_us=*/200,
-                         /*workers=*/2});
+  BatchingEngine engine({/*max_batch=*/16, /*max_delay_us=*/200});
 
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kPerThread = 8;

@@ -313,7 +313,6 @@ TEST(StreamDrift, ShortWindowMayNotExceedTheReferenceWindow) {
 
 TEST(StreamDrift, MonitorAggregatesResidualDetectorsAndResets) {
   DriftOptions opts;
-  opts.monitor_inputs = false;
   DriftMonitor monitor({"cpu_util_percent"}, opts);
   for (int i = 0; i < 150; ++i)
     ASSERT_FALSE(monitor.observe_residual(0.01));
@@ -388,7 +387,6 @@ TEST(StreamDrift, LevelTriggerCatchesConstantlyBadModel) {
 
   // DriftMonitor labels the fire distinctly.
   DriftOptions dopts;
-  dopts.monitor_inputs = false;
   dopts.windowed.short_window = 8;
   dopts.windowed.level_threshold = 0.3;
   DriftMonitor labelled({"cpu_util_percent"}, dopts);
